@@ -474,10 +474,10 @@ let start_sequential_loop registry =
   (port, sock, thread)
 
 let run_clients n f =
-  let started = Unix.gettimeofday () in
+  let started = Bx_obs.Clock.now () in
   let clients = List.init n (fun i -> Thread.create f i) in
   List.iter Thread.join clients;
-  Unix.gettimeofday () -. started
+  Bx_obs.Clock.now () -. started
 
 let p5_server_throughput () =
   rule "P5: server throughput — seed sequential loop vs pooled service";
@@ -589,9 +589,9 @@ let p5_journal_replay () =
              ~body:page)
       done;
       Bx_server.Service.close t;
-      let started = Unix.gettimeofday () in
+      let started = Bx_obs.Clock.now () in
       let t' = create () in
-      let elapsed = Unix.gettimeofday () -. started in
+      let elapsed = Bx_obs.Clock.now () -. started in
       let applied, failed = Bx_server.Service.replay_stats t' in
       Bx_server.Service.close t';
       Fmt.pr
@@ -865,7 +865,7 @@ let p9_replication () =
   done;
   let replica = create rdir true in
   let sink = Bx_server.Service.replication_sink replica in
-  let catchup_started = Unix.gettimeofday () in
+  let catchup_started = Bx_obs.Clock.now () in
   let rec catch_up n =
     if n > 10_000 then failwith "replica never caught up"
     else
@@ -874,7 +874,7 @@ let p9_replication () =
       | _ -> catch_up (n + 1)
   in
   catch_up 0;
-  let catchup_s = Unix.gettimeofday () -. catchup_started in
+  let catchup_s = Bx_obs.Clock.now () -. catchup_started in
   (* The hot standby under a write storm: the real follower loop applies
      while we write flat out, and a sampler watches the lag gauges. *)
   let follower =
@@ -907,11 +907,11 @@ let p9_replication () =
         done)
       ()
   in
-  let storm_started = Unix.gettimeofday () in
+  let storm_started = Bx_obs.Clock.now () in
   for _ = 1 to storm do
     edit ()
   done;
-  let storm_s = Unix.gettimeofday () -. storm_started in
+  let storm_s = Bx_obs.Clock.now () -. storm_started in
   (* Drain: the follower reports behind = 0 once a post-storm poll has
      applied everything. *)
   let rec drain n =
@@ -926,7 +926,7 @@ let p9_replication () =
       end
   in
   drain 0;
-  let drain_s = Unix.gettimeofday () -. storm_started -. storm_s in
+  let drain_s = Bx_obs.Clock.now () -. storm_started -. storm_s in
   Atomic.set stop_sampler true;
   Thread.join sampler;
   Bx_server.Service.shutdown replica;
@@ -992,11 +992,11 @@ let fault_guard () =
     exit 1
   end;
   let n = 50_000_000 in
-  let started = Unix.gettimeofday () in
+  let started = Bx_obs.Clock.now () in
   for _ = 1 to n do
     Bx_fault.Fault.point "bench.fault_guard"
   done;
-  let elapsed = Unix.gettimeofday () -. started in
+  let elapsed = Bx_obs.Clock.now () -. started in
   let ns = elapsed /. float_of_int n *. 1e9 in
   Fmt.pr "%d disabled Fault.point calls  %5.2f ns/call  (budget: 50 ns)@." n
     ns;
@@ -1030,15 +1030,15 @@ let time_per_run f =
   (* One warm-up call, a single timed call to calibrate, then enough
      repetitions for ~0.2 s of work. *)
   ignore (Sys.opaque_identity (f ()));
-  let t0 = Unix.gettimeofday () in
+  let t0 = Bx_obs.Clock.now () in
   ignore (Sys.opaque_identity (f ()));
-  let once = Unix.gettimeofday () -. t0 in
+  let once = Bx_obs.Clock.now () -. t0 in
   let reps = max 5 (int_of_float (0.2 /. Float.max 1e-9 once)) in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Bx_obs.Clock.now () in
   for _ = 1 to reps do
     ignore (Sys.opaque_identity (f ()))
   done;
-  (Unix.gettimeofday () -. t0) /. float_of_int reps
+  (Bx_obs.Clock.now () -. t0) /. float_of_int reps
 
 let p6_engine () =
   rule "P6: compiled vs interpreted matching (Composers source type)";
@@ -1068,9 +1068,9 @@ let p6_engine () =
     let best = ref infinity in
     for _ = 1 to 5 do
       Dfa.cache_clear ();
-      let t0 = Unix.gettimeofday () in
+      let t0 = Bx_obs.Clock.now () in
       ignore (Sys.opaque_identity (Bx_catalogue.Composers_string.build_lens ()));
-      best := Float.min !best (Unix.gettimeofday () -. t0)
+      best := Float.min !best (Bx_obs.Clock.now () -. t0)
     done;
     !best
   in
@@ -1226,23 +1226,36 @@ type p11_row = {
   p11_dump_bytes_approx : int;  (* what a whole-catalogue rewrite costs *)
 }
 
-(* Median time per call: one warm-up, then per-call samples for ~0.3 s
-   (at least 9), reported as the p50. *)
-let p50_per_run f =
+(* Nearest-rank [p]th percentile of an ascending array (0. if empty). *)
+let percentile sorted p =
+  let n = Array.length sorted in
+  if n = 0 then 0.
+  else
+    let idx = int_of_float (ceil (p /. 100. *. float_of_int n)) - 1 in
+    sorted.(max 0 (min (n - 1) idx))
+
+(* Median seconds per call of [f] on a fresh [prepare ()], which is left
+   off the clock: three warm-up calls, then samples for ~0.3 s (at least
+   9, at most 2000). *)
+let p50_prepared ~prepare ~f =
   for _ = 1 to 3 do
-    ignore (Sys.opaque_identity (f ()))
+    ignore (Sys.opaque_identity (f (prepare ())))
   done;
   let samples = ref [] in
-  let started = Unix.gettimeofday () in
+  let started = Bx_obs.Clock.now () in
   let n = ref 0 in
-  while !n < 9 || (Unix.gettimeofday () -. started < 0.3 && !n < 2000) do
-    let t0 = Unix.gettimeofday () in
-    ignore (Sys.opaque_identity (f ()));
-    samples := (Unix.gettimeofday () -. t0) :: !samples;
+  while !n < 9 || (Bx_obs.Clock.now () -. started < 0.3 && !n < 2000) do
+    let x = prepare () in
+    let t0 = Bx_obs.Clock.now_ns () in
+    ignore (Sys.opaque_identity (f x));
+    samples := (float_of_int (Bx_obs.Clock.now_ns () - t0) *. 1e-9) :: !samples;
     incr n
   done;
-  let sorted = List.sort compare !samples in
-  List.nth sorted (List.length sorted / 2)
+  let sorted = Array.of_list !samples in
+  Array.sort compare sorted;
+  percentile sorted 50.
+
+let p50_per_run f = p50_prepared ~prepare:ignore ~f
 
 let rec dir_bytes d =
   Array.fold_left
@@ -1634,25 +1647,6 @@ type p12_row = {
   put_fast_share : float;
 }
 
-(* [p50_per_run], but with per-sample setup excluded from the clock:
-   [prepare] builds the next edit, only [f] is timed. *)
-let p12_p50 ~prepare ~f =
-  for _ = 1 to 3 do
-    ignore (Sys.opaque_identity (f (prepare ())))
-  done;
-  let samples = ref [] in
-  let started = Unix.gettimeofday () in
-  let n = ref 0 in
-  while !n < 9 || (Unix.gettimeofday () -. started < 0.3 && !n < 2000) do
-    let x = prepare () in
-    let t0 = Unix.gettimeofday () in
-    ignore (Sys.opaque_identity (f x));
-    samples := (Unix.gettimeofday () -. t0) :: !samples;
-    incr n
-  done;
-  let sorted = List.sort compare !samples in
-  List.nth sorted (List.length sorted / 2)
-
 (* Replace the final comma-field (the nationality) of one line with
    [word], rotating through the document — a fresh letters-only word
    keeps the document inside the lens's types while guaranteeing the
@@ -1706,7 +1700,7 @@ let p12_delta ~sizes () =
       let counter = ref 0 in
       D.reset_stats ();
       let delta_put =
-        p12_p50
+        p50_prepared
           ~prepare:(fun () ->
             incr counter;
             let v' = p12_edit_line !view !counter (p12_word !counter) in
@@ -1727,7 +1721,7 @@ let p12_delta ~sizes () =
       let src = ref src0 and view = ref view0 in
       let gcache = D.make_cache () in
       let delta_get =
-        p12_p50
+        p50_prepared
           ~prepare:(fun () ->
             incr counter;
             let s' = p12_edit_line !src !counter (p12_word !counter) in
@@ -1925,9 +1919,9 @@ let p13_integrity ~entries () =
   | Error e -> failwith ("P13 checkpoint: " ^ e));
   land_edits svc;
   let store_bytes = dir_bytes dir in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Bx_obs.Clock.now () in
   let scrub_items, clean_findings = Bx_server.Service.scrub_once svc in
-  let scrub_seconds = Unix.gettimeofday () -. t0 in
+  let scrub_seconds = Bx_obs.Clock.now () -. t0 in
   let false_positives = List.length clean_findings in
   List.iter
     (fun (name, why) -> Fmt.pr "P13 false positive: %s: %s@." name why)
@@ -2018,8 +2012,8 @@ let p13_integrity ~entries () =
       tax_ok = sum (fun r -> r.Bx_load.Loadgen.ok);
       tax_shed = sum (fun r -> r.Bx_load.Loadgen.shed);
       tax_failed = sum (fun r -> r.Bx_load.Loadgen.failed);
-      tax_p50_us = median (fun r -> Bx_load.Hist.quantile r.latency 0.5);
-      tax_p99_us = median (fun r -> Bx_load.Hist.quantile r.latency 0.99);
+      tax_p50_us = median (fun r -> Bx_obs.Hist.quantile r.latency 0.5);
+      tax_p99_us = median (fun r -> Bx_obs.Hist.quantile r.latency 0.99);
     }
   in
   let tax_off, tax_rate =
@@ -2278,13 +2272,6 @@ type p14_summary = {
   p14_toxics : p14_toxic list;
 }
 
-let p14_percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else
-    let idx = int_of_float (ceil (p /. 100. *. float_of_int n)) - 1 in
-    sorted.(max 0 (min (n - 1) idx))
-
 let p14_contains ~needle hay =
   let hl = String.length hay and nl = String.length needle in
   let rec scan i = i + nl <= hl && (String.sub hay i nl = needle || scan (i + 1)) in
@@ -2486,11 +2473,11 @@ let p14_deadline_storm ~budget_ms ~offered =
   let waits = Array.make offered 0. in
   let per_client i =
     let headers = Printf.sprintf "X-Bxwiki-Deadline: %.0f\r\n" budget_ms in
-    let started = Unix.gettimeofday () in
+    let started = Bx_obs.Clock.now () in
     let raw =
       p14_fetch port ~headers (Printf.sprintf "%s?i=%d" bench_path i)
     in
-    waits.(i) <- (Unix.gettimeofday () -. started) *. 1000.;
+    waits.(i) <- (Bx_obs.Clock.now () -. started) *. 1000.;
     match p14_status raw with
     | 200 -> Atomic.incr fresh
     | 503 | 504 -> Atomic.incr shed
@@ -2536,8 +2523,8 @@ let p14_deadline_storm ~budget_ms ~offered =
     dl_fresh = Atomic.get fresh;
     dl_shed = Atomic.get shed;
     dl_failed = Atomic.get failed;
-    dl_p50_ms = p14_percentile sorted 50.;
-    dl_p99_ms = p14_percentile sorted 99.;
+    dl_p50_ms = percentile sorted 50.;
+    dl_p99_ms = percentile sorted 99.;
     dl_max_ms = sorted.(Array.length sorted - 1);
     dl_tight_refused = Atomic.get tight_refused;
     dl_tight_served = Atomic.get tight_served;
@@ -2574,16 +2561,16 @@ let p14_toxic_tax () =
     let n = 40 in
     let samples =
       Array.init n (fun _ ->
-          let started = Unix.gettimeofday () in
+          let started = Bx_obs.Clock.now () in
           let raw = p14_fetch target ~headers:"" bench_path in
           if p14_status raw <> 200 then failwith (label ^ ": request failed");
-          (Unix.gettimeofday () -. started) *. 1000.)
+          (Bx_obs.Clock.now () -. started) *. 1000.)
     in
     Array.sort compare samples;
     {
       tx_mode = label;
-      tx_p50_ms = p14_percentile samples 50.;
-      tx_p95_ms = p14_percentile samples 95.;
+      tx_p50_ms = percentile samples 50.;
+      tx_p95_ms = percentile samples 95.;
     }
   in
   let direct = measure "direct" port in

@@ -155,7 +155,7 @@ module Breaker = struct
     match t.state with
     | Closed | Half_open -> true
     | Open retry_at ->
-        if Unix.gettimeofday () >= retry_at then begin
+        if Bx_obs.Clock.now () >= retry_at then begin
           t.state <- Half_open;
           true
         end
@@ -168,9 +168,9 @@ module Breaker = struct
   let failure t =
     t.failures <- t.failures + 1;
     match t.state with
-    | Half_open -> t.state <- Open (Unix.gettimeofday () +. t.cooldown)
+    | Half_open -> t.state <- Open (Bx_obs.Clock.now () +. t.cooldown)
     | _ when t.failures >= t.threshold ->
-        t.state <- Open (Unix.gettimeofday () +. t.cooldown)
+        t.state <- Open (Bx_obs.Clock.now () +. t.cooldown)
     | _ -> ()
 end
 
@@ -225,11 +225,11 @@ let client_main args =
      still remaining, so the server stops working on a request the
      moment this client would no longer read the answer. *)
   let overall_deadline =
-    Option.map (fun ms -> Unix.gettimeofday () +. (ms /. 1000.)) !deadline_ms
+    Option.map (fun ms -> Bx_obs.Clock.now () +. (ms /. 1000.)) !deadline_ms
   in
   let remaining_ms () =
     Option.map
-      (fun d -> (d -. Unix.gettimeofday ()) *. 1000.)
+      (fun d -> (d -. Bx_obs.Clock.now ()) *. 1000.)
       overall_deadline
   in
   (* One attempt: Ok (status, retry_after, stale, body) or a retryable
@@ -890,13 +890,13 @@ let loadgen_main args =
   in
   let failures = ref false in
   let report label (r : Bx_load.Loadgen.result) =
-    let q p = Bx_load.Hist.quantile r.latency p in
+    let q p = Bx_obs.Hist.quantile r.latency p in
     Printf.printf
       "loadgen: %s: %.1f req/s ok=%d shed=%d err=%d transport=%d p50=%dus \
        p99=%dus p999=%dus max=%dus\n%!"
       label r.throughput r.ok r.shed r.failed r.transport (q 0.5) (q 0.99)
       (q 0.999)
-      (Bx_load.Hist.max_value r.latency);
+      (Bx_obs.Hist.max_value r.latency);
     List.iter
       (fun l ->
         Printf.printf "loadgen:   lock %s/%s: %d acquisitions, %d contended\n%!"

@@ -30,7 +30,7 @@ type result = {
   transport : int;
   reconnects : int;
   throughput : float;
-  latency : Hist.t;
+  latency : Bx_obs.Hist.t;
   locks : lock_row list;
   domain_failures : string list;
 }
@@ -124,7 +124,7 @@ let lock_delta ~before ~after =
 (* One client domain *)
 
 type domain_tally = {
-  hist : Hist.t;
+  hist : Bx_obs.Hist.t;
   mutable d_sent : int;
   mutable d_ok : int;
   mutable d_shed : int;
@@ -150,7 +150,7 @@ let run_domain ~spec ~start ~offsets ~dseed () =
   in
   let tally =
     {
-      hist = Hist.create ();
+      hist = Bx_obs.Hist.create ();
       d_sent = 0;
       d_ok = 0;
       d_shed = 0;
@@ -167,7 +167,7 @@ let run_domain ~spec ~start ~offsets ~dseed () =
   Array.iter
     (fun off ->
       let scheduled = start +. off in
-      let now = Unix.gettimeofday () in
+      let now = Bx_obs.Clock.now () in
       if scheduled > now then Unix.sleepf (scheduled -. now);
       let op = Workload.pick spec.profile prng in
       let req =
@@ -205,9 +205,9 @@ let run_domain ~spec ~start ~offsets ~dseed () =
         | Ok status -> record_status tally status
         | Error _ -> tally.d_transport <- tally.d_transport + 1);
         let latency_us =
-          int_of_float ((Unix.gettimeofday () -. scheduled) *. 1e6)
+          int_of_float ((Bx_obs.Clock.now () -. scheduled) *. 1e6)
         in
-        Hist.record tally.hist latency_us
+        Bx_obs.Hist.record tally.hist latency_us
       end)
     offsets;
   tally.d_reconnects <- Conn.reconnects conn;
@@ -241,7 +241,7 @@ let run spec =
               in
               (dseed, offsets))
         in
-        let start = Unix.gettimeofday () +. 0.05 in
+        let start = Bx_obs.Clock.now () +. 0.05 in
         (* Counters scraped at the warmup boundary and again after the
            domains drain: the delta brackets (approximately) the
            measured phase.  The scrape itself is two /metrics requests
@@ -250,7 +250,7 @@ let run spec =
         let scraper =
           Domain.spawn (fun () ->
               let boundary = start +. spec.warmup in
-              let now = Unix.gettimeofday () in
+              let now = Bx_obs.Clock.now () in
               if boundary > now then Unix.sleepf (boundary -. now);
               before := scrape_locks ~port:spec.port)
         in
@@ -264,7 +264,7 @@ let run spec =
         in
         Domain.join scraper;
         let after = scrape_locks ~port:spec.port in
-        let wall = Unix.gettimeofday () -. (start +. spec.warmup) in
+        let wall = Bx_obs.Clock.now () -. (start +. spec.warmup) in
         let tallies = List.filter_map Result.to_option outcomes in
         let domain_failures =
           List.filter_map
@@ -278,8 +278,8 @@ let run spec =
         else begin
           let latency =
             List.fold_left
-              (fun acc t -> Hist.merge acc t.hist)
-              (Hist.create ()) tallies
+              (fun acc t -> Bx_obs.Hist.merge acc t.hist)
+              (Bx_obs.Hist.create ()) tallies
           in
           let sum f = List.fold_left (fun a t -> a + f t) 0 tallies in
           let ok = sum (fun t -> t.d_ok) in
@@ -327,7 +327,7 @@ let json_escape s =
 let result_json buf indent r =
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let pad = String.make indent ' ' in
-  let q p = Hist.quantile r.latency p in
+  let q p = Bx_obs.Hist.quantile r.latency p in
   add "%s{ \"profile\": \"%s\", \"pacing\": \"%s\", \"domains\": %d,\n" pad
     (json_escape r.res_profile) (json_escape r.res_pacing) r.res_domains;
   add "%s  \"offered_rate_rps\": %.1f, \"measured_s\": %.2f,\n" pad r.res_rate
@@ -341,8 +341,8 @@ let result_json buf indent r =
     "%s  \"latency_us\": { \"p50\": %d, \"p90\": %d, \"p99\": %d, \"p999\": \
      %d, \"max\": %d, \"mean\": %.1f },\n"
     pad (q 0.5) (q 0.9) (q 0.99) (q 0.999)
-    (Hist.max_value r.latency)
-    (Hist.mean r.latency);
+    (Bx_obs.Hist.max_value r.latency)
+    (Bx_obs.Hist.mean r.latency);
   add "%s  \"domain_failures\": [%s],\n" pad
     (String.concat ", "
        (List.map (fun f -> "\"" ^ json_escape f ^ "\"") r.domain_failures));

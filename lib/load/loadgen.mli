@@ -3,7 +3,7 @@
     reads the server's lock-contention counters around the measured
     window.
 
-    Per domain: one keep-alive {!Conn}, one {!Prng}, one {!Hist}, and a
+    Per domain: one keep-alive {!Conn}, one {!Prng}, one {!Bx_obs.Hist}, and a
     private slice of the arrival schedule — domains share nothing and
     their histograms merge afterwards.  Because a keep-alive connection
     occupies one server worker for its lifetime, run the server with at
@@ -45,7 +45,7 @@ type result = {
   transport : int;  (** connection-level errors *)
   reconnects : int;
   throughput : float;  (** ok / res_wall *)
-  latency : Hist.t;  (** microseconds, all domains merged *)
+  latency : Bx_obs.Hist.t;  (** microseconds, all domains merged *)
   locks : lock_row list;
       (** server counter deltas across the measured phase — which lock
           the run actually queued on *)

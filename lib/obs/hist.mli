@@ -33,6 +33,9 @@ val max_value : t -> int
 val min_value : t -> int
 (** Smallest recorded value, exact (0 when empty). *)
 
+val sum : t -> int
+(** Exact sum of recorded values. *)
+
 val mean : t -> float
 (** Exact mean of recorded values (0 when empty). *)
 
@@ -40,6 +43,13 @@ val quantile : t -> float -> int
 (** [quantile t q] for [q] in [0, 1]: an upper bound on the value at
     rank [ceil (q * total)], within the bucket error bound, clamped to
     {!max_value}.  0 when empty. *)
+
+val count_le : t -> int -> int
+(** [count_le t v]: the recorded values at most [v], plus those above
+    [v] that share its slot — so the count may include values up to one
+    slot width ([v * 2^-sub_bits]) above [v], never miss one below it.
+    Reads [counts] in index order, so while another domain records,
+    [count_le] is non-decreasing in [v] and in time. *)
 
 val merge : t -> t -> t
 (** A fresh histogram holding both sets of recordings.  The operands

@@ -64,11 +64,11 @@ let ensure r =
   else begin
     if
       r.read_budget > 0. && r.started > 0.
-      && Unix.gettimeofday () -. r.started > r.read_budget
+      && Bx_obs.Clock.now () -. r.started > r.read_budget
     then raise Read_deadline;
     r.pos <- 0;
     r.len <- r.refill r.buf 0 (Bytes.length r.buf);
-    if r.len > 0 && r.started = 0. then r.started <- Unix.gettimeofday ();
+    if r.len > 0 && r.started = 0. then r.started <- Bx_obs.Clock.now ();
     r.len > 0
   end
 
@@ -131,7 +131,7 @@ let max_deadline_ms = 3_600_000.
 let parse_deadline value =
   match float_of_string_opt (String.trim value) with
   | Some ms when ms > 0. ->
-      Some (Unix.gettimeofday () +. Float.min ms max_deadline_ms /. 1000.)
+      Some (Bx_obs.Clock.now () +. Float.min ms max_deadline_ms /. 1000.)
   | _ -> None
 
 let read_request_inner ~max_body r =

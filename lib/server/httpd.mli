@@ -35,7 +35,7 @@ type request = {
   body : string;
   keep_alive : bool;
   deadline : float option;
-      (** absolute [Unix.gettimeofday] deadline derived from
+      (** absolute {!Bx_obs.Clock.now} deadline derived from
           [X-Bxwiki-Deadline]; [None] when absent or malformed *)
 }
 

@@ -15,20 +15,20 @@
    snapshot digest manifests, sealed MANIFESTs and the per-entry content
    hashes all speak it, so a tool that can check one can check all. *)
 
+(* Built eagerly: a lazy forced by two domains at once can raise
+   [CamlinternalLazy.Undefined] in one of them. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let crc32_sub s off len =
-  let table = Lazy.force crc_table in
   let c = ref 0xFFFFFFFF in
   for i = off to off + len - 1 do
-    c := Array.unsafe_get table ((!c lxor Char.code s.[i]) land 0xff)
+    c := Array.unsafe_get crc_table ((!c lxor Char.code s.[i]) land 0xff)
          lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF
@@ -336,10 +336,10 @@ module Bucket = struct
   let create ~rate =
     let rate = if rate <= 0. then 0. else rate in
     let burst = Float.max 1. rate in
-    { rate; burst; tokens = burst; last = Unix.gettimeofday () }
+    { rate; burst; tokens = burst; last = Bx_obs.Clock.now () }
 
   let refill t =
-    let now = Unix.gettimeofday () in
+    let now = Bx_obs.Clock.now () in
     let dt = Float.max 0. (now -. t.last) in
     t.last <- now;
     t.tokens <- Float.min t.burst (t.tokens +. (dt *. t.rate))

@@ -1,582 +1,250 @@
-(* Fixed bucket upper bounds for the latency histogram, in seconds.  The
-   wiki's handlers run from microseconds (cache hit) to a few hundred
-   milliseconds (the /checks verification sweep), so the grid is
-   log-spaced across that range. *)
-let buckets =
-  [| 0.0001; 0.00025; 0.0005; 0.001; 0.0025; 0.005; 0.01; 0.025; 0.05;
-     0.1; 0.25; 0.5; 1.0; 2.5 |]
+module Hist = Bx_obs.Hist
 
-type histogram = {
-  counts : int array; (* one per bucket, cumulative on render only *)
-  mutable sum : float;
-  mutable total : int;
+(* ------------------------------------------------------------------ *)
+(* Families and per-domain shards *)
+
+type family = {
+  id : int; (* keys the cells *)
+  name : string;
+  help : string; (* "" for a companion series printed without a preamble *)
+  kind : string; (* counter | gauge | histogram *)
+  labels : string list;
+  read : (unit -> (string list * float) list) option; (* sampled at scrape *)
 }
 
-type lens_op = { mutable ops : int; mutable docs : int; mutable op_bytes : int }
+type cell = Count of { mutable n : int } | Dist of Hist.t
+
+module Cells = Map.Make (struct
+  type t = int * string list
+  let compare (a, la) (b, lb) = if a <> b then Int.compare a b else List.compare String.compare la lb
+end)
+
+(* A domain's cells, written only by that domain.  A new series
+   publishes a new map (the old one is never mutated), so a scraper
+   walks a fixed snapshot while the owner keeps inserting. *)
+type shard = cell Cells.t Atomic.t
 
 type t = {
-  mutex : Mutex.t;
-  requests : (string * string * int, int ref) Hashtbl.t;
-  errors : (string * string, int ref) Hashtbl.t; (* (route, reason) *)
-  latency : (string, histogram) Hashtbl.t; (* per route *)
-  lens_ops : (string * string, lens_op) Hashtbl.t; (* (lens, op) *)
-  shed : (string, int ref) Hashtbl.t; (* per reason: queue_full, deadline *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable torn_tails : int;
-  mutable crc_errors : int;
-  mutable compact_ok : int;
-  mutable compact_fail : int;
-  mutable last_compaction_ok : bool;
-  mutable queue_depth : int; (* gauge, sampled at scrape time *)
-  (* Brownout/degradation state: the AIMD admission limit and the sticky
-     disk-full flag are gauges sampled at scrape; stale responses served
-     by the degraded lane are a counter with the cumulative generation
-     lag alongside, so staleness is bounded *and measured*. *)
-  mutable concurrency_limit : int;
-  mutable journal_disk_full : bool;
-  mutable stale_served : int;
-  mutable stale_gen_lag : int;
-  (* Replication counters (either side of the stream) and gauges
-     (sampled at scrape time, like queue_depth). *)
-  mutable streamed_records : int;
-  mutable streamed_bytes : int;
-  mutable applied_records : int;
-  mutable reconnects : int;
-  mutable snapshot_bootstraps : int;
-  mutable epoch_rejects : int;
-  mutable replication_gaps : int;
-  mutable digest_checks : int;
-  mutable digest_mismatches : int;
-  mutable shard_resyncs : int;
-  (* Integrity: the background scrubber's walk and its findings, and the
-     quarantine's current population (a gauge, maintained by the
-     service). *)
-  mutable scrub_passes : int;
-  scrub_items : (string, int ref) Hashtbl.t; (* per surface *)
-  scrub_corruptions : (string, int ref) Hashtbl.t; (* per surface *)
-  mutable quarantined_entries : int;
-  mutable quarantined_docs : int;
-  mutable quarantined_files : int;
-  mutable repl_epoch : int;
-  mutable repl_fenced : bool;
-  mutable repl_role_replica : bool;
-  mutable repl_lag : float;
-  mutable repl_behind : int;
-  (* Lock contention gauges, sampled at scrape time: (lock, mode) ->
-     (acquisitions, contended).  Contended = the acquirer had to block
-     (mutex busy, or a reader/writer held the rwlock against it). *)
-  locks : (string * string, int * int) Hashtbl.t;
-  mutable respcache_shards : int;
-  mutable respcache_entries : int;
-  mutable registry_shards : int;
-  mutable registry_entries : int;
+  key : shard Domain.DLS.key;
+  shards : shard list Atomic.t;
+  sampled : family list Atomic.t; (* newest first *)
+  compaction_ok : bool Atomic.t;
 }
 
+let rec push a x =
+  let l = Atomic.get a in
+  if not (Atomic.compare_and_set a l (x :: l)) then push a x
+
+let next_id = Atomic.make 0
+
+let family ?read ?(labels = []) ?(kind = "counter") name help =
+  { id = Atomic.fetch_and_add next_id 1; name; help; kind; labels; read }
+
+let sample t ?(kind = "gauge") ?labels name ~help read =
+  push t.sampled (family ~read ?labels ~kind name help)
+
+(* The calling domain's cell for one series.  Publishing retries on a
+   lost race, which only systhreads sharing the domain can cause. *)
+let cell t f labels fresh =
+  let shard = Domain.DLS.get t.key and key = (f.id, labels) in
+  let rec find () =
+    let m = Atomic.get shard in
+    match Cells.find key m with
+    | c -> c
+    | exception Not_found ->
+        let c = fresh () in
+        if Atomic.compare_and_set shard m (Cells.add key c m) then c else find ()
+  in
+  find ()
+
+let add t f ?(labels = []) n =
+  match cell t f labels (fun () -> Count { n = 0 }) with
+  | Count c -> c.n <- c.n + n
+  | Dist _ -> invalid_arg "Metrics.add: histogram family"
+
+(* ------------------------------------------------------------------ *)
+(* Declarations, in exposition order *)
+
+let declared = ref []
+
+(* Families are named without the common [bxwiki_] prefix. *)
+let declare ?labels ?kind name help =
+  let f = family ?labels ?kind ("bxwiki_" ^ name) help in
+  declared := f :: !declared;
+  f
+
+let lens = [ "lens"; "op" ] and surface = [ "surface" ]
+let requests =
+  declare "requests_total" ~labels:[ "route"; "method"; "status" ]
+    "Requests handled, by route class, method and status."
+let errors =
+  declare "http_errors_total" ~labels:[ "route"; "reason" ] "Error responses and protocol failures."
+let duration =
+  declare "request_duration_seconds" ~kind:"histogram" ~labels:[ "route" ] "Request handling time."
+let lens_ops = declare "lens_requests_total" ~labels:lens "Lens operations served, by lens and operation."
+let lens_docs = declare "lens_documents_total" ~labels:lens ""
+let lens_bytes = declare "lens_request_bytes_total" ~labels:lens ""
+let hits = declare "cache_hits_total" "Rendered-page cache hits."
+let misses = declare "cache_misses_total" "Rendered-page cache misses."
+let torn_tails = declare "journal_torn_tail_total" "Journal recoveries that truncated a torn tail."
+let crc_errors =
+  declare "journal_crc_errors_total" "Journal records rejected by checksum during recovery."
+let compactions =
+  declare "journal_compactions_total" ~labels:[ "result" ] "Snapshot compactions, by outcome."
+let sheds =
+  declare "shed_total" ~labels:[ "reason" ] "Connections shed by overload protection, by reason."
+let stale_served =
+  declare "stale_served_total" "Responses served from the respcache past their generation (brownout)."
+let stale_lag =
+  declare "stale_generation_lag_total" "Cumulative generation lag across stale responses."
+let repl name help = declare ("replication_" ^ name) help
+let streamed_records = repl "streamed_records_total" "Journal records served to followers."
+let streamed_bytes = repl "streamed_bytes_total" "Frame bytes served to followers."
+let applied = repl "applied_records_total" "Streamed records applied by this replica."
+let reconnects = repl "reconnects_total" "Follower reconnect attempts after a failed poll."
+let bootstraps =
+  repl "snapshot_bootstraps_total" "Full snapshot installs performed to catch up across a compaction."
+let epoch_rejects = repl "epoch_rejects_total" "Stream batches rejected for carrying a stale epoch."
+let gaps =
+  repl "gaps_total" "Sequence gaps detected in the applied stream (each triggers a snapshot re-bootstrap)."
+let digest_checks =
+  repl "digest_checks_total" "Anti-entropy digest comparisons performed against the upstream."
+let digest_mismatches =
+  repl "digest_mismatches_total" "Digest comparisons that found at least one diverged shard."
+let resyncs =
+  repl "shard_resyncs_total" "Targeted per-shard re-bootstraps performed after a digest mismatch."
+let scrub_passes = declare "scrub_passes_total" "Complete scrubber walks over the store."
+let scrub_items =
+  declare "scrub_items_total" ~labels:surface "Items examined by the scrubber, by surface."
+let scrub_corruptions =
+  declare "scrub_corruptions_total" ~labels:surface "Corruptions the scrubber found, by surface."
+let declared = List.rev !declared
+
 let create () =
-  {
-    mutex = Mutex.create ();
-    requests = Hashtbl.create 16;
-    errors = Hashtbl.create 16;
-    latency = Hashtbl.create 16;
-    lens_ops = Hashtbl.create 16;
-    shed = Hashtbl.create 4;
-    hits = 0;
-    misses = 0;
-    torn_tails = 0;
-    crc_errors = 0;
-    compact_ok = 0;
-    compact_fail = 0;
-    last_compaction_ok = true;
-    queue_depth = 0;
-    concurrency_limit = 0;
-    journal_disk_full = false;
-    stale_served = 0;
-    stale_gen_lag = 0;
-    streamed_records = 0;
-    streamed_bytes = 0;
-    applied_records = 0;
-    reconnects = 0;
-    snapshot_bootstraps = 0;
-    epoch_rejects = 0;
-    replication_gaps = 0;
-    digest_checks = 0;
-    digest_mismatches = 0;
-    shard_resyncs = 0;
-    scrub_passes = 0;
-    scrub_items = Hashtbl.create 8;
-    scrub_corruptions = Hashtbl.create 8;
-    quarantined_entries = 0;
-    quarantined_docs = 0;
-    quarantined_files = 0;
-    repl_epoch = 0;
-    repl_fenced = false;
-    repl_role_replica = false;
-    repl_lag = 0.;
-    repl_behind = 0;
-    locks = Hashtbl.create 8;
-    respcache_shards = 1;
-    respcache_entries = 0;
-    registry_shards = 1;
-    registry_entries = 0;
-  }
+  let shards = Atomic.make [] in
+  let key = Domain.DLS.new_key (fun () -> let s = Atomic.make Cells.empty in push shards s; s) in
+  let t = { key; shards; sampled = Atomic.make []; compaction_ok = Atomic.make true } in
+  List.iter (fun r -> add t compactions ~labels:[ r ] 0) [ "ok"; "error" ];
+  sample t "bxwiki_journal_last_compaction_ok"
+    ~help:"Whether the most recent compaction succeeded (1 until one fails)."
+    (fun () -> [ ([], if Atomic.get t.compaction_ok then 1. else 0.) ]);
+  t
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
-let bump table key =
-  match Hashtbl.find_opt table key with
-  | Some r -> incr r
-  | None -> Hashtbl.replace table key (ref 1)
+(* Latency bucket bounds in seconds, log-spaced from a cache hit to the
+   /checks sweep. *)
+let buckets =
+  [| 0.0001; 0.00025; 0.0005; 0.001; 0.0025; 0.005; 0.01; 0.025; 0.05; 0.1; 0.25; 0.5; 1.; 2.5 |]
+let ns s = int_of_float (Float.round (s *. 1e9))
 
 let observe_request t ~route ~meth ~status ~seconds =
-  locked t (fun () ->
-      bump t.requests (route, meth, status);
-      if status >= 400 then bump t.errors (route, "status_" ^ string_of_int status);
-      let h =
-        match Hashtbl.find_opt t.latency route with
-        | Some h -> h
-        | None ->
-            let h =
-              { counts = Array.make (Array.length buckets) 0; sum = 0.; total = 0 }
-            in
-            Hashtbl.replace t.latency route h;
-            h
-      in
-      (* Count into the first bucket whose bound admits the observation;
-         render accumulates, matching Prometheus's cumulative scheme. *)
-      let rec place i =
-        if i >= Array.length buckets then ()
-        else if seconds <= buckets.(i) then h.counts.(i) <- h.counts.(i) + 1
-        else place (i + 1)
-      in
-      place 0;
-      h.sum <- h.sum +. seconds;
-      h.total <- h.total + 1)
+  add t requests ~labels:[ route; meth; string_of_int status ] 1;
+  if status >= 400 then add t errors ~labels:[ route; "status_" ^ string_of_int status ] 1;
+  match cell t duration [ route ] (fun () -> Dist (Hist.create ())) with
+  | Dist h -> Hist.record h (ns seconds)
+  | Count _ -> assert false
 
-let protocol_error t ~route ~reason =
-  locked t (fun () -> bump t.errors (route, reason))
+let protocol_error t ~route ~reason = add t errors ~labels:[ route; reason ] 1
+let cache_hit t = add t hits 1
+let cache_miss t = add t misses 1
+let shed t ~reason = add t sheds ~labels:[ reason ] 1
+let journal_recovery t ~torn ~crc_errors:n = add t torn_tails (Bool.to_int torn); add t crc_errors n
+let stale_response t ~gen_lag = add t stale_served 1; add t stale_lag (max 0 gen_lag)
 
 let observe_lens t ~lens ~op ~docs ~bytes =
-  locked t (fun () ->
-      let c =
-        match Hashtbl.find_opt t.lens_ops (lens, op) with
-        | Some c -> c
-        | None ->
-            let c = { ops = 0; docs = 0; op_bytes = 0 } in
-            Hashtbl.replace t.lens_ops (lens, op) c;
-            c
-      in
-      c.ops <- c.ops + 1;
-      c.docs <- c.docs + docs;
-      c.op_bytes <- c.op_bytes + bytes)
-
-let lens_ops_total t =
-  locked t (fun () ->
-      Hashtbl.fold (fun _ c acc -> acc + c.ops) t.lens_ops 0)
-
-let cache_hit t = locked t (fun () -> t.hits <- t.hits + 1)
-let cache_miss t = locked t (fun () -> t.misses <- t.misses + 1)
-
-let journal_recovery t ~torn ~crc_errors =
-  locked t (fun () ->
-      if torn then t.torn_tails <- t.torn_tails + 1;
-      t.crc_errors <- t.crc_errors + crc_errors)
+  let labels = [ lens; op ] in
+  add t lens_ops ~labels 1;
+  add t lens_docs ~labels docs;
+  add t lens_bytes ~labels bytes
 
 let compaction t ~ok =
-  locked t (fun () ->
-      if ok then t.compact_ok <- t.compact_ok + 1
-      else t.compact_fail <- t.compact_fail + 1;
-      t.last_compaction_ok <- ok)
+  add t compactions ~labels:[ (if ok then "ok" else "error") ] 1;
+  Atomic.set t.compaction_ok ok
 
-let shed t ~reason = locked t (fun () -> bump t.shed reason)
-
-let note_queue_depth t depth = locked t (fun () -> t.queue_depth <- depth)
-
-let note_concurrency_limit t limit =
-  locked t (fun () -> t.concurrency_limit <- limit)
-
-let note_disk_full t full = locked t (fun () -> t.journal_disk_full <- full)
-
-let stale_response t ~gen_lag =
-  locked t (fun () ->
-      t.stale_served <- t.stale_served + 1;
-      t.stale_gen_lag <- t.stale_gen_lag + max 0 gen_lag)
-
-let replication_streamed t ~records ~bytes =
-  locked t (fun () ->
-      t.streamed_records <- t.streamed_records + records;
-      t.streamed_bytes <- t.streamed_bytes + bytes)
-
-let replication_applied t ~records =
-  locked t (fun () -> t.applied_records <- t.applied_records + records)
-
-let replication_reconnect t =
-  locked t (fun () -> t.reconnects <- t.reconnects + 1)
-
-let replication_snapshot_bootstrap t =
-  locked t (fun () -> t.snapshot_bootstraps <- t.snapshot_bootstraps + 1)
-
-let replication_epoch_reject t =
-  locked t (fun () -> t.epoch_rejects <- t.epoch_rejects + 1)
-
-let replication_gap t =
-  locked t (fun () -> t.replication_gaps <- t.replication_gaps + 1)
-
+let replication_streamed t ~records ~bytes = add t streamed_records records; add t streamed_bytes bytes
 let replication_digest_check t ~matched =
-  locked t (fun () ->
-      t.digest_checks <- t.digest_checks + 1;
-      if not matched then t.digest_mismatches <- t.digest_mismatches + 1)
+  add t digest_checks 1; add t digest_mismatches (Bool.to_int (not matched))
 
-let replication_shard_resync t =
-  locked t (fun () -> t.shard_resyncs <- t.shard_resyncs + 1)
+let replication_applied t ~records = add t applied records
+let replication_reconnect t = add t reconnects 1
+let replication_snapshot_bootstrap t = add t bootstraps 1
+let replication_epoch_reject t = add t epoch_rejects 1
+let replication_gap t = add t gaps 1
+let replication_shard_resync t = add t resyncs 1
+let scrub_pass t = add t scrub_passes 1
+let scrub_item t ~surface ~n = add t scrub_items ~labels:[ surface ] n
+let scrub_corruption t ~surface = add t scrub_corruptions ~labels:[ surface ] 1
 
-(* --- Integrity: scrubber + quarantine --------------------------------- *)
+(* ------------------------------------------------------------------ *)
+(* Reading and exposition *)
 
-let scrub_pass t = locked t (fun () -> t.scrub_passes <- t.scrub_passes + 1)
+let sum_counts =
+  List.fold_left (fun acc -> function Count c -> acc + c.n | Dist h -> acc + Hist.count_le h max_int) 0
 
-let bump_by table key n =
-  match Hashtbl.find_opt table key with
-  | Some r -> r := !r + n
-  | None -> Hashtbl.replace table key (ref n)
+(* Every shard's cells, grouped by series, sorted by family then labels. *)
+let merged t =
+  List.fold_left
+    (fun acc shard ->
+      Cells.fold
+        (fun k c -> Cells.update k (fun l -> Some (c :: Option.value l ~default:[])))
+        (Atomic.get shard) acc)
+    Cells.empty (Atomic.get t.shards)
 
-let scrub_item t ~surface ~n =
-  locked t (fun () -> bump_by t.scrub_items surface n)
+let series_of cells f =
+  Cells.to_seq_from (f.id, []) cells
+  |> Seq.take_while (fun ((id, _), _) -> id = f.id)
+  |> Seq.map (fun ((_, ls), cs) -> (ls, cs))
+  |> List.of_seq
 
-let scrub_corruption t ~surface =
-  locked t (fun () -> bump_by t.scrub_corruptions surface 1)
+(* The one reader behind the introspection calls: a family's total, or one series'. *)
+let total ?labels t f =
+  List.fold_left
+    (fun acc (ls, cs) ->
+      if Option.fold ~none:true ~some:(( = ) ls) labels then acc + sum_counts cs else acc)
+    0 (series_of (merged t) f)
 
-let note_quarantine t ~entries ~docs ~files =
-  locked t (fun () ->
-      t.quarantined_entries <- entries;
-      t.quarantined_docs <- docs;
-      t.quarantined_files <- files)
+let requests_total t = total t requests
+let errors_total t = total t errors
+let cache_counts t = (total t hits, total t misses)
+let shed_by_reason t reason = total t sheds ~labels:[ reason ]
+let stale_counts t = (total t stale_served, total t stale_lag)
+let journal_recovery_counts t = (total t torn_tails, total t crc_errors)
+let scrub_counts t = (total t scrub_passes, total t scrub_items, total t scrub_corruptions)
 
-let scrub_counts t =
-  locked t (fun () ->
-      ( t.scrub_passes,
-        Hashtbl.fold (fun _ r acc -> acc + !r) t.scrub_items 0,
-        Hashtbl.fold (fun _ r acc -> acc + !r) t.scrub_corruptions 0 ))
-
-let scrub_corruptions_by_surface t =
-  locked t (fun () ->
-      Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.scrub_corruptions []
-      |> List.sort compare)
-
-let integrity_counts t =
-  locked t (fun () ->
-      ( t.replication_gaps,
-        t.digest_checks,
-        t.digest_mismatches,
-        t.shard_resyncs ))
-
-let note_replication t ~epoch ~fenced ~replica ~lag ~behind =
-  locked t (fun () ->
-      t.repl_epoch <- epoch;
-      t.repl_fenced <- fenced;
-      t.repl_role_replica <- replica;
-      t.repl_lag <- lag;
-      t.repl_behind <- behind)
-
-let note_lock t ~lock ~mode ~acquisitions ~contended =
-  locked t (fun () ->
-      Hashtbl.replace t.locks (lock, mode) (acquisitions, contended))
-
-let note_respcache t ~shards ~entries =
-  locked t (fun () ->
-      t.respcache_shards <- shards;
-      t.respcache_entries <- entries)
-
-let note_registry t ~shards ~entries =
-  locked t (fun () ->
-      t.registry_shards <- shards;
-      t.registry_entries <- entries)
-
-let lock_counts t =
-  locked t (fun () ->
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.locks []
-      |> List.sort compare)
-
-let replication_counts t =
-  locked t (fun () ->
-      (t.streamed_records, t.applied_records, t.reconnects,
-       t.snapshot_bootstraps, t.epoch_rejects))
-
-let shed_total t =
-  locked t (fun () -> Hashtbl.fold (fun _ r acc -> acc + !r) t.shed 0)
-
-let shed_by_reason t reason =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.shed reason with Some r -> !r | None -> 0)
-
-let stale_counts t = locked t (fun () -> (t.stale_served, t.stale_gen_lag))
-
-let compaction_counts t = locked t (fun () -> (t.compact_ok, t.compact_fail))
-
-let journal_recovery_counts t =
-  locked t (fun () -> (t.torn_tails, t.crc_errors))
-
-let requests_total t =
-  locked t (fun () ->
-      Hashtbl.fold (fun _ r acc -> acc + !r) t.requests 0)
-
-let errors_total t =
-  locked t (fun () -> Hashtbl.fold (fun _ r acc -> acc + !r) t.errors 0)
-
-let cache_counts t = locked t (fun () -> (t.hits, t.misses))
-
-(* Prometheus floats: "0.001" not "1e-03"; integral bounds without the
-   trailing dot. *)
-let float_label f =
-  if Float.is_integer f then Printf.sprintf "%.0f" f
-  else
-    let s = Printf.sprintf "%.5f" f in
-    (* trim trailing zeros *)
-    let n = ref (String.length s) in
-    while !n > 1 && s.[!n - 1] = '0' do decr n done;
-    String.sub s 0 !n
+(* Prometheus numbers: integers without a dot, "0.0001" not "1e-04". *)
+let number v = if Float.is_integer v then Printf.sprintf "%.0f" v else Printf.sprintf "%g" v
 
 let render t =
-  locked t (fun () ->
-      let b = Buffer.create 4096 in
-      let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
-      line "# HELP bxwiki_requests_total Requests handled, by route class, method and status.";
-      line "# TYPE bxwiki_requests_total counter";
-      Hashtbl.fold (fun k v acc -> (k, !v) :: acc) t.requests []
-      |> List.sort compare
-      |> List.iter (fun ((route, meth, status), n) ->
-             line "bxwiki_requests_total{route=%S,method=%S,status=\"%d\"} %d"
-               route meth status n);
-      line "# HELP bxwiki_http_errors_total Error responses and protocol failures.";
-      line "# TYPE bxwiki_http_errors_total counter";
-      Hashtbl.fold (fun k v acc -> (k, !v) :: acc) t.errors []
-      |> List.sort compare
-      |> List.iter (fun ((route, reason), n) ->
-             line "bxwiki_http_errors_total{route=%S,reason=%S} %d" route reason n);
-      line "# HELP bxwiki_request_duration_seconds Request handling time.";
-      line "# TYPE bxwiki_request_duration_seconds histogram";
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.latency []
-      |> List.sort compare
-      |> List.iter (fun (route, h) ->
-             let acc = ref 0 in
-             Array.iteri
-               (fun i bound ->
-                 acc := !acc + h.counts.(i);
-                 line
-                   "bxwiki_request_duration_seconds_bucket{route=%S,le=\"%s\"} %d"
-                   route (float_label bound) !acc)
-               buckets;
-             line
-               "bxwiki_request_duration_seconds_bucket{route=%S,le=\"+Inf\"} %d"
-               route h.total;
-             line "bxwiki_request_duration_seconds_sum{route=%S} %g" route h.sum;
-             line "bxwiki_request_duration_seconds_count{route=%S} %d" route
-               h.total);
-      line "# HELP bxwiki_lens_requests_total Lens operations served, by lens and operation.";
-      line "# TYPE bxwiki_lens_requests_total counter";
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.lens_ops []
-      |> List.sort compare
-      |> List.iter (fun ((lens, op), c) ->
-             line "bxwiki_lens_requests_total{lens=%S,op=%S} %d" lens op c.ops;
-             line "bxwiki_lens_documents_total{lens=%S,op=%S} %d" lens op c.docs;
-             line "bxwiki_lens_request_bytes_total{lens=%S,op=%S} %d" lens op
-               c.op_bytes);
-      (* The engine-level counters come straight from the string-lens
-         runtime: process-global atomics, not per-service state. *)
-      let es = Bx_strlens.Slens.stats () in
-      line "# HELP bxwiki_slens_bytes_processed_total Input bytes through the string-lens engine.";
-      line "# TYPE bxwiki_slens_bytes_processed_total counter";
-      line "bxwiki_slens_bytes_processed_total %d" es.Bx_strlens.Slens.bytes;
-      line "# HELP bxwiki_slens_splits_total Split decisions made by the slice engine.";
-      line "# TYPE bxwiki_slens_splits_total counter";
-      line "bxwiki_slens_splits_total %d" es.Bx_strlens.Slens.splits;
-      line "# HELP bxwiki_slens_ctx_reuse_total Lens runs that reused their domain's execution context.";
-      line "# TYPE bxwiki_slens_ctx_reuse_total counter";
-      line "bxwiki_slens_ctx_reuse_total %d" es.Bx_strlens.Slens.ctx_reuse;
-      line "# HELP bxwiki_slens_ctx_fresh_total Lens runs that allocated a fresh execution context.";
-      line "# TYPE bxwiki_slens_ctx_fresh_total counter";
-      line "bxwiki_slens_ctx_fresh_total %d" es.Bx_strlens.Slens.ctx_fresh;
-      (* Delta propagation: which tier served each call, how much work
-         it reused, and what the edits weighed against the documents
-         they stand for. *)
-      let ds = Bx_strlens.Slens_delta.stats () in
-      line "# HELP bxwiki_delta_puts_total put_delta calls, by tier.";
-      line "# TYPE bxwiki_delta_puts_total counter";
-      line "bxwiki_delta_puts_total{path=\"fast\"} %d"
-        ds.Bx_strlens.Slens_delta.fast_puts;
-      line "bxwiki_delta_puts_total{path=\"slow\"} %d"
-        ds.Bx_strlens.Slens_delta.slow_puts;
-      line "bxwiki_delta_puts_total{path=\"fallback\"} %d"
-        ds.Bx_strlens.Slens_delta.fallback_puts;
-      line "# HELP bxwiki_delta_gets_total get_delta calls, by tier.";
-      line "# TYPE bxwiki_delta_gets_total counter";
-      line "bxwiki_delta_gets_total{path=\"fast\"} %d"
-        ds.Bx_strlens.Slens_delta.fast_gets;
-      line "bxwiki_delta_gets_total{path=\"fallback\"} %d"
-        ds.Bx_strlens.Slens_delta.fallback_gets;
-      line
-        "# HELP bxwiki_delta_chunks_total Chunks spliced verbatim vs re-run through the body lens.";
-      line "# TYPE bxwiki_delta_chunks_total counter";
-      line "bxwiki_delta_chunks_total{action=\"reused\"} %d"
-        ds.Bx_strlens.Slens_delta.chunks_reused;
-      line "bxwiki_delta_chunks_total{action=\"recomputed\"} %d"
-        ds.Bx_strlens.Slens_delta.chunks_recomputed;
-      line
-        "# HELP bxwiki_delta_bytes_total Edit payload bytes vs the full documents they stand for.";
-      line "# TYPE bxwiki_delta_bytes_total counter";
-      line "bxwiki_delta_bytes_total{kind=\"delta\"} %d"
-        ds.Bx_strlens.Slens_delta.delta_bytes;
-      line "bxwiki_delta_bytes_total{kind=\"full\"} %d"
-        ds.Bx_strlens.Slens_delta.full_bytes;
-      line "# HELP bxwiki_cache_hits_total Rendered-page cache hits.";
-      line "# TYPE bxwiki_cache_hits_total counter";
-      line "bxwiki_cache_hits_total %d" t.hits;
-      line "# HELP bxwiki_cache_misses_total Rendered-page cache misses.";
-      line "# TYPE bxwiki_cache_misses_total counter";
-      line "bxwiki_cache_misses_total %d" t.misses;
-      line "# HELP bxwiki_journal_torn_tail_total Journal recoveries that truncated a torn tail.";
-      line "# TYPE bxwiki_journal_torn_tail_total counter";
-      line "bxwiki_journal_torn_tail_total %d" t.torn_tails;
-      line "# HELP bxwiki_journal_crc_errors_total Journal records rejected by checksum during recovery.";
-      line "# TYPE bxwiki_journal_crc_errors_total counter";
-      line "bxwiki_journal_crc_errors_total %d" t.crc_errors;
-      line "# HELP bxwiki_journal_compactions_total Snapshot compactions, by outcome.";
-      line "# TYPE bxwiki_journal_compactions_total counter";
-      line "bxwiki_journal_compactions_total{result=\"ok\"} %d" t.compact_ok;
-      line "bxwiki_journal_compactions_total{result=\"error\"} %d" t.compact_fail;
-      line "# HELP bxwiki_journal_last_compaction_ok Whether the most recent compaction succeeded (1 until one fails).";
-      line "# TYPE bxwiki_journal_last_compaction_ok gauge";
-      line "bxwiki_journal_last_compaction_ok %d"
-        (if t.last_compaction_ok then 1 else 0);
-      line "# HELP bxwiki_shed_total Connections shed by overload protection, by reason.";
-      line "# TYPE bxwiki_shed_total counter";
-      Hashtbl.fold (fun k v acc -> (k, !v) :: acc) t.shed []
-      |> List.sort compare
-      |> List.iter (fun (reason, n) ->
-             line "bxwiki_shed_total{reason=%S} %d" reason n);
-      line "# HELP bxwiki_queue_depth Pending connections queued for a worker (sampled at scrape).";
-      line "# TYPE bxwiki_queue_depth gauge";
-      line "bxwiki_queue_depth %d" t.queue_depth;
-      line "# HELP bxwiki_concurrency_limit AIMD adaptive admission limit (sampled at scrape).";
-      line "# TYPE bxwiki_concurrency_limit gauge";
-      line "bxwiki_concurrency_limit %d" t.concurrency_limit;
-      line "# HELP bxwiki_journal_disk_full 1 while the journal has hit ENOSPC and writes are refused.";
-      line "# TYPE bxwiki_journal_disk_full gauge";
-      line "bxwiki_journal_disk_full %d" (if t.journal_disk_full then 1 else 0);
-      line "# HELP bxwiki_stale_served_total Responses served from the respcache past their generation (brownout).";
-      line "# TYPE bxwiki_stale_served_total counter";
-      line "bxwiki_stale_served_total %d" t.stale_served;
-      line "# HELP bxwiki_stale_generation_lag_total Cumulative generation lag across stale responses.";
-      line "# TYPE bxwiki_stale_generation_lag_total counter";
-      line "bxwiki_stale_generation_lag_total %d" t.stale_gen_lag;
-      line "# HELP bxwiki_lock_acquisitions_total Lock acquisitions by lock and mode (sampled at scrape).";
-      line "# TYPE bxwiki_lock_acquisitions_total counter";
-      let lock_rows =
-        Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.locks []
-        |> List.sort compare
-      in
-      List.iter
-        (fun ((lock, mode), (acq, _)) ->
-          line "bxwiki_lock_acquisitions_total{lock=%S,mode=%S} %d" lock mode
-            acq)
-        lock_rows;
-      line "# HELP bxwiki_lock_contended_total Lock acquisitions that had to block behind another holder.";
-      line "# TYPE bxwiki_lock_contended_total counter";
-      List.iter
-        (fun ((lock, mode), (_, cont)) ->
-          line "bxwiki_lock_contended_total{lock=%S,mode=%S} %d" lock mode cont)
-        lock_rows;
-      line "# HELP bxwiki_respcache_shards Response-cache shards (one per worker domain).";
-      line "# TYPE bxwiki_respcache_shards gauge";
-      line "bxwiki_respcache_shards %d" t.respcache_shards;
-      line "# HELP bxwiki_respcache_entries Cached rendered responses across all shards (sampled at scrape).";
-      line "# TYPE bxwiki_respcache_entries gauge";
-      line "bxwiki_respcache_entries %d" t.respcache_entries;
-      line "# HELP bxwiki_registry_shards Registry shards (identifier-hashed partitions).";
-      line "# TYPE bxwiki_registry_shards gauge";
-      line "bxwiki_registry_shards %d" t.registry_shards;
-      line "# HELP bxwiki_registry_entries Catalogue entries across all registry shards (sampled at scrape).";
-      line "# TYPE bxwiki_registry_entries gauge";
-      line "bxwiki_registry_entries %d" t.registry_entries;
-      line "# HELP bxwiki_replication_streamed_records_total Journal records served to followers.";
-      line "# TYPE bxwiki_replication_streamed_records_total counter";
-      line "bxwiki_replication_streamed_records_total %d" t.streamed_records;
-      line "# HELP bxwiki_replication_streamed_bytes_total Frame bytes served to followers.";
-      line "# TYPE bxwiki_replication_streamed_bytes_total counter";
-      line "bxwiki_replication_streamed_bytes_total %d" t.streamed_bytes;
-      line "# HELP bxwiki_replication_applied_records_total Streamed records applied by this replica.";
-      line "# TYPE bxwiki_replication_applied_records_total counter";
-      line "bxwiki_replication_applied_records_total %d" t.applied_records;
-      line "# HELP bxwiki_replication_reconnects_total Follower reconnect attempts after a failed poll.";
-      line "# TYPE bxwiki_replication_reconnects_total counter";
-      line "bxwiki_replication_reconnects_total %d" t.reconnects;
-      line "# HELP bxwiki_replication_snapshot_bootstraps_total Full snapshot installs performed to catch up across a compaction.";
-      line "# TYPE bxwiki_replication_snapshot_bootstraps_total counter";
-      line "bxwiki_replication_snapshot_bootstraps_total %d" t.snapshot_bootstraps;
-      line "# HELP bxwiki_replication_epoch_rejects_total Stream batches rejected for carrying a stale epoch.";
-      line "# TYPE bxwiki_replication_epoch_rejects_total counter";
-      line "bxwiki_replication_epoch_rejects_total %d" t.epoch_rejects;
-      line "# HELP bxwiki_replication_gaps_total Sequence gaps detected in the applied stream (each triggers a snapshot re-bootstrap).";
-      line "# TYPE bxwiki_replication_gaps_total counter";
-      line "bxwiki_replication_gaps_total %d" t.replication_gaps;
-      line "# HELP bxwiki_replication_digest_checks_total Anti-entropy digest comparisons performed against the upstream.";
-      line "# TYPE bxwiki_replication_digest_checks_total counter";
-      line "bxwiki_replication_digest_checks_total %d" t.digest_checks;
-      line "# HELP bxwiki_replication_digest_mismatches_total Digest comparisons that found at least one diverged shard.";
-      line "# TYPE bxwiki_replication_digest_mismatches_total counter";
-      line "bxwiki_replication_digest_mismatches_total %d" t.digest_mismatches;
-      line "# HELP bxwiki_replication_shard_resyncs_total Targeted per-shard re-bootstraps performed after a digest mismatch.";
-      line "# TYPE bxwiki_replication_shard_resyncs_total counter";
-      line "bxwiki_replication_shard_resyncs_total %d" t.shard_resyncs;
-      line "# HELP bxwiki_scrub_passes_total Complete scrubber walks over the store.";
-      line "# TYPE bxwiki_scrub_passes_total counter";
-      line "bxwiki_scrub_passes_total %d" t.scrub_passes;
-      line "# HELP bxwiki_scrub_items_total Items examined by the scrubber, by surface.";
-      line "# TYPE bxwiki_scrub_items_total counter";
-      Hashtbl.fold (fun k v acc -> (k, !v) :: acc) t.scrub_items []
-      |> List.sort compare
-      |> List.iter (fun (surface, n) ->
-             line "bxwiki_scrub_items_total{surface=%S} %d" surface n);
-      line "# HELP bxwiki_scrub_corruptions_total Corruptions the scrubber found, by surface.";
-      line "# TYPE bxwiki_scrub_corruptions_total counter";
-      Hashtbl.fold (fun k v acc -> (k, !v) :: acc) t.scrub_corruptions []
-      |> List.sort compare
-      |> List.iter (fun (surface, n) ->
-             line "bxwiki_scrub_corruptions_total{surface=%S} %d" surface n);
-      line "# HELP bxwiki_quarantine_size Items currently quarantined, by kind (sampled at scrape).";
-      line "# TYPE bxwiki_quarantine_size gauge";
-      line "bxwiki_quarantine_size{kind=\"entry\"} %d" t.quarantined_entries;
-      line "bxwiki_quarantine_size{kind=\"doc\"} %d" t.quarantined_docs;
-      line "bxwiki_quarantine_size{kind=\"file\"} %d" t.quarantined_files;
-      line "# HELP bxwiki_replication_epoch The replication epoch this node believes is current.";
-      line "# TYPE bxwiki_replication_epoch gauge";
-      line "bxwiki_replication_epoch %d" t.repl_epoch;
-      line "# HELP bxwiki_replication_fenced Whether this node has been deposed by a newer epoch (writes rejected).";
-      line "# TYPE bxwiki_replication_fenced gauge";
-      line "bxwiki_replication_fenced %d" (if t.repl_fenced then 1 else 0);
-      line "# HELP bxwiki_replication_role Role of this node (1 for the held role).";
-      line "# TYPE bxwiki_replication_role gauge";
-      line "bxwiki_replication_role{role=\"replica\"} %d"
-        (if t.repl_role_replica then 1 else 0);
-      line "bxwiki_replication_role{role=\"primary\"} %d"
-        (if t.repl_role_replica then 0 else 1);
-      line "# HELP bxwiki_replication_lag_seconds Time since this replica was last known caught up (0 when in sync).";
-      line "# TYPE bxwiki_replication_lag_seconds gauge";
-      line "bxwiki_replication_lag_seconds %g" t.repl_lag;
-      line "# HELP bxwiki_replication_behind_records Records the upstream had that this replica had not applied at last poll.";
-      line "# TYPE bxwiki_replication_behind_records gauge";
-      line "bxwiki_replication_behind_records %d" t.repl_behind;
-      (* Failpoint counters come from the process-global fault runtime,
-         like the slens engine counters above. *)
-      let faults = Bx_fault.Fault.stats () in
-      line "# HELP bxwiki_fault_hits_total Failpoint evaluations, per configured site.";
-      line "# TYPE bxwiki_fault_hits_total counter";
-      line "# HELP bxwiki_fault_fired_total Failpoint actions actually taken, per configured site.";
-      line "# TYPE bxwiki_fault_fired_total counter";
-      List.iter
-        (fun (site, hits, fired) ->
-          line "bxwiki_fault_hits_total{site=%S} %d" site hits;
-          line "bxwiki_fault_fired_total{site=%S} %d" site fired)
-        faults;
-      Buffer.contents b)
+  let b = Buffer.create 8192 and cells = merged t in
+  let line name names values v =
+    let labels = String.concat "," (List.map2 (Printf.sprintf "%s=%S") names values) in
+    Printf.bprintf b "%s%s %s\n" name (if labels = "" then "" else "{" ^ labels ^ "}") v
+  in
+  (* Cumulative [le] counts read off the shards' histograms in bound
+     order, so they never decrease even while domains record. *)
+  let histogram f ls cs =
+    let hs = List.filter_map (function Dist h -> Some h | Count _ -> None) cs in
+    let le v = List.fold_left (fun acc h -> acc + Hist.count_le h v) 0 hs in
+    let bucket bound n = line (f.name ^ "_bucket") (f.labels @ [ "le" ]) (ls @ [ bound ]) n in
+    Array.iter (fun s -> bucket (number s) (string_of_int (le (ns s)))) buckets;
+    let n = string_of_int (le max_int) in
+    bucket "+Inf" n;
+    let sum = List.fold_left (fun acc h -> acc + Hist.sum h) 0 hs in
+    line (f.name ^ "_sum") f.labels ls (number (float_of_int sum *. 1e-9));
+    line (f.name ^ "_count") f.labels ls n
+  in
+  let family f =
+    if f.help <> "" then
+      Printf.bprintf b "# HELP %s %s\n# TYPE %s %s\n" f.name f.help f.name f.kind;
+    match (f.read, series_of cells f) with
+    | Some read, _ -> List.iter (fun (ls, v) -> line f.name f.labels ls (number v)) (read ())
+    | None, [] when f.labels = [] -> line f.name [] [] "0"
+    | None, series ->
+        List.iter
+          (fun (ls, cs) ->
+            if f.kind = "histogram" then histogram f ls cs
+            else line f.name f.labels ls (string_of_int (sum_counts cs)))
+          series
+  in
+  List.iter family declared;
+  List.iter family (List.rev (Atomic.get t.sampled));
+  Buffer.contents b

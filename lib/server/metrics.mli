@@ -1,16 +1,26 @@
 (** Operational metrics for the repository service, exposed in the
     Prometheus text format at [GET /metrics].
 
-    Three families, all thread-safe behind one mutex:
+    A small registry of families: each counter, gauge or histogram is
+    declared once, with its name, help text and label names, and one
+    generic loop renders them all.  Among them:
     - [bxwiki_requests_total{route,method,status}] — a counter per
       (route class, method, status) triple;
     - [bxwiki_http_errors_total{route,reason}] — responses with status
       >= 400 plus protocol-level failures (bad request line, body cap,
       read timeout) that never reach the handler;
     - [bxwiki_request_duration_seconds{route}] — a cumulative histogram
-      of wall-clock handling time per route class;
+      of handling time per route class, on the monotonic clock;
     - [bxwiki_cache_hits_total] / [bxwiki_cache_misses_total] — the
       rendered-page cache ({!Respcache}) counters.
+
+    Recording takes no lock.  Each domain counts into its own shard
+    (held in [Domain.DLS]); a shard's series table is replaced, never
+    mutated, when a series first appears, and a scrape sums the shards.
+    Latency histograms are {!Bx_obs.Hist}s recorded in nanoseconds: the
+    [le] bucket counts are read off them at the fixed bounds, so a
+    bucket may include observations up to one slot (2{^-7} relative)
+    above its bound; [_sum] and [_count] are exact.
 
     Routes are {e classes}, not raw paths ([entry], [entry.wiki],
     [entry.json], [index], [glossary], ...), so label cardinality stays
@@ -19,6 +29,20 @@
 type t
 
 val create : unit -> t
+
+val sample :
+  t ->
+  ?kind:string ->
+  ?labels:string list ->
+  string ->
+  help:string ->
+  (unit -> (string list * float) list) ->
+  unit
+(** [sample t name ~help read] registers a family whose series are read
+    at scrape time: [read ()] returns one (label values, value) row per
+    series.  [kind] is ["gauge"] (the default) or ["counter"] for
+    counts kept elsewhere (lock statistics).  Register each family once,
+    before serving. *)
 
 val observe_request :
   t -> route:string -> meth:string -> status:int -> seconds:float -> unit
@@ -33,8 +57,8 @@ val observe_lens : t -> lens:string -> op:string -> docs:int -> bytes:int -> uni
 (** Record one lens operation served over HTTP: [op] is [get], [put],
     [create] or their batch variants; [docs] the number of documents in
     the request, [bytes] the input payload size.  The engine-level
-    counters ([bxwiki_slens_*]) are read from {!Bx_strlens.Slens.stats}
-    at render time and need no recording here. *)
+    counters ([bxwiki_slens_*], [bxwiki_delta_*], [bxwiki_fault_*]) are
+    read from the runtimes' own stats at scrape. *)
 
 val cache_hit : t -> unit
 val cache_miss : t -> unit
@@ -54,146 +78,59 @@ val shed : t -> reason:string -> unit
     the pending queue is at capacity, [deadline] when it waited past its
     budget). *)
 
-val note_queue_depth : t -> int -> unit
-(** Sample the pending-connection queue depth (a gauge; the service sets
-    it when [/metrics] is scraped). *)
-
-val note_concurrency_limit : t -> int -> unit
-(** Sample the AIMD adaptive admission limit
-    ([bxwiki_concurrency_limit]). *)
-
-val note_disk_full : t -> bool -> unit
-(** Sample the sticky journal-ENOSPC flag
-    ([bxwiki_journal_disk_full]). *)
-
 val stale_response : t -> gen_lag:int -> unit
 (** Record one response served stale from the respcache by the brownout
-    lane, [gen_lag] generations behind the live registry.  Feeds
-    [bxwiki_stale_served_total] and
-    [bxwiki_stale_generation_lag_total]. *)
-
-val note_lock :
-  t -> lock:string -> mode:string -> acquisitions:int -> contended:int -> unit
-(** Sample one lock's contention counters (the service sets them when
-    [/metrics] is scraped): [acquisitions] since boot, and how many had
-    to block behind another holder.  Exposed as
-    [bxwiki_lock_acquisitions_total{lock,mode}] and
-    [bxwiki_lock_contended_total{lock,mode}] — the load benchmarks read
-    these to name the blocking lock when a scaling curve flattens. *)
-
-val note_respcache : t -> shards:int -> entries:int -> unit
-(** Sample the response cache's shape: shard count and total entries. *)
-
-val note_registry : t -> shards:int -> entries:int -> unit
-(** Sample the registry's shape: shard count and catalogue size.
-    Exposed as [bxwiki_registry_shards] and [bxwiki_registry_entries]. *)
+    lane, [gen_lag] generations behind the live registry. *)
 
 (** {1 Replication} *)
 
 val replication_streamed : t -> records:int -> bytes:int -> unit
-(** Record one stream response served to a follower. *)
-
 val replication_applied : t -> records:int -> unit
-(** Record streamed records applied by this replica. *)
-
 val replication_reconnect : t -> unit
-(** Record one follower reconnect after a failed poll. *)
-
 val replication_snapshot_bootstrap : t -> unit
-(** Record one full snapshot install (catch-up across a compaction). *)
-
 val replication_epoch_reject : t -> unit
-(** Record a stream batch rejected for carrying a stale epoch. *)
 
 val replication_gap : t -> unit
-(** Record a sequence gap in the applied stream: the follower expected
-    seq [n] and got a batch starting past it.  Feeds
-    [bxwiki_replication_gaps_total]; the follower recovers by snapshot
-    re-bootstrap rather than erroring out. *)
+(** A sequence gap in the applied stream; the follower recovers by
+    snapshot re-bootstrap. *)
 
 val replication_digest_check : t -> matched:bool -> unit
-(** Record one anti-entropy digest comparison against the upstream;
-    [matched = false] means at least one shard diverged. *)
+(** One anti-entropy digest comparison; [matched = false] means at least
+    one shard diverged. *)
 
 val replication_shard_resync : t -> unit
-(** Record one targeted per-shard re-bootstrap after a digest
-    mismatch. *)
 
-(** {1 Integrity: scrubber and quarantine} *)
+(** {1 Integrity: scrubber} *)
 
 val scrub_pass : t -> unit
-(** Record one complete scrubber walk over the store. *)
 
 val scrub_item : t -> surface:string -> n:int -> unit
-(** Record [n] items examined on one surface ([journal], [snapshot],
-    [entry] or [doc]). *)
+(** [n] items examined on one surface ([journal], [snapshot], [entry] or
+    [doc]). *)
 
 val scrub_corruption : t -> surface:string -> unit
-(** Record one corruption found, by surface. *)
-
-val note_quarantine : t -> entries:int -> docs:int -> files:int -> unit
-(** Sample the quarantine population ([bxwiki_quarantine_size{kind}]);
-    the service sets it after boot and after every scrub pass. *)
-
-val note_replication :
-  t ->
-  epoch:int ->
-  fenced:bool ->
-  replica:bool ->
-  lag:float ->
-  behind:int ->
-  unit
-(** Sample the replication gauges (epoch, fenced, role, lag seconds,
-    records behind); the service sets them when [/metrics] is
-    scraped. *)
 
 val render : t -> string
 (** The Prometheus text exposition (version 0.0.4): [# HELP]/[# TYPE]
-    preambles, then one line per labelled series, sorted so output is
-    deterministic. *)
+    preambles, then one line per labelled series, sorted by label values
+    so output is deterministic. *)
 
-(** {1 Introspection} (for tests and invariant checks) *)
+(** {1 Introspection} (for tests and invariant checks; totals over all
+    label values and shards) *)
 
 val requests_total : t -> int
-(** Sum over all (route, method, status) series. *)
-
 val errors_total : t -> int
-
-val lens_ops_total : t -> int
-(** Sum over all (lens, op) series. *)
 
 val cache_counts : t -> int * int
 (** (hits, misses). *)
 
-val shed_total : t -> int
-(** Sum over all shed reasons. *)
-
 val shed_by_reason : t -> string -> int
-(** One shed reason's count ([0] if never bumped). *)
 
 val stale_counts : t -> int * int
 (** (stale responses served, cumulative generation lag). *)
 
-val compaction_counts : t -> int * int
-(** (succeeded, failed). *)
-
 val journal_recovery_counts : t -> int * int
 (** (torn tails truncated, records rejected by checksum). *)
 
-val replication_counts : t -> int * int * int * int * int
-(** (streamed records, applied records, reconnects, snapshot bootstraps,
-    epoch rejects). *)
-
-val lock_counts : t -> ((string * string) * (int * int)) list
-(** The sampled lock counters: ((lock, mode), (acquisitions, contended)),
-    sorted. *)
-
 val scrub_counts : t -> int * int * int
-(** (passes, items examined, corruptions found), summed over surfaces. *)
-
-val scrub_corruptions_by_surface : t -> (string * int) list
-(** Corruption counts per surface, sorted. *)
-
-val integrity_counts : t -> int * int * int * int
-(** (replication gaps, digest checks, digest mismatches, shard
-    resyncs). *)
+(** (passes, items examined, corruptions found). *)

@@ -292,13 +292,9 @@ let shard_digests t =
 
 let quarantine t = t.quarantine
 
-let note_quarantine_gauges t =
-  let entries, docs, files = Integrity.Quarantine.counts t.quarantine in
-  Metrics.note_quarantine t.metrics ~entries ~docs ~files
-
 let note_corruption t =
   Mutex.lock t.cm;
-  let now = Unix.gettimeofday () in
+  let now = Bx_obs.Clock.now () in
   t.corruption_times <-
     now :: List.filter (fun ts -> now -. ts < 60.) t.corruption_times;
   Mutex.unlock t.cm
@@ -308,7 +304,7 @@ let note_corruption t =
    balancer drains this node while it still serves what it can. *)
 let corruption_burst t =
   Mutex.lock t.cm;
-  let now = Unix.gettimeofday () in
+  let now = Bx_obs.Clock.now () in
   t.corruption_times <-
     List.filter (fun ts -> now -. ts < 60.) t.corruption_times;
   let n = List.length t.corruption_times in
@@ -324,8 +320,7 @@ let flag_corruption t key ~surface ~why =
     note_corruption t;
     Printf.eprintf "bxwiki: integrity: %s: %s\n%!"
       (Integrity.Quarantine.key_name key)
-      why;
-    note_quarantine_gauges t
+      why
   end
 
 (* ------------------------------------------------------------------ *)
@@ -405,6 +400,143 @@ let checkpoint_all_locked t =
       Metrics.compaction t.metrics ~ok:(Result.is_ok result);
       result
 
+(* ------------------------------------------------------------------ *)
+(* What /metrics samples rather than counts: read at scrape time,
+   registered once per service. *)
+
+let fenced t = Atomic.get t.fenced_by > 0
+
+let replication_behind t =
+  Mutex.lock t.rm;
+  let b = t.repl_behind in
+  Mutex.unlock t.rm;
+  b
+
+(* How stale this replica's data may be: 0 while it is demonstrably
+   caught up (the idle long-poll hold is legitimate staleness and is
+   allowed for), growing from the moment it last knew it was current —
+   whether because records are queueing up or because the primary has
+   gone quiet.  A replica that has never synced is lagging since
+   birth. *)
+let replication_lag t =
+  if not (Atomic.get t.replica) then 0.
+  else begin
+    let now = Bx_obs.Clock.now () in
+    Mutex.lock t.rm;
+    let lag =
+      if not t.repl_synced then now -. t.created_at
+      else if t.repl_behind > 0 then now -. t.repl_last_sync
+      else Float.max 0. (now -. t.repl_last_sync -. t.repl_allowance)
+    in
+    Mutex.unlock t.rm;
+    lag
+  end
+
+let queue_depth t =
+  Mutex.lock t.qm;
+  let n = Queue.length t.queue in
+  Mutex.unlock t.qm;
+  n
+
+let register_sampled t =
+  let gauge ?kind ?labels name help read =
+    Metrics.sample t.metrics ?kind ?labels name ~help read
+  in
+  let counter ?labels name help read = gauge ~kind:"counter" ?labels name help read in
+  let one v = [ ([], float_of_int v) ] in
+  gauge "bxwiki_queue_depth"
+    "Pending connections queued for a worker (sampled at scrape)."
+    (fun () -> one (queue_depth t));
+  gauge "bxwiki_concurrency_limit"
+    "AIMD adaptive admission limit (sampled at scrape)."
+    (fun () -> one (Atomic.get t.limit));
+  gauge "bxwiki_journal_disk_full"
+    "1 while the journal has hit ENOSPC and writes are refused."
+    (fun () -> one (Bool.to_int (Atomic.get t.disk_full)));
+  let locks pick () =
+    List.map
+      (fun (lock, mode, acq, cont) -> ([ lock; mode ], float_of_int (pick acq cont)))
+      (lock_stats t)
+  in
+  counter ~labels:[ "lock"; "mode" ] "bxwiki_lock_acquisitions_total"
+    "Lock acquisitions by lock and mode (sampled at scrape)."
+    (locks (fun acq _ -> acq));
+  counter ~labels:[ "lock"; "mode" ] "bxwiki_lock_contended_total"
+    "Lock acquisitions that had to block behind another holder."
+    (locks (fun _ cont -> cont));
+  gauge "bxwiki_respcache_shards" "Response-cache shards (one per worker domain)."
+    (fun () -> one (Respcache.shard_count t.cache));
+  gauge "bxwiki_respcache_entries"
+    "Cached rendered responses across all shards (sampled at scrape)."
+    (fun () -> one (Respcache.size t.cache));
+  gauge "bxwiki_registry_shards" "Registry shards (identifier-hashed partitions)."
+    (fun () -> one (Bx_repo.Registry.shard_count t.registry));
+  gauge "bxwiki_registry_entries"
+    "Catalogue entries across all registry shards (sampled at scrape)."
+    (fun () -> one (Bx_repo.Registry.size t.registry));
+  gauge ~labels:[ "kind" ] "bxwiki_quarantine_size"
+    "Items currently quarantined, by kind (sampled at scrape)."
+    (fun () ->
+      let entries, docs, files = Integrity.Quarantine.counts t.quarantine in
+      List.map (fun (k, n) -> ([ k ], float_of_int n))
+        [ ("entry", entries); ("doc", docs); ("file", files) ]);
+  gauge "bxwiki_replication_epoch"
+    "The replication epoch this node believes is current."
+    (fun () -> one (Atomic.get t.epoch));
+  gauge "bxwiki_replication_fenced"
+    "Whether this node has been deposed by a newer epoch (writes rejected)."
+    (fun () -> one (Bool.to_int (fenced t)));
+  gauge ~labels:[ "role" ] "bxwiki_replication_role"
+    "Role of this node (1 for the held role)."
+    (fun () ->
+      let r = Bool.to_int (Atomic.get t.replica) in
+      [ ([ "replica" ], float_of_int r); ([ "primary" ], float_of_int (1 - r)) ]);
+  gauge "bxwiki_replication_lag_seconds"
+    "Time since this replica was last known caught up (0 when in sync)."
+    (fun () -> [ ([], replication_lag t) ]);
+  gauge "bxwiki_replication_behind_records"
+    "Records the upstream had that this replica had not applied at last poll."
+    (fun () -> one (replication_behind t));
+  (* The engines' own counters: process-global atomics in the string-lens
+     and fault runtimes, read where they live. *)
+  let slens pick () = one (pick (Bx_strlens.Slens.stats ())) in
+  counter "bxwiki_slens_bytes_processed_total" "Input bytes through the string-lens engine."
+    (slens (fun s -> s.bytes));
+  counter "bxwiki_slens_splits_total" "Split decisions made by the slice engine."
+    (slens (fun s -> s.splits));
+  counter "bxwiki_slens_ctx_reuse_total"
+    "Lens runs that reused their domain's execution context."
+    (slens (fun s -> s.ctx_reuse));
+  counter "bxwiki_slens_ctx_fresh_total"
+    "Lens runs that allocated a fresh execution context."
+    (slens (fun s -> s.ctx_fresh));
+  let delta rows () =
+    let s = Bx_strlens.Slens_delta.stats () in
+    List.map (fun (l, pick) -> ([ l ], float_of_int (pick s))) rows
+  in
+  let open Bx_strlens.Slens_delta in
+  counter ~labels:[ "path" ] "bxwiki_delta_puts_total" "put_delta calls, by tier."
+    (delta
+       [ ("fast", fun s -> s.fast_puts); ("slow", fun s -> s.slow_puts);
+         ("fallback", fun s -> s.fallback_puts) ]);
+  counter ~labels:[ "path" ] "bxwiki_delta_gets_total" "get_delta calls, by tier."
+    (delta [ ("fast", fun s -> s.fast_gets); ("fallback", fun s -> s.fallback_gets) ]);
+  counter ~labels:[ "action" ] "bxwiki_delta_chunks_total"
+    "Chunks spliced verbatim vs re-run through the body lens."
+    (delta
+       [ ("reused", fun s -> s.chunks_reused); ("recomputed", fun s -> s.chunks_recomputed) ]);
+  counter ~labels:[ "kind" ] "bxwiki_delta_bytes_total"
+    "Edit payload bytes vs the full documents they stand for."
+    (delta [ ("delta", fun s -> s.delta_bytes); ("full", fun s -> s.full_bytes) ]);
+  let faults pick () =
+    List.map (fun (site, hits, fired) -> ([ site ], float_of_int (pick hits fired)))
+      (Bx_fault.Fault.stats ())
+  in
+  counter ~labels:[ "site" ] "bxwiki_fault_hits_total"
+    "Failpoint evaluations, per configured site." (faults (fun h _ -> h));
+  counter ~labels:[ "site" ] "bxwiki_fault_fired_total"
+    "Failpoint actions actually taken, per configured site." (faults (fun _ f -> f))
+
 let create ?(config = default_config) ?(pages = []) ?(lenses = []) ~seed () =
   let metrics = Metrics.create () in
   let shards = max 1 config.shards in
@@ -479,7 +611,7 @@ let create ?(config = default_config) ?(pages = []) ?(lenses = []) ~seed () =
         Atomic.make
           (match log with Some l -> Shardlog.next_seq l | None -> 1);
       last_stream_from = Atomic.make 0;
-      created_at = Unix.gettimeofday ();
+      created_at = Bx_obs.Clock.now ();
       rm = Mutex.create ();
       repl_synced = false;
       repl_behind = 0;
@@ -489,6 +621,7 @@ let create ?(config = default_config) ?(pages = []) ?(lenses = []) ~seed () =
     in
     (* Single-threaded here; steady state keeps these incremental. *)
     recompute_digests t;
+    register_sampled t;
     t
   in
   match config.journal_dir with
@@ -655,7 +788,7 @@ let respond_text status body =
 
 let deadline_expired = function
   | None -> false
-  | Some d -> Unix.gettimeofday () > d
+  | Some d -> Bx_obs.Clock.now () > d
 
 let shed_deadline t =
   Metrics.shed t.metrics ~reason:"deadline_propagated";
@@ -848,10 +981,7 @@ let journal_accepted t ~k ~path ~body response =
              space, so it latches [disk_full] and the write barrier turns
              the node read-only instead of flapping per request. *)
           Atomic.set t.journal_ok false;
-          if Journal.is_disk_full_error e then begin
-            Atomic.set t.disk_full true;
-            Metrics.note_disk_full t.metrics true
-          end;
+          if Journal.is_disk_full_error e then Atomic.set t.disk_full true;
           Metrics.protocol_error t.metrics ~route:"journal"
             ~reason:"append_failed";
           respond_html 500 "Journal write failed"
@@ -1051,40 +1181,13 @@ let handle_docstore_post ?deadline t path body =
 
 let is_replica t = Atomic.get t.replica
 let epoch t = Atomic.get t.epoch
-let fenced t = Atomic.get t.fenced_by > 0
 let last_stream_poll t = Atomic.get t.last_stream_from
-
-let replication_behind t =
-  Mutex.lock t.rm;
-  let b = t.repl_behind in
-  Mutex.unlock t.rm;
-  b
 
 let replication_synced t =
   Mutex.lock t.rm;
   let s = t.repl_synced in
   Mutex.unlock t.rm;
   s
-
-(* How stale this replica's data may be: 0 while it is demonstrably
-   caught up (the idle long-poll hold is legitimate staleness and is
-   allowed for), growing from the moment it last knew it was current —
-   whether because records are queueing up or because the primary has
-   gone quiet.  A replica that has never synced is lagging since
-   birth. *)
-let replication_lag t =
-  if not (Atomic.get t.replica) then 0.
-  else begin
-    let now = Unix.gettimeofday () in
-    Mutex.lock t.rm;
-    let lag =
-      if not t.repl_synced then now -. t.created_at
-      else if t.repl_behind > 0 then now -. t.repl_last_sync
-      else Float.max 0. (now -. t.repl_last_sync -. t.repl_allowance)
-    in
-    Mutex.unlock t.rm;
-    lag
-  end
 
 let octet_response body =
   {
@@ -1141,9 +1244,9 @@ let handle_stream ?deadline:client_deadline t query =
               match client_deadline with
               | None -> wait
               | Some d ->
-                  Float.max 0. (Float.min wait (d -. Unix.gettimeofday ()))
+                  Float.max 0. (Float.min wait (d -. Bx_obs.Clock.now ()))
             in
-            let deadline = Unix.gettimeofday () +. wait in
+            let deadline = Bx_obs.Clock.now () +. wait in
             (* The long poll: re-read under the read lock (compaction
                swaps the snapshot and truncates the log under the write
                lock), sleep in slices outside it. *)
@@ -1163,7 +1266,7 @@ let handle_stream ?deadline:client_deadline t query =
               in
               match r with
               | `Records ([], _)
-                when Unix.gettimeofday () < deadline && not (Atomic.get t.stop)
+                when Bx_obs.Clock.now () < deadline && not (Atomic.get t.stop)
                 ->
                   Thread.delay 0.01;
                   attempt ()
@@ -1354,10 +1457,8 @@ let replication_apply t records =
                       with
                       | Error e ->
                           Atomic.set t.journal_ok false;
-                          if Journal.is_disk_full_error e then begin
+                          if Journal.is_disk_full_error e then
                             Atomic.set t.disk_full true;
-                            Metrics.note_disk_full t.metrics true
-                          end;
                           Error (`Fail e)
                       | Ok _ ->
                           Atomic.set t.journal_ok true;
@@ -1490,7 +1591,7 @@ let replication_sink t =
         t.repl_behind <- behind;
         if behind = 0 then begin
           t.repl_synced <- true;
-          t.repl_last_sync <- Unix.gettimeofday ()
+          t.repl_last_sync <- Bx_obs.Clock.now ()
         end;
         Mutex.unlock t.rm);
     note_reconnect = (fun () -> Metrics.replication_reconnect t.metrics);
@@ -1548,12 +1649,6 @@ let handle_promote t =
 
 (* ------------------------------------------------------------------ *)
 (* Health, readiness and the failpoint admin route *)
-
-let queue_depth t =
-  Mutex.lock t.qm;
-  let n = Queue.length t.queue in
-  Mutex.unlock t.qm;
-  n
 
 let queue_high_water t = max 1 (t.config.queue_capacity * 3 / 4)
 let concurrency_limit t = Atomic.get t.limit
@@ -1654,7 +1749,7 @@ let with_quarantine_warning t path response =
             })
 
 let handle_query ?deadline t ~query ~meth ~path ~body =
-  let started = Unix.gettimeofday () in
+  let started = Bx_obs.Clock.now () in
   let meth = String.uppercase_ascii meth in
   (* Operational routes never shed on a client deadline: health checks,
      metrics scrapes, debug admin and the replication plane must answer
@@ -1683,23 +1778,6 @@ let handle_query ?deadline t ~query ~meth ~path ~body =
       else
       match meth with
       | "GET" when path = "/metrics" ->
-          Metrics.note_queue_depth t.metrics (queue_depth t);
-          Metrics.note_concurrency_limit t.metrics (Atomic.get t.limit);
-          Metrics.note_disk_full t.metrics (Atomic.get t.disk_full);
-          List.iter
-            (fun (lock, mode, acquisitions, contended) ->
-              Metrics.note_lock t.metrics ~lock ~mode ~acquisitions ~contended)
-            (lock_stats t);
-          Metrics.note_respcache t.metrics
-            ~shards:(Respcache.shard_count t.cache)
-            ~entries:(Respcache.size t.cache);
-          Metrics.note_registry t.metrics
-            ~shards:(Bx_repo.Registry.shard_count t.registry)
-            ~entries:(Bx_repo.Registry.size t.registry);
-          Metrics.note_replication t.metrics ~epoch:(Atomic.get t.epoch)
-            ~fenced:(fenced t)
-            ~replica:(Atomic.get t.replica)
-            ~lag:(replication_lag t) ~behind:(replication_behind t);
           {
             Bx_repo.Webui.status = 200;
             content_type = "text/plain; version=0.0.4; charset=utf-8";
@@ -1732,7 +1810,7 @@ let handle_query ?deadline t ~query ~meth ~path ~body =
   in
   Metrics.observe_request t.metrics ~route:(route_of t path) ~meth
     ~status:response.Bx_repo.Webui.status
-    ~seconds:(Unix.gettimeofday () -. started);
+    ~seconds:(Bx_obs.Clock.now () -. started);
   response
 
 let handle t ~meth ~path ~body = handle_query t ~query:"" ~meth ~path ~body
@@ -1875,7 +1953,6 @@ let scrub_once ?(rate = 0.) ?(stop = fun () -> false) t =
        (Docstore.doc_keys t.docstore)
    with Stop_scrub -> ());
   Metrics.scrub_pass t.metrics;
-  note_quarantine_gauges t;
   (!items, List.rev !findings)
 
 (* ------------------------------------------------------------------ *)
@@ -1938,7 +2015,7 @@ let degraded_enqueue t fd =
     shed_connection t fd ~reason:"queue_full"
   end
   else begin
-    Queue.push (fd, Unix.gettimeofday ()) t.dqueue;
+    Queue.push (fd, Bx_obs.Clock.now ()) t.dqueue;
     Condition.signal t.dqc;
     Mutex.unlock t.dqm
   end
@@ -1974,7 +2051,7 @@ let serve_degraded t fd =
   | exception (Unix.Unix_error _ | Bx_fault.Fault.Injected _) -> (
       try Unix.close fd with Unix.Unix_error _ -> ())
   | Ok req -> (
-      let started = Unix.gettimeofday () in
+      let started = Bx_obs.Clock.now () in
       let answer =
         if String.uppercase_ascii req.Httpd.meth = "GET" then
           try_stale t ~query:req.Httpd.query req.Httpd.path
@@ -1985,7 +2062,7 @@ let serve_degraded t fd =
           Metrics.observe_request t.metrics
             ~route:(route_of t req.Httpd.path)
             ~meth:"GET" ~status:response.Bx_repo.Webui.status
-            ~seconds:(Unix.gettimeofday () -. started);
+            ~seconds:(Bx_obs.Clock.now () -. started);
           (try Httpd.write_response fd ~keep_alive:false response
            with Unix.Unix_error _ | Bx_fault.Fault.Injected _ -> ());
           (try Unix.close fd with Unix.Unix_error _ -> ())
@@ -1996,7 +2073,7 @@ let degraded_loop t =
     match ddequeue t with
     | None -> ()
     | Some (fd, enqueued_at) ->
-        if Unix.gettimeofday () -. enqueued_at > t.config.queue_deadline then
+        if Bx_obs.Clock.now () -. enqueued_at > t.config.queue_deadline then
           shed_connection t fd ~reason:"deadline"
         else (
           try serve_degraded t fd
@@ -2028,7 +2105,7 @@ let enqueue t fd =
   Mutex.lock t.qm;
   let cap = min t.config.queue_capacity (Atomic.get t.limit) in
   if Queue.length t.queue >= cap then begin
-    let now = Unix.gettimeofday () in
+    let now = Bx_obs.Clock.now () in
     if now -. t.last_md >= 0.1 then begin
       t.last_md <- now;
       Atomic.set t.limit
@@ -2039,7 +2116,7 @@ let enqueue t fd =
     else shed_connection t fd ~reason:"queue_full"
   end
   else begin
-    Queue.push (fd, Unix.gettimeofday ()) t.queue;
+    Queue.push (fd, Bx_obs.Clock.now ()) t.queue;
     Condition.signal t.qc;
     Mutex.unlock t.qm
   end
@@ -2117,10 +2194,10 @@ let worker_loop t =
            [queue_deadline] is answered with a fast 503 — by now the
            client has likely timed out or retried, and burning a worker
            on stale work only deepens the overload. *)
-        if Unix.gettimeofday () -. enqueued_at > t.config.queue_deadline then
+        if Bx_obs.Clock.now () -. enqueued_at > t.config.queue_deadline then
           shed_connection t fd ~reason:"deadline"
         else begin
-          let began = Unix.gettimeofday () in
+          let began = Bx_obs.Clock.now () in
           (try handle_connection t fd
            with exn ->
              (* A worker must survive anything one connection throws. *)
@@ -2129,7 +2206,7 @@ let worker_loop t =
              (try Unix.close fd with Unix.Unix_error (_, _, _) -> ()));
           (* Additive increase: a connection served promptly earns one
              admission slot back. *)
-          if Unix.gettimeofday () -. began <= t.config.queue_deadline then
+          if Bx_obs.Clock.now () -. began <= t.config.queue_deadline then
             aimd_increase t
         end;
         go ()

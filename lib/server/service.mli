@@ -172,7 +172,7 @@ val handle_query :
 (** {!handle} with the request's raw query string ([""] for none) —
     the replication stream endpoint reads its parameters from it.
 
-    [deadline] is the request's absolute deadline ([Unix.gettimeofday]
+    [deadline] is the request's absolute deadline ({!Bx_obs.Clock.now}
     clock), parsed by the socket workers from the [X-Bxwiki-Deadline]
     header (a millisecond budget).  An exhausted deadline sheds with 504
     and [bxwiki_shed_total{reason="deadline_propagated"}] — checked

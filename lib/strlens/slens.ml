@@ -143,10 +143,23 @@ let seal ?(shape = Opaque) ~stype ~vtype impl =
   (* The emitters assume well-typed slices (splitting re-establishes the
      invariant structurally), so membership is verified once, here, at
      the public string boundary.  The DFAs are compiled on first use and
-     shared through the global compile cache. *)
-  let ds = lazy (Dfa.compile stype) and dv = lazy (Dfa.compile vtype) in
+     published through an atomic, not a [lazy]: domains racing on a fresh
+     lens may each compile (the global compile cache makes that a
+     lookup), but none can see a lazy mid-force and raise
+     [CamlinternalLazy.Undefined]. *)
+  let compiled r =
+    let slot = Atomic.make None in
+    fun () ->
+      match Atomic.get slot with
+      | Some d -> d
+      | None ->
+          let d = Dfa.compile r in
+          Atomic.set slot (Some d);
+          d
+  in
+  let ds = compiled stype and dv = compiled vtype in
   let require what d r x =
-    if not (Dfa.accepts_sub (Lazy.force d) x ~pos:0 ~len:(String.length x))
+    if not (Dfa.accepts_sub (d ()) x ~pos:0 ~len:(String.length x))
     then type_error "%s: %S does not belong to %a" what x Regex.pp r
   in
   {

@@ -685,7 +685,7 @@ let shedding_tests =
               capacity + in-flight must shed. *)
            Fault.set "httpd.read" (Fault.Delay 0.3);
            let config =
-             { Service.default_config with queue_capacity = 2 }
+             { Service.default_config with queue_capacity = 2; brownout = false }
            in
            let t = service ~config () in
            let server =

@@ -316,6 +316,41 @@ let storm_tests =
 (* ------------------------------------------------------------------ *)
 (* Metrics and the response cache *)
 
+(* The duration histogram series of one exposition, per route: bucket
+   counts non-decreasing, ending at [+Inf] equal to [_count]. *)
+let hist_consistent body =
+  let prefix = "bxwiki_request_duration_seconds_" in
+  let rows = Hashtbl.create 8 in
+  List.iter
+    (fun line ->
+      let pl = String.length prefix in
+      if String.length line > pl && String.sub line 0 pl = prefix then
+        match String.split_on_char ' ' line with
+        | [ key; v ] ->
+            let route = List.nth (String.split_on_char '"' key) 1 in
+            let kind = List.hd (String.split_on_char '{' key) in
+            Hashtbl.replace rows route
+              ((kind, int_of_float (float_of_string v))
+              :: Option.value ~default:[] (Hashtbl.find_opt rows route))
+        | _ -> ())
+    (String.split_on_char '\n' body);
+  Hashtbl.fold
+    (fun _ series ok ->
+      let series = List.rev series in
+      let buckets =
+        List.filter_map
+          (fun (k, v) -> if k = prefix ^ "bucket" then Some v else None)
+          series
+      in
+      let rec monotone = function
+        | a :: (b :: _ as rest) -> a <= b && monotone rest
+        | _ -> true
+      in
+      ok && monotone buckets
+      && List.length buckets = 15
+      && Some (List.nth buckets 14) = List.assoc_opt (prefix ^ "count") series)
+    rows true
+
 let metrics_tests =
   [
     tc "/metrics exposes counters, histograms and cache stats" (fun () ->
@@ -365,6 +400,65 @@ let metrics_tests =
         check Alcotest.int "405" 405 r.Bx_repo.Webui.status;
         check Alcotest.int "error counted" 1
           (Metrics.errors_total (Service.metrics t)));
+    tc "4 domains record while a fifth renders: exact, monotone" (fun () ->
+        let m = Metrics.create () in
+        let n = 10_000 and routes = [| "entry"; "index"; "search" |] in
+        let stop = Atomic.make false in
+        (* Every render's buckets must be non-decreasing and end at the
+           route's _count, even mid-recording; returns the bad scrapes. *)
+        let scraper =
+          Domain.spawn (fun () ->
+              let bad = ref 0 in
+              while not (Atomic.get stop) do
+                if not (hist_consistent (Metrics.render m)) then incr bad
+              done;
+              !bad)
+        in
+        List.init 4 (fun d ->
+            Domain.spawn (fun () ->
+                for i = 1 to n do
+                  Metrics.observe_request m ~route:routes.(i mod 3) ~meth:"GET"
+                    ~status:(if i mod 10 = 0 then 404 else 200)
+                    ~seconds:(float_of_int (i mod 997) *. 1e-5);
+                  Metrics.shed m
+                    ~reason:(if d mod 2 = 0 then "queue_full" else "deadline");
+                  Metrics.cache_hit m
+                done))
+        |> List.iter Domain.join;
+        Atomic.set stop true;
+        check Alcotest.int "no inconsistent scrape" 0 (Domain.join scraper);
+        check Alcotest.int "requests" (4 * n) (Metrics.requests_total m);
+        check Alcotest.int "errors" (4 * n / 10) (Metrics.errors_total m);
+        check Alcotest.(pair int int) "cache" (4 * n, 0) (Metrics.cache_counts m);
+        check Alcotest.int "shed queue_full" (2 * n)
+          (Metrics.shed_by_reason m "queue_full");
+        check Alcotest.int "shed deadline" (2 * n)
+          (Metrics.shed_by_reason m "deadline");
+        let body = Metrics.render m in
+        check Alcotest.bool "final scrape consistent" true (hist_consistent body);
+        Array.iteri
+          (fun k route ->
+            let per_domain = (n / 3) + if k >= 1 && k <= n mod 3 then 1 else 0 in
+            check Alcotest.bool (route ^ " _count exact") true
+              (contains body
+                 ~needle:
+                   (Printf.sprintf
+                      "bxwiki_request_duration_seconds_count{route=%S} %d\n"
+                      route (4 * per_domain))))
+          routes);
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:300
+         ~name:"Hist.count_le is the naive count, up to one slot above"
+         QCheck2.Gen.(
+           pair
+             (array_size (0 -- 300) (oneof [ 0 -- 300; 0 -- 1_000_000_000 ]))
+             (oneof [ 0 -- 300; 0 -- 1_000_000_000 ]))
+         (fun (values, v) ->
+           let h = Bx_obs.Hist.create () in
+           Array.iter (Bx_obs.Hist.record h) values;
+           let naive b = Array.fold_left (fun n x -> if x <= b then n + 1 else n) 0 values in
+           let c = Bx_obs.Hist.count_le h v in
+           naive v <= c && c <= naive (v + (v / Bx_obs.Hist.sub_buckets h))));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -645,6 +645,23 @@ let engine_tests =
           (st2.Slens.bytes > st.Slens.bytes);
         check Alcotest.bool "contexts are reused" true
           (st2.Slens.ctx_reuse > 0));
+    tc "four domains first-use one freshly built lens" (fun () ->
+        (* The type DFAs are compiled on first use; every domain racing
+           on that first use must get its answer, none an exception. *)
+        let src = "Jean Sibelius, 1865-1957, Finnish\n" in
+        for _ = 1 to 50 do
+          let l = CS.build_lens () in
+          let ready = Atomic.make 0 in
+          let go () =
+            Atomic.incr ready;
+            while Atomic.get ready < 4 do Domain.cpu_relax () done;
+            l.Slens.get src
+          in
+          List.init 4 (fun _ -> Domain.spawn go)
+          |> List.iter (fun d ->
+                 check Alcotest.string "view" "Jean Sibelius, Finnish\n"
+                   (Domain.join d))
+        done);
   ]
 
 let () =

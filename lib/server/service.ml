@@ -6,7 +6,6 @@ type config = {
   compact_every : int;
   max_body : int;
   read_timeout : float;
-  lens_workers : int;
   queue_capacity : int;
   queue_deadline : float;
   write_timeout : float;
@@ -31,7 +30,6 @@ let default_config =
     compact_every = 64;
     max_body = Httpd.default_max_body;
     read_timeout = 10.0;
-    lens_workers = 4;
     queue_capacity = 256;
     queue_deadline = 5.0;
     write_timeout = 10.0;
@@ -866,13 +864,10 @@ let handle_get ?deadline t ~query path =
       response
 
 (* ------------------------------------------------------------------ *)
-(* Lens execution routes.  POST /slens/<name>/<op>; single-document ops
-   take the raw document as the body, [put] separates view from source
-   with an ASCII record separator (0x1e).  Batch ops take RS-separated
-   records (for [put_batch], view and source within a record are
-   separated by the unit separator 0x1f) and fan across
-   [config.lens_workers] domains.  Lens runs never touch the registry,
-   so they bypass the reader/writer lock entirely. *)
+(* Lens execution routes, POST /slens/<name>/<op>: the wire format, and
+   why batches stay on the serving worker, are documented in service.mli.
+   Lens runs never touch the registry, so they bypass the reader/writer
+   lock entirely. *)
 
 let rs = '\x1e'
 let us = '\x1f'
@@ -890,7 +885,6 @@ let handle_slens t path body =
       match List.assoc_opt name t.lenses with
       | None -> respond_text 404 (Printf.sprintf "unknown lens %S\n" name)
       | Some lens -> (
-          let workers = t.config.lens_workers in
           let observe op docs =
             Metrics.observe_lens t.metrics ~lens:name ~op ~docs
               ~bytes:(String.length body)
@@ -918,7 +912,7 @@ let handle_slens t path body =
                 observe "get_batch" (List.length docs);
                 respond_text 200
                   (String.concat rs_str
-                     (Bx_strlens.Slens.get_all ~workers lens docs))
+                     (Bx_strlens.Slens.get_all lens docs))
             | "put_batch" -> (
                 let records =
                   if body = "" then [] else String.split_on_char rs body
@@ -938,7 +932,7 @@ let handle_slens t path body =
                     observe "put_batch" (List.length pairs);
                     respond_text 200
                       (String.concat rs_str
-                         (Bx_strlens.Slens.put_all ~workers lens pairs)))
+                         (Bx_strlens.Slens.put_all lens pairs)))
             | _ -> respond_text 404 (Printf.sprintf "unknown lens op %S\n" op)
           with
           | Bx_strlens.Slens.Type_error m | Bx_strlens.Split.Split_error m ->

@@ -553,13 +553,60 @@ let lens_tests =
         let r = post t "/slens/composers/frobnicate" "" in
         check Alcotest.int "unknown op" 404 r.Bx_repo.Webui.status;
         let r = post t "/slens/composers/put" "no separator here" in
-        check Alcotest.int "malformed put" 400 r.Bx_repo.Webui.status);
+        check Alcotest.int "malformed put" 400 r.Bx_repo.Webui.status;
+        let r =
+          post t "/slens/composers/put_batch"
+            (CS.synthetic_view 1 ^ us ^ CS.synthetic_source 1 ^ rs
+           ^ "no unit separator here")
+        in
+        check Alcotest.int "put_batch record without US" 400
+          r.Bx_repo.Webui.status);
     tc "ill-typed documents are 422, not 500" (fun () ->
         let t = lens_service () in
-        let r = post t "/slens/composers/get" "not a composers file at all" in
+        let bad = "not a composers file at all" in
+        let r = post t "/slens/composers/get" bad in
         check Alcotest.int "422" 422 r.Bx_repo.Webui.status;
         check Alcotest.bool "message mentions the type" true
-          (String.length r.Bx_repo.Webui.body > 0));
+          (String.length r.Bx_repo.Webui.body > 0);
+        (* One bad document fails the whole batch: no partial body. *)
+        let good i = CS.synthetic_source (i + 1) in
+        let r =
+          post t "/slens/composers/get_batch"
+            (String.concat rs [ good 0; good 1; bad; good 2 ])
+        in
+        check Alcotest.int "get_batch with one ill-typed doc" 422
+          r.Bx_repo.Webui.status;
+        check Alcotest.bool "no partial get_batch body" false
+          (contains ~needle:(CS.lens.Bx_strlens.Slens.get (good 0))
+             r.Bx_repo.Webui.body);
+        let r =
+          post t "/slens/composers/put_batch"
+            (String.concat rs
+               [ CS.synthetic_view 1 ^ us ^ good 0; CS.synthetic_view 1 ^ us ^ bad ])
+        in
+        check Alcotest.int "put_batch with an ill-typed source" 422
+          r.Bx_repo.Webui.status);
+    tc "batches run on the serving domain, never a spawned one" (fun () ->
+        let t = lens_service () in
+        let docs = List.init 8 (fun _ -> CS.synthetic_source 200) in
+        let view = CS.synthetic_view 200 in
+        let get_body = String.concat rs docs in
+        let put_body =
+          String.concat rs (List.map (fun s -> view ^ us ^ s) docs)
+        in
+        (* The warm-up leaves this domain's execution context allocated;
+           every later run reuses it unless a helper domain, which must
+           allocate its own, takes part. *)
+        ignore (post t "/slens/composers/get" (List.hd docs));
+        let fresh () = (Bx_strlens.Slens.stats ()).ctx_fresh in
+        let before = fresh () in
+        for _ = 1 to 10 do
+          check Alcotest.int "get_batch" 200
+            (post t "/slens/composers/get_batch" get_body).Bx_repo.Webui.status;
+          check Alcotest.int "put_batch" 200
+            (post t "/slens/composers/put_batch" put_body).Bx_repo.Webui.status
+        done;
+        check Alcotest.int "no fresh execution contexts" before (fresh ()));
     tc "lens traffic and engine counters reach /metrics" (fun () ->
         let t = lens_service () in
         let src = CS.synthetic_source 2 in

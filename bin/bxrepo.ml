@@ -428,13 +428,7 @@ let validate_cmd =
            ~doc:"A template in JSON form (see 'show --json').")
   in
   let run file =
-    let ic = open_in file in
-    let contents =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match Json_codec.of_string contents with
+    match Json_codec.of_string (Fsio.read_file file) with
     | Error e ->
         Fmt.epr "bxrepo: %s@." e;
         exit 1

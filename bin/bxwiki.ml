@@ -98,12 +98,6 @@ let parse_hostport ~flag v fail =
   | Some p when p > 0 -> p
   | _ -> fail (flag ^ " wants [HOST:]PORT, got " ^ v)
 
-let read_file f =
-  let ic = open_in_bin f in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* --port beats --port-file beats the default.  A server started moments
    ago may not have written its port file yet; wait for it like we wait
    for the socket. *)
@@ -113,7 +107,7 @@ let resolve_port ~port ~port_file ~fail =
   | None, Some f ->
       let rec resolve tries =
         match
-          if Sys.file_exists f then int_of_string_opt (String.trim (read_file f))
+          if Sys.file_exists f then int_of_string_opt (String.trim (Bx_repo.Fsio.read_file f))
           else None
         with
         | Some p -> p
@@ -203,7 +197,7 @@ let client_main args =
           | _ -> fail "--max-sleep wants seconds");
         parse rest
     | "--data" :: v :: rest -> data := Some v; parse rest
-    | "--body-file" :: v :: rest -> data := Some (read_file v); parse rest
+    | "--body-file" :: v :: rest -> data := Some (Bx_repo.Fsio.read_file v); parse rest
     | "--fallback" :: v :: rest ->
         fallback := Some (parse_hostport ~flag:"--fallback" v fail);
         parse rest

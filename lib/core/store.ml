@@ -14,31 +14,6 @@ let version_of_filename name =
           let suffix = String.sub base (i + 1) (String.length base - i - 1) in
           Result.to_option (Version.of_string suffix))
 
-(* Durable and atomic: the contents go to a temp file, are flushed and
-   fsync'd, and only then renamed over the target — a crash mid-save
-   leaves the old file intact, never a truncated one.  Any failure names
-   the path it happened on. *)
-let write_file path contents =
-  let tmp = path ^ ".tmp" in
-  try
-    let oc = open_out tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc contents;
-        flush oc;
-        Unix.fsync (Unix.descr_of_out_channel oc));
-    Sys.rename tmp path
-  with
-  | Sys_error e -> failwith (path ^ ": " ^ e)
-  | Unix.Unix_error (e, _, _) -> failwith (path ^ ": " ^ Unix.error_message e)
-
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let index_page registry =
   let lines =
     List.concat_map
@@ -56,11 +31,6 @@ let index_page registry =
   String.concat "\n"
     (("+ Index" :: "" :: lines) @ [ "" ])
 
-let ensure_dir dir =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
-  else if not (Sys.is_directory dir) then
-    failwith (dir ^ " exists and is not a directory")
-
 (* Write one entry-set's pages and JSON sidecars under [dir]; the caller
    decides which slice of the registry to persist ({!save} = all entries,
    {!save_shard} = one shard).  Cost is proportional to the pages written,
@@ -68,7 +38,7 @@ let ensure_dir dir =
 let save_pages ~dir registry pages latest_ids =
   List.iter
     (fun (path, text) ->
-      write_file (Filename.concat dir (page_filename path)) text)
+      Fsio.write_file (Filename.concat dir (page_filename path)) text)
     pages;
   (* JSON sidecars for the latest version of each entry: the
      structured interchange form of section 5.1, alongside the wiki
@@ -89,25 +59,25 @@ let save_pages ~dir registry pages latest_ids =
       latest_ids
   in
   List.iter
-    (fun (file, contents) -> write_file (Filename.concat dir file) contents)
+    (fun (file, contents) -> Fsio.write_file (Filename.concat dir file) contents)
     sidecars;
   List.length pages + List.length sidecars
 
 let save ~dir registry =
   try
-    ensure_dir dir;
+    Fsio.ensure_dir dir;
     let written =
       save_pages ~dir registry (Registry.export registry)
         (Registry.ids registry)
     in
-    write_file (Filename.concat dir "INDEX.wiki") (index_page registry);
+    Fsio.write_file (Filename.concat dir "INDEX.wiki") (index_page registry);
     Ok (written + 1)
   with
   | Sys_error e | Failure e -> Error e
 
 let save_shard ~dir registry shard =
   try
-    ensure_dir dir;
+    Fsio.ensure_dir dir;
     Ok
       (save_pages ~dir registry
          (Registry.export_shard registry shard)
@@ -129,7 +99,7 @@ let load_pages ?(skip = fun _ -> false) ~dir () =
                match version_of_filename name with
                | None -> None
                | Some version ->
-                   Some (version, read_file (Filename.concat dir name)))
+                   Some (version, Fsio.read_file (Filename.concat dir name)))
     in
     (* Rebuild (path, text) pairs for Registry.import: import only needs
        the version after the slash — entry identity comes from the page

@@ -292,23 +292,11 @@ let load t s =
 let save_dir t ~dir =
   if doc_count t = 0 then Ok ()
   else
-    (* Atomic: tmp + fsync + rename, so a crash mid-write cannot leave a
-       half dump where the checksum manifest expects a whole one. *)
-    let file = Filename.concat dir docs_file in
-    let tmp = file ^ ".tmp" in
-    try
-      let oc = open_out_bin tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          output_string oc (dump t);
-          flush oc;
-          Unix.fsync (Unix.descr_of_out_channel oc));
-      Sys.rename tmp file;
-      Ok ()
-    with Sys_error e | Unix.Unix_error (_, _, e) ->
-      (try Sys.remove tmp with Sys_error _ -> ());
-      Error e
+    (* Atomic, so a crash mid-write cannot leave a half dump where the
+       checksum manifest expects a whole one. *)
+    Bx_repo.Fsio.guard (fun () ->
+        Bx_repo.Fsio.write_file (Filename.concat dir docs_file) (dump t);
+        Ok ())
 
 let doc_keys t =
   locked t (fun () ->
@@ -349,14 +337,7 @@ let load_dir t ~dir =
     Ok ()
   end
   else
-    try
-      let ic = open_in_bin file in
-      let s =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      load t s
+    try load t (Bx_repo.Fsio.read_file file)
     with
     | Sys_error e -> Error ("docstore dump: " ^ e)
     | End_of_file -> Error "docstore dump: truncated file"

@@ -35,12 +35,6 @@ let crc32_sub s off len =
 
 let crc32 s = crc32_sub s 0 (String.length s)
 
-let read_whole_file file =
-  let ic = open_in_bin file in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* ------------------------------------------------------------------ *)
 (* The DIGESTS manifest: one line per cold file in a snapshot directory,
    carrying the file's CRC32.  Written when a snapshot is sealed, checked
@@ -53,15 +47,18 @@ let read_whole_file file =
    Names are sorted, so equal directories render byte-identical
    manifests.  The MANIFEST is excluded (it seals itself with its own
    crc field; it is also written after the DIGESTS) and so is the
-   DIGESTS file itself.  A directory without one is a pre-digest layout
-   and is accepted as [legacy] — upgrades must boot old stores. *)
+   DIGESTS file itself.  A sealed directory without one still loads (old
+   stores must boot), but verification reports the absence as a finding
+   until the next checkpoint writes the file; a shipped payload without
+   one is refused. *)
 
 module Digests = struct
   let name = "DIGESTS"
   let magic = "bxdigests 1\n"
 
   let covered n =
-    n <> name && n <> "MANIFEST" && (String.length n = 0 || n.[0] <> '.')
+    n <> name && n <> Bx_repo.Fsio.marker
+    && (String.length n = 0 || n.[0] <> '.')
 
   let render files =
     let files =
@@ -128,67 +125,55 @@ module Digests = struct
       listed;
     List.sort compare !corrupt
 
+  (* The one check a shipped or received snapshot payload passes: it
+     carries a DIGESTS manifest and every covered file matches it. *)
+  let verify_payload files =
+    match List.assoc_opt name files with
+    | None -> Error "no DIGESTS manifest"
+    | Some text -> (
+        match parse text with
+        | Error e -> Error ("DIGESTS unreadable: " ^ e)
+        | Ok manifest -> (
+            match verify_files ~manifest files with
+            | [] -> Ok ()
+            | (n, why) :: _ -> Error (Printf.sprintf "%s: %s" n why)))
+
   type report = {
-    present : bool;  (** a DIGESTS manifest exists (post-upgrade layout) *)
     checked : int;  (** cold files whose crc was recomputed *)
     corrupt : (string * string) list;  (** (file, named error), sorted *)
   }
 
-  let flat_files dir =
+  let covered_files dir =
     Sys.readdir dir |> Array.to_list
-    |> List.filter (fun n -> not (Sys.is_directory (Filename.concat dir n)))
+    |> List.filter (fun n ->
+           covered n && not (Sys.is_directory (Filename.concat dir n)))
     |> List.sort String.compare
+    |> List.map (fun n -> (n, Bx_repo.Fsio.read_file (Filename.concat dir n)))
 
-  (* Write (or refresh) the manifest for a directory's flat files via the
-     usual tmp + fsync + rename discipline. *)
   let write_dir ~dir =
-    let files =
-      List.filter_map
-        (fun n ->
-          if covered n then Some (n, read_whole_file (Filename.concat dir n))
-          else None)
-        (flat_files dir)
-    in
-    let file = Filename.concat dir name in
-    let tmp = file ^ ".tmp" in
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc (render files);
-        flush oc;
-        Unix.fsync (Unix.descr_of_out_channel oc));
-    Sys.rename tmp file
+    Bx_repo.Fsio.write_file (Filename.concat dir name)
+      (render (covered_files dir))
 
   let verify_dir ~dir =
-    if not (Sys.file_exists dir && Sys.is_directory dir) then
-      { present = false; checked = 0; corrupt = [] }
+    let manifest_file = Filename.concat dir name in
+    if not (Sys.file_exists manifest_file) then
+      if Bx_repo.Fsio.sealed dir then
+        { checked = 0; corrupt = [ (name, "missing from a sealed snapshot") ] }
+      else { checked = 0; corrupt = [] }
     else
-      let manifest_file = Filename.concat dir name in
-      if not (Sys.file_exists manifest_file) then
-        { present = false; checked = 0; corrupt = [] }
-      else
-        match parse (read_whole_file manifest_file) with
-        | Error e ->
-            (* The manifest itself is damaged.  The covered files may
-               well be fine, so this counts as one named corruption (the
-               manifest), not as a wholesale quarantine of the
-               directory. *)
-            { present = true; checked = 0; corrupt = [ (name, e) ] }
-        | Ok manifest ->
-            let files =
-              List.filter_map
-                (fun n ->
-                  if covered n then
-                    Some (n, read_whole_file (Filename.concat dir n))
-                  else None)
-                (flat_files dir)
-            in
-            {
-              present = true;
-              checked = List.length files;
-              corrupt = verify_files ~manifest files;
-            }
+      match parse (Bx_repo.Fsio.read_file manifest_file) with
+      | Error e ->
+          (* The manifest itself is damaged.  The covered files may well
+             be fine, so this counts as one named corruption (the
+             manifest), not as a wholesale quarantine of the
+             directory. *)
+          { checked = 0; corrupt = [ (name, e) ] }
+      | Ok manifest ->
+          let files = covered_files dir in
+          {
+            checked = List.length files;
+            corrupt = verify_files ~manifest files;
+          }
 end
 
 (* ------------------------------------------------------------------ *)

@@ -19,8 +19,9 @@ val crc32_sub : string -> int -> int -> int
 (** The [DIGESTS] manifest: CRC32s of a snapshot directory's cold files
     (pages, JSON sidecars, [INDEX.wiki], [DOCS.bxdocs]), written when the
     snapshot is sealed and verified at boot, before shipping, and after
-    receiving.  A directory without one is a pre-digest layout, reported
-    as not [present] and accepted. *)
+    receiving.  A sealed directory without one is reported as one
+    finding named [DIGESTS]; its pages still load.  A payload without one
+    is refused. *)
 module Digests : sig
   val name : string
   (** ["DIGESTS"]. *)
@@ -43,19 +44,24 @@ module Digests : sig
       [(file, named error)] for every crc mismatch, unlisted file and
       listed-but-missing file — empty means verified. *)
 
+  val verify_payload : (string * string) list -> (unit, string) result
+  (** The check every shipped or received snapshot payload passes: it
+      carries a parseable [DIGESTS] and {!verify_files} finds nothing.
+      The error names the first failure. *)
+
   type report = {
-    present : bool;  (** a DIGESTS manifest exists (post-upgrade layout) *)
     checked : int;  (** cold files whose crc was recomputed *)
     corrupt : (string * string) list;  (** (file, named error), sorted *)
   }
 
   val write_dir : dir:string -> unit
-  (** Write (or refresh) the manifest over [dir]'s flat covered files,
-      tmp + fsync + rename.  Raises [Sys_error] on I/O failure. *)
+  (** Write (or refresh) the manifest over [dir]'s flat covered files
+      with {!Bx_repo.Fsio.write_file}.  Raises on I/O failure. *)
 
   val verify_dir : dir:string -> report
   (** Recompute every covered flat file's crc against the manifest.  A
-      damaged manifest reports itself as the single corrupt file. *)
+      damaged manifest, or a missing one in a sealed directory, reports
+      itself as the single corrupt file. *)
 end
 
 val entry_hash : Bx_repo.Registry.t -> Bx_repo.Identifier.t -> int

@@ -1,3 +1,5 @@
+module Fsio = Bx_repo.Fsio
+
 type t = {
   dir : string;
   mutable fd : Unix.file_descr;
@@ -17,7 +19,7 @@ type replayed = {
 
 let log_file dir = Filename.concat dir "journal.log"
 let snapshot_dir dir = Filename.concat dir "snapshot"
-let manifest_file dir = Filename.concat (snapshot_dir dir) "MANIFEST"
+let manifest_file dir = Filename.concat (snapshot_dir dir) Fsio.marker
 
 (* ------------------------------------------------------------------ *)
 (* CRC32 (IEEE 802.3, the zlib polynomial) — shared with the whole
@@ -71,12 +73,6 @@ let encode ~seq ~path ~body =
 
 (* ------------------------------------------------------------------ *)
 (* Reading *)
-
-let read_whole_file file =
-  let ic = open_in_bin file in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 (* v1 records; None on any malformation. *)
 let digest_v1 path body = Digest.to_hex (Digest.string (path ^ "\x00" ^ body))
@@ -181,7 +177,7 @@ let read ~dir =
     Ok { entries = []; valid_bytes = 0; torn = false; crc_errors = 0; version = 2 }
   else
     try
-      let data = read_whole_file file in
+      let data = Fsio.read_file file in
       if String.length data = 0 then
         Ok { entries = []; valid_bytes = 0; torn = false; crc_errors = 0; version = 2 }
       else if is_v2 data then
@@ -219,7 +215,7 @@ let read_manifest ~dir =
   if not (Sys.file_exists file) then `None
   else
     try
-      let body = String.trim (read_whole_file file) in
+      let body = String.trim (Fsio.read_file file) in
       match String.split_on_char ' ' body with
       | [ "seq"; n ] -> (
           match int_of_string_opt n with
@@ -244,42 +240,13 @@ let read_manifest ~dir =
 let snapshot_seq ~dir =
   match read_manifest ~dir with `Seq seq -> seq | `None | `Corrupt -> 0
 
-(* ------------------------------------------------------------------ *)
-(* Snapshot directory management *)
-
-let rec remove_tree path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter
-        (fun name -> remove_tree (Filename.concat path name))
-        (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-
-let recover_snapshot ~dir =
-  let snap = snapshot_dir dir in
-  let old_ = snap ^ ".old" in
-  let tmp = snap ^ ".tmp" in
-  (* A snapshot is usable only once its MANIFEST exists (written last),
-     so a crash mid-save leaves an unusable tmp we simply delete.  A
-     crash mid-swap may have demoted the good snapshot to .old. *)
-  if (not (Sys.file_exists (Filename.concat snap "MANIFEST")))
-     && Sys.file_exists (Filename.concat old_ "MANIFEST")
-  then begin
-    remove_tree snap;
-    Sys.rename old_ snap
-  end;
-  remove_tree tmp;
-  remove_tree old_
+(* A snapshot is usable only once its MANIFEST exists (written last), so
+   a crash mid-save leaves an unusable tmp that recovery deletes; a crash
+   mid-swap may have demoted the good snapshot to .old. *)
+let recover_snapshot ~dir = Fsio.recover (snapshot_dir dir)
 
 (* ------------------------------------------------------------------ *)
 (* Appending *)
-
-let mkdir_if_missing dir =
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-  else if not (Sys.is_directory dir) then
-    failwith (dir ^ " exists and is not a directory")
 
 let write_all fd s =
   let len = String.length s in
@@ -293,47 +260,39 @@ let write_all fd s =
    discipline as everything else, so a crash mid-migration leaves either
    the old readable v1 file or the new readable v2 file. *)
 let migrate_v1 ~file entries =
-  let tmp = file ^ ".tmp" in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      write_all fd magic;
-      List.iter
-        (fun { seq; path; body } -> write_all fd (encode ~seq ~path ~body))
-        entries;
-      Unix.fsync fd);
-  Sys.rename tmp file
+  Fsio.write_file file
+    (String.concat ""
+       (magic
+       :: List.map
+            (fun { seq; path; body } -> encode ~seq ~path ~body)
+            entries))
 
 let open_ ~dir ~next_seq =
-  try
-    mkdir_if_missing dir;
-    recover_snapshot ~dir;
-    match read ~dir with
-    | Error e -> Error e
-    | Ok { entries; valid_bytes; torn; version; _ } ->
-        let file = log_file dir in
-        if version = 1 then migrate_v1 ~file entries;
-        let fd = Unix.openfile file [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
-        let pos =
-          if version = 1 then Unix.lseek fd 0 Unix.SEEK_END
-          else if valid_bytes = 0 then begin
-            (* Fresh (or fully empty) log: stamp the segment header. *)
-            Unix.ftruncate fd 0;
-            write_all fd magic;
-            Unix.fsync fd;
-            magic_len
-          end
-          else begin
-            if torn then Unix.ftruncate fd valid_bytes;
-            Unix.lseek fd valid_bytes Unix.SEEK_SET
-          end
-        in
-        ignore pos;
-        Ok { dir; fd; next_seq; records = List.length entries }
-  with
-  | Sys_error e | Failure e -> Error e
-  | Unix.Unix_error (e, _, arg) -> Error (arg ^ ": " ^ Unix.error_message e)
+  Fsio.guard (fun () ->
+      Fsio.ensure_dir dir;
+      recover_snapshot ~dir;
+      match read ~dir with
+      | Error e -> Error e
+      | Ok { entries; valid_bytes; torn; version; _ } ->
+          let file = log_file dir in
+          if version = 1 then migrate_v1 ~file entries;
+          let fd = Unix.openfile file [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
+          let pos =
+            if version = 1 then Unix.lseek fd 0 Unix.SEEK_END
+            else if valid_bytes = 0 then begin
+              (* Fresh (or fully empty) log: stamp the segment header. *)
+              Unix.ftruncate fd 0;
+              write_all fd magic;
+              Unix.fsync fd;
+              magic_len
+            end
+            else begin
+              if torn then Unix.ftruncate fd valid_bytes;
+              Unix.lseek fd valid_bytes Unix.SEEK_SET
+            end
+          in
+          ignore pos;
+          Ok { dir; fd; next_seq; records = List.length entries })
 
 (* Append errors travel as strings (they are operator-facing), so a
    caller that must distinguish "the disk is full" from "the write
@@ -389,13 +348,16 @@ let next_seq t = t.next_seq
    its whole state via snapshot bootstrap: every journaled record is
    superseded by the installed snapshot, and the sequence counter jumps
    to wherever the primary's stream resumes. *)
+let rewind t =
+  Unix.ftruncate t.fd 0;
+  ignore (Unix.lseek t.fd 0 Unix.SEEK_SET);
+  write_all t.fd magic;
+  Unix.fsync t.fd;
+  t.records <- 0
+
 let reset t ~next_seq =
   try
-    Unix.ftruncate t.fd 0;
-    ignore (Unix.lseek t.fd 0 Unix.SEEK_SET);
-    write_all t.fd magic;
-    Unix.fsync t.fd;
-    t.records <- 0;
+    rewind t;
     t.next_seq <- next_seq;
     Ok ()
   with Unix.Unix_error (e, _, arg) ->
@@ -404,59 +366,38 @@ let reset t ~next_seq =
 (* ------------------------------------------------------------------ *)
 (* Compaction *)
 
-let write_manifest dir seq =
-  (* Same temp-and-rename discipline as Store.save: the manifest's
-     presence marks the snapshot complete.  The crc field seals the cut
-     point itself — a bit flip in the MANIFEST must read as "no usable
-     snapshot", never as a different sequence number. *)
-  let file = Filename.concat dir "MANIFEST" in
-  let tmp = file ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      let body = Printf.sprintf "seq %d" seq in
-      Printf.fprintf oc "%s crc %08x\n" body (crc32 body);
-      flush oc;
-      Unix.fsync (Unix.descr_of_out_channel oc));
-  Sys.rename tmp file
+(* The sealed snapshot format: the cold files, their DIGESTS, and last
+   the MANIFEST, whose presence makes the snapshot official.  The
+   MANIFEST's crc field seals the cut point itself — a bit flip in it
+   must read as "no usable snapshot", never as a different sequence
+   number. *)
+let seal ~dir seq =
+  Integrity.Digests.write_dir ~dir;
+  Bx_fault.Fault.point "journal.checkpoint.pre_manifest";
+  let body = Printf.sprintf "seq %d" seq in
+  Fsio.write_file
+    (Filename.concat dir Fsio.marker)
+    (Printf.sprintf "%s crc %08x\n" body (crc32 body))
 
 let checkpoint ?seq t ~save =
   let snap = snapshot_dir t.dir in
   let tmp = snap ^ ".tmp" in
-  let old_ = snap ^ ".old" in
-  try
-    remove_tree tmp;
-    Bx_fault.Fault.point "journal.checkpoint.pre_save";
-    match save ~dir:tmp with
-    | Error e -> Error e
-    | Ok files ->
-        (* Seal the cold files with their digest manifest before the
-           MANIFEST makes the snapshot official: a snapshot is either
-           complete-and-checksummed or not a snapshot at all. *)
-        Integrity.Digests.write_dir ~dir:tmp;
-        Bx_fault.Fault.point "journal.checkpoint.pre_manifest";
-        write_manifest tmp (Option.value seq ~default:(t.next_seq - 1));
-        Bx_fault.Fault.point "journal.checkpoint.pre_swap";
-        remove_tree old_;
-        if Sys.file_exists snap then Sys.rename snap old_;
-        Sys.rename tmp snap;
-        remove_tree old_;
-        (* The snapshot now covers every journaled edit: reset the log to
-           a bare segment header.  A crash before the truncate is
-           harmless — replay skips records at or below the manifest's
-           sequence number. *)
-        Bx_fault.Fault.point "journal.checkpoint.pre_truncate";
-        Unix.ftruncate t.fd 0;
-        ignore (Unix.lseek t.fd 0 Unix.SEEK_SET);
-        write_all t.fd magic;
-        Unix.fsync t.fd;
-        t.records <- 0;
-        Ok files
-  with
-  | Sys_error e | Failure e -> Error e
-  | Unix.Unix_error (e, _, arg) -> Error (arg ^ ": " ^ Unix.error_message e)
-  | Bx_fault.Fault.Injected m -> Error m
+  Fsio.guard (fun () ->
+      Fsio.remove_tree tmp;
+      Bx_fault.Fault.point "journal.checkpoint.pre_save";
+      match save ~dir:tmp with
+      | Error e -> Error e
+      | Ok files ->
+          seal ~dir:tmp (Option.value seq ~default:(t.next_seq - 1));
+          Bx_fault.Fault.point "journal.checkpoint.pre_swap";
+          Fsio.swap ~into:snap tmp;
+          (* The snapshot now covers every journaled edit: reset the log
+             to a bare segment header.  A crash before the truncate is
+             harmless — replay skips records at or below the manifest's
+             sequence number. *)
+          Bx_fault.Fault.point "journal.checkpoint.pre_truncate";
+          rewind t;
+          Ok files)
 
 (* The snapshot as shippable payload: every flat file under
    [dir/snapshot] except the MANIFEST, plus the manifest's sequence
@@ -468,102 +409,62 @@ let snapshot_files ~dir =
   if seq = 0 then Error "no snapshot"
   else
     try
-      let names =
-        Sys.readdir snap |> Array.to_list
-        |> List.filter (fun n -> n <> "MANIFEST")
-        |> List.sort String.compare
-      in
       let files =
-        List.map
-          (fun n -> (n, read_whole_file (Filename.concat snap n)))
-          names
+        Sys.readdir snap |> Array.to_list
+        |> List.filter (fun n -> n <> Fsio.marker)
+        |> List.sort String.compare
+        |> List.map (fun n -> (n, Fsio.read_file (Filename.concat snap n)))
       in
       (* Never ship bytes that fail their own manifest: a corrupted
          primary must refuse to bootstrap followers, not replicate the
          damage.  The DIGESTS file rides along in [files], so the
          receiver re-verifies the same payload. *)
-      match
-        List.assoc_opt Integrity.Digests.name files
-        |> Option.map Integrity.Digests.parse
-      with
-      | Some (Error e) -> Error ("snapshot DIGESTS unreadable: " ^ e)
-      | Some (Ok manifest) -> (
-          match Integrity.Digests.verify_files ~manifest files with
-          | [] -> Ok (seq, files)
-          | (name, why) :: _ ->
-              Error (Printf.sprintf "snapshot corrupt, refusing to ship %s: %s"
-                       name why))
-      | None -> Ok (seq, files) (* pre-digest snapshot: accepted *)
+      match Integrity.Digests.verify_payload files with
+      | Ok () -> Ok (seq, files)
+      | Error e -> Error ("snapshot corrupt, refusing to ship: " ^ e)
     with Sys_error e -> Error e
 
-(* Install a snapshot shipped from a primary: materialise the files in a
-   transient directory, seal with the MANIFEST, swap with the same
-   discipline as {!checkpoint}, and reset the log — every local record
-   is superseded.  File names are the flat basenames {!snapshot_files}
-   produced; anything path-like is rejected rather than trusted. *)
+(* A received payload is checked whole before a byte lands on disk: the
+   names must be the flat basenames {!snapshot_files} produces (anything
+   path-like is refused rather than trusted), and the files must match
+   the DIGESTS they carry. *)
+let check_payload files =
+  let unsafe name =
+    name = "" || name = Fsio.marker
+    || Filename.basename name <> name
+    || name.[0] = '.'
+  in
+  match List.find_opt (fun (name, _) -> unsafe name) files with
+  | Some (name, _) -> Error (Printf.sprintf "unsafe snapshot file name %S" name)
+  | None ->
+      Result.map_error
+        (fun e -> "snapshot payload refused: " ^ e)
+        (Integrity.Digests.verify_payload files)
+
+(* Materialise a checked payload as a sealed directory; {!seal} rewrites
+   the DIGESTS from the bytes that actually landed. *)
+let stage ~dir ~seq files =
+  Fsio.remove_tree dir;
+  Fsio.ensure_dir dir;
+  List.iter
+    (fun (name, contents) ->
+      if Integrity.Digests.covered name then
+        Fsio.write_file (Filename.concat dir name) contents)
+    files;
+  seal ~dir seq
+
+(* Install a snapshot shipped from a primary: stage it, swap it in like
+   {!checkpoint} does, and reset the log — every local record is
+   superseded. *)
 let install_snapshot t ~seq ~files =
-  let snap = snapshot_dir t.dir in
-  let tmp = snap ^ ".tmp" in
-  let old_ = snap ^ ".old" in
-  try
-    let bad =
-      List.find_opt
-        (fun (name, _) ->
-          name = "" || name = "MANIFEST"
-          || Filename.basename name <> name
-          || String.length name > 0 && name.[0] = '.')
-        files
-    in
-    let payload_fault =
-      (* Verify the shipped payload against the DIGESTS it carries before
-         a single byte lands on disk: a mangled transfer (or a corrupted
-         sender that slipped through) is refused wholesale.  A payload
-         without a manifest is a pre-digest primary; accept it and seal
-         the installed directory with a locally computed one below. *)
-      match
-        List.assoc_opt Integrity.Digests.name files
-        |> Option.map Integrity.Digests.parse
-      with
-      | Some (Error e) -> Some ("snapshot payload DIGESTS unreadable: " ^ e)
-      | Some (Ok manifest) -> (
-          match Integrity.Digests.verify_files ~manifest files with
-          | [] -> None
-          | (name, why) :: _ ->
-              Some
-                (Printf.sprintf "snapshot payload corrupt, refusing %s: %s"
-                   name why))
-      | None -> None
-    in
-    match (bad, payload_fault) with
-    | Some (name, _), _ ->
-        Error (Printf.sprintf "unsafe snapshot file name %S" name)
-    | None, Some fault -> Error fault
-    | None, None ->
-        remove_tree tmp;
-        Unix.mkdir tmp 0o755;
-        List.iter
-          (fun (name, contents) ->
-            let fd =
-              Unix.openfile (Filename.concat tmp name)
-                [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-            in
-            Fun.protect
-              ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-              (fun () ->
-                write_all fd contents;
-                Unix.fsync fd))
-          files;
-        if not (List.mem_assoc Integrity.Digests.name files) then
-          Integrity.Digests.write_dir ~dir:tmp;
-        write_manifest tmp seq;
-        remove_tree old_;
-        if Sys.file_exists snap then Sys.rename snap old_;
-        Sys.rename tmp snap;
-        remove_tree old_;
-        reset t ~next_seq:(seq + 1)
-  with
-  | Sys_error e | Failure e -> Error e
-  | Unix.Unix_error (e, _, arg) -> Error (arg ^ ": " ^ Unix.error_message e)
+  match check_payload files with
+  | Error _ as e -> e
+  | Ok () ->
+      let snap = snapshot_dir t.dir in
+      Fsio.guard (fun () ->
+          stage ~dir:(snap ^ ".tmp") ~seq files;
+          Fsio.swap ~into:snap (snap ^ ".tmp");
+          reset t ~next_seq:(seq + 1))
 
 (* ------------------------------------------------------------------ *)
 (* The replication epoch, persisted beside the log.  Monotonic across
@@ -578,27 +479,16 @@ let read_epoch ~dir =
   if not (Sys.file_exists file) then 0
   else
     try
-      match String.split_on_char ' ' (String.trim (read_whole_file file)) with
+      match String.split_on_char ' ' (String.trim (Fsio.read_file file)) with
       | [ "epoch"; n ] -> Option.value ~default:0 (int_of_string_opt n)
       | _ -> 0
     with Sys_error _ -> 0
 
 let write_epoch ~dir epoch =
-  try
-    mkdir_if_missing dir;
-    let file = epoch_file dir in
-    let tmp = file ^ ".tmp" in
-    let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        write_all fd (Printf.sprintf "epoch %d\n" epoch);
-        Unix.fsync fd);
-    Sys.rename tmp file;
-    Ok ()
-  with
-  | Sys_error e | Failure e -> Error e
-  | Unix.Unix_error (e, _, arg) -> Error (arg ^ ": " ^ Unix.error_message e)
+  Fsio.guard (fun () ->
+      Fsio.ensure_dir dir;
+      Fsio.write_file (epoch_file dir) (Printf.sprintf "epoch %d\n" epoch);
+      Ok ())
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 

@@ -40,7 +40,9 @@ u32be payload-len | u32be crc32(payload) | "<seq> <path-len>\n" path body v}
     Failpoints (see {!Bx_fault.Fault}): [journal.append.pre_write],
     [journal.append.pre_fsync], [journal.append.post_fsync],
     [journal.checkpoint.pre_save], [journal.checkpoint.pre_manifest],
-    [journal.checkpoint.pre_swap], [journal.checkpoint.pre_truncate].
+    [journal.checkpoint.pre_swap], [journal.checkpoint.pre_truncate];
+    [pre_manifest] fires in every {!seal}, installs included, and the
+    swap carries {!Bx_repo.Fsio}'s [fsio.swap.mid].
     Injected errors surface as this module's [Error] results; [crash]
     actions die in place, which is exactly what the crash-recovery
     torture tests exploit. *)
@@ -104,9 +106,8 @@ val read_manifest : dir:string -> [ `None | `Seq of int | `Corrupt ]
     pre-digest form ["seq N\n"] is still accepted as [`Seq]. *)
 
 val recover_snapshot : dir:string -> unit
-(** Repair the snapshot directories after a crash: promote a complete
-    [snapshot.old] when [snapshot] is missing, and delete transient
-    directories.  Called by {!open_}; exposed for tests. *)
+(** Repair the snapshot directories after a crash ({!Bx_repo.Fsio.recover}
+    on [dir/snapshot]).  Called by {!open_}. *)
 
 val open_ : dir:string -> next_seq:int -> (t, string) result
 (** Open (creating [dir] and the log as needed) for appending.  The torn
@@ -152,20 +153,32 @@ val snapshot_files : dir:string -> (int * (string * string) list, string) result
     [Error "no snapshot"] when none has been written.  Callers serialise
     against {!checkpoint}, which swaps the directory. *)
 
+val seal : dir:string -> int -> unit
+(** [seal ~dir seq] makes [dir] a sealed snapshot cut at [seq]: it writes
+    the [DIGESTS] over the cold files, then the self-checksummed
+    [MANIFEST] (["seq N crc XXXXXXXX\n"]).  Raises on I/O failure. *)
+
+val check_payload : (string * string) list -> (unit, string) result
+(** Check a received payload before any of it is written: every name
+    is a flat basename other than [MANIFEST] and not a dotfile, and
+    {!Integrity.Digests.verify_payload} passes, so a payload without a
+    [DIGESTS] is refused. *)
+
+val stage : dir:string -> seq:int -> (string * string) list -> unit
+(** Write a checked payload's cold files into a fresh [dir] and {!seal}
+    it at [seq].  Raises on I/O failure. *)
+
 val install_snapshot :
   t -> seq:int -> files:(string * string) list -> (unit, string) result
-(** Install a shipped snapshot: verify the payload against the [DIGESTS]
-    it carries (refusing a mangled transfer wholesale), write the files
-    into a transient directory, seal with a checksummed MANIFEST at
-    [seq], swap atomically, and {!reset} the log to [seq + 1].  Rejects
-    path-like file names; a payload without a [DIGESTS] (pre-digest
-    primary) is accepted and sealed with a locally computed one. *)
+(** Install a shipped snapshot: {!check_payload}, {!stage} it into a
+    transient directory, swap it in atomically, and {!reset} the log to
+    [seq + 1]. *)
 
 val read_epoch : dir:string -> int
 (** The persisted replication epoch; 0 when none has been recorded. *)
 
 val write_epoch : dir:string -> int -> (unit, string) result
-(** Persist the replication epoch (tmp + fsync + rename).  Promotion
+(** Persist the replication epoch ({!Bx_repo.Fsio.write_file}).  Promotion
     bumps and persists before accepting writes, so epochs are monotonic
     across crashes. *)
 

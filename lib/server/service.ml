@@ -1,14 +1,11 @@
 type config = {
   journal_dir : string option;
   shards : int;
-  cache_capacity : int;
   cache_shards : int;
   compact_every : int;
-  max_body : int;
   read_timeout : float;
   queue_capacity : int;
   queue_deadline : float;
-  write_timeout : float;
   failpoints_admin : bool;
   replica : bool;
   replica_lag_threshold : float;
@@ -25,14 +22,11 @@ let default_config =
   {
     journal_dir = None;
     shards = 1;
-    cache_capacity = 256;
     cache_shards = 4;
     compact_every = 64;
-    max_body = Httpd.default_max_body;
     read_timeout = 10.0;
     queue_capacity = 256;
     queue_deadline = 5.0;
-    write_timeout = 10.0;
     failpoints_admin = Bx_fault.Fault.env_configured;
     replica = false;
     replica_lag_threshold = 5.0;
@@ -44,6 +38,12 @@ let default_config =
     min_concurrency = 8;
     chaos_admin = Bx_fault.Netchaos.env_configured || Bx_fault.Fault.env_configured;
   }
+
+(* Rendered-page cache entries, across shards. *)
+let cache_capacity = 256
+
+(* Per-socket send timeout, seconds: a slow reader cannot pin a worker. *)
+let write_timeout = 10.0
 
 (* ------------------------------------------------------------------ *)
 (* A writer-preferring reader/writer lock.  Writers are rare (edits) and
@@ -324,6 +324,10 @@ let flag_corruption t key ~surface ~why =
 (* ------------------------------------------------------------------ *)
 (* Boot: snapshot, then log replay *)
 
+(* Documents persist in shard 0's snapshot. *)
+let load_docs docstore log =
+  Docstore.load_dir docstore ~dir:(Shardlog.snapshot_dir log 0)
+
 let is_slens_path path =
   String.length path > 7 && String.sub path 0 7 = "/slens/"
 
@@ -353,16 +357,10 @@ let replay_edits registry docstore records =
         end)
     (0, 0) records
 
-(* Per-shard snapshot writer: a single-shard service keeps writing the
-   full legacy dump (INDEX.wiki and all — bit-compatible with every
-   pre-sharding snapshot); a sharded one dumps only shard [k], so
+(* Per-shard snapshot writer: segment [k] dumps only shard [k], so
    compacting one segment costs O(shard), not O(catalogue). *)
 let save_shard_cb t k ~dir =
-  let pages =
-    if Array.length t.locks = 1 then Bx_repo.Store.save ~dir t.registry
-    else Bx_repo.Store.save_shard ~dir t.registry k
-  in
-  match pages with
+  match Bx_repo.Store.save_shard ~dir t.registry k with
   | Error _ as e -> e
   | Ok n ->
       (* Lens-backed documents ride shard 0's snapshot as one extra flat
@@ -579,7 +577,7 @@ let create ?(config = default_config) ?(pages = []) ?(lenses = []) ~seed () =
       log;
       metrics;
       cache =
-        Respcache.create ~capacity:config.cache_capacity
+        Respcache.create ~capacity:cache_capacity
           ~shards:config.cache_shards metrics;
       gens = Array.make shards 0;
       digests = Array.make shards 0;
@@ -669,12 +667,7 @@ let create ?(config = default_config) ?(pages = []) ?(lenses = []) ~seed () =
                   recovery.corrupt
               in
               (if not docs_corrupt then
-                 match
-                   Docstore.load_dir docstore
-                     ~dir:
-                       (Journal.snapshot_dir
-                          (Shardlog.segment_dir ~dir ~shards 0))
-                 with
+                 match load_docs docstore log with
                  | Ok () -> ()
                  | Error e -> Printf.eprintf "bxwiki: %s\n%!" e);
               let applied, failed =
@@ -686,10 +679,7 @@ let create ?(config = default_config) ?(pages = []) ?(lenses = []) ~seed () =
                  disk for the operator (or an anti-entropy resync). *)
               List.iter
                 (fun (k, file, why) ->
-                  let name =
-                    if shards = 1 then file
-                    else Printf.sprintf "shard-%03d/%s" k file
-                  in
+                  let name = Shardlog.file_name ~shards k file in
                   flag_corruption t
                     (Integrity.Quarantine.File name)
                     ~surface:"snapshot" ~why)
@@ -1490,16 +1480,7 @@ let replication_install_snapshot t ~seq ~files =
                         (* The shipped snapshot carries the primary's
                            documents (or none); either way it replaces
                            ours. *)
-                        let docs =
-                          match t.config.journal_dir with
-                          | None -> Ok ()
-                          | Some dir ->
-                              Docstore.load_dir t.docstore
-                                ~dir:
-                                  (Journal.snapshot_dir
-                                     (Shardlog.segment_dir ~dir
-                                        ~shards:(Shardlog.shards log) 0))
-                        in
+                        let docs = load_docs t.docstore log in
                         recompute_digests t;
                         docs)))
         | None -> Error "snapshot bootstrap requires a journal")
@@ -1534,16 +1515,7 @@ let replication_install_shard t ~shard ~seq ~files =
                       | Ok () ->
                           t.gens.(shard) <- t.gens.(shard) + 1;
                           let docs =
-                            if shard <> 0 then Ok ()
-                            else
-                              match t.config.journal_dir with
-                              | None -> Ok ()
-                              | Some dir ->
-                                  Docstore.load_dir t.docstore
-                                    ~dir:
-                                      (Journal.snapshot_dir
-                                         (Shardlog.segment_dir ~dir
-                                            ~shards:(Shardlog.shards log) 0))
+                            if shard <> 0 then Ok () else load_docs t.docstore log
                           in
                           recompute_shard_digest t shard;
                           Metrics.replication_shard_resync t.metrics;
@@ -1841,9 +1813,7 @@ let scrub_once ?(rate = 0.) ?(stop = fun () -> false) t =
     flag_corruption t key ~surface ~why
   in
   let shards = Array.length t.locks in
-  let seg_name k file =
-    if shards = 1 then file else Printf.sprintf "shard-%03d/%s" k file
-  in
+  let seg_name = Shardlog.file_name ~shards in
   (try
      (* Journal segments: re-read every record, re-checking framing and
         CRCs.  A dirty tail at rest is corruption (boot would truncate
@@ -1874,19 +1844,20 @@ let scrub_once ?(rate = 0.) ?(stop = fun () -> false) t =
          for k = 0 to shards - 1 do
            pace ~surface:"snapshot";
            let seg = Shardlog.segment_dir ~dir ~shards:(Shardlog.shards log) k in
-           let snap = Journal.snapshot_dir seg in
            read_shard t k (fun () ->
                (* The MANIFEST carries its own CRC and is not covered by
                   DIGESTS, so check it separately: a flipped cut point
                   must stay quarantined until a re-checkpoint rewrites
                   it. *)
-               let mkey = Q.File (seg_name k "MANIFEST") in
+               let mkey = Q.File (seg_name k Bx_repo.Fsio.marker) in
                (match Journal.read_manifest ~dir:seg with
                | `Corrupt ->
                    found mkey ~surface:"snapshot"
                      "manifest checksum mismatch: cut point untrusted"
                | `None | `Seq _ -> Q.clear t.quarantine mkey);
-               let report = Integrity.Digests.verify_dir ~dir:snap in
+               let report =
+                 Integrity.Digests.verify_dir ~dir:(Shardlog.snapshot_dir log k)
+               in
                if report.Integrity.Digests.corrupt = [] then
                  (* Clean segment: acquit its previously-flagged
                     snapshot files (a re-checkpoint rewrote them). *)
@@ -1894,11 +1865,9 @@ let scrub_once ?(rate = 0.) ?(stop = fun () -> false) t =
                    (fun (key, _) ->
                      match key with
                      | Q.File name
-                       when name <> seg_name k "journal.log"
-                            && name <> seg_name k "MANIFEST"
-                            && (shards = 1 || Filename.dirname name
-                                              = Printf.sprintf "shard-%03d" k)
-                            && (shards > 1 || not (String.contains name '/'))
+                       when name = seg_name k (Filename.basename name)
+                            && name <> seg_name k "journal.log"
+                            && name <> seg_name k Bx_repo.Fsio.marker
                        -> Q.clear t.quarantine key
                      | _ -> ())
                    (Q.items t.quarantine)
@@ -2037,9 +2006,7 @@ let ddequeue t =
 let serve_degraded t fd =
   let reader = Httpd.reader_of_fd fd in
   match
-    Httpd.read_request ~max_body:t.config.max_body
-      ~read_budget:(Float.min 1.0 t.config.read_timeout)
-      reader
+    Httpd.read_request ~read_budget:(Float.min 1.0 t.config.read_timeout) reader
   with
   | Error _ -> ( try Unix.close fd with Unix.Unix_error _ -> ())
   | exception (Unix.Unix_error _ | Bx_fault.Fault.Injected _) -> (
@@ -2141,8 +2108,7 @@ let handle_connection t fd =
   in
   let rec loop () =
     match
-      Httpd.read_request ~max_body:t.config.max_body
-        ~read_budget:t.config.read_timeout reader
+      Httpd.read_request ~read_budget:t.config.read_timeout reader
     with
     | Error `Eof -> ()
     | Error (`Bad e) -> bad "wire" e.Httpd.reason e
@@ -2288,7 +2254,7 @@ let serve t ?(port = 8008) ?(workers = 4) ?port_file ?(quiet = false) () =
                     (* A slow reader cannot pin a worker: response writes
                        time out too, and the connection is dropped. *)
                     Unix.setsockopt_float client Unix.SO_SNDTIMEO
-                      t.config.write_timeout;
+                      write_timeout;
                     enqueue t client
                 | exception Bx_fault.Fault.Injected _ -> (
                     Metrics.protocol_error t.metrics ~route:"wire"

@@ -34,14 +34,12 @@ type config = {
           an existing journal directory with a different count is an
           error, except that a legacy single-segment directory opened
           with [shards > 1] is migrated in place *)
-  cache_capacity : int;  (** rendered-page cache entries, across shards *)
   cache_shards : int;
       (** rendered-page cache shards; set to the worker-domain count so
           domains never contend on a cache mutex (default 4) *)
   compact_every : int;
       (** snapshot + truncate once the log holds this many edits;
           [0] disables automatic compaction *)
-  max_body : int;  (** request body cap in bytes *)
   read_timeout : float;  (** per-socket receive timeout, seconds *)
   queue_capacity : int;
       (** pending-connection bound: beyond it the accept loop sheds with
@@ -49,9 +47,6 @@ type config = {
   queue_deadline : float;
       (** seconds a connection may wait queued before a worker sheds it
           unprocessed (the per-request deadline budget) *)
-  write_timeout : float;
-      (** per-socket send timeout, seconds — a slow reader cannot pin a
-          worker *)
   failpoints_admin : bool;
       (** mount [GET/PUT /debug/failpoints]; defaults to whether
           [BXWIKI_FAILPOINTS] was present in the environment *)

@@ -1,3 +1,5 @@
+module Fsio = Bx_repo.Fsio
+
 type t = {
   dir : string;
   shards : int;
@@ -25,65 +27,32 @@ type recovery = {
 
 let shards t = t.shards
 
+let shard_name k = Printf.sprintf "shard-%03d" k
+
 let segment_dir ~dir ~shards k =
-  if shards = 1 then dir
-  else Filename.concat dir (Printf.sprintf "shard-%03d" k)
+  if shards = 1 then dir else Filename.concat dir (shard_name k)
+
+let file_name ~shards k file =
+  if shards = 1 then file else shard_name k ^ "/" ^ file
+
+let snapshot_dir t k = Journal.snapshot_dir t.seg_dirs.(k)
 
 let stamp_file dir = Filename.concat dir "SHARDS"
 let marker_file dir = Filename.concat dir "INSTALL"
 let staging_dir dir = Filename.concat dir "install.tmp"
 
-let rec remove_tree path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter
-        (fun name -> remove_tree (Filename.concat path name))
-        (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Sys.remove path
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
-(* tmp + fsync + rename, like Store.write_file: stamps and manifests mark
-   multi-step operations complete, so they must never exist torn. *)
-let write_small path contents =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc contents;
-      flush oc;
-      Unix.fsync (Unix.descr_of_out_channel oc));
-  Sys.rename tmp path
-
 let read_stamp dir =
   let file = stamp_file dir in
   if not (Sys.file_exists file) then None
   else
-    let ic = open_in file in
-    let line =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> try input_line ic with End_of_file -> "")
-    in
-    match String.split_on_char ' ' (String.trim line) with
+    match String.split_on_char ' ' (String.trim (Fsio.read_file file)) with
     | [ "shards"; n ] -> int_of_string_opt n
     | _ -> None
 
+(* Stamps and markers make multi-step operations complete, so they are
+   written atomically: they must never exist torn. *)
 let write_stamp dir shards =
-  write_small (stamp_file dir) (Printf.sprintf "shards %d\n" shards)
-
-let manifest_exists seg_dir =
-  Sys.file_exists (Filename.concat (Journal.snapshot_dir seg_dir) "MANIFEST")
-
-let write_manifest dir seq =
-  (* The same sealed form Journal.write_manifest produces: the cut point
-     carries its own crc, so a flipped MANIFEST reads as corrupt, never
-     as a different sequence number. *)
-  let body = Printf.sprintf "seq %d" seq in
-  write_small
-    (Filename.concat dir "MANIFEST")
-    (Printf.sprintf "%s crc %08x\n" body (Integrity.crc32 body))
+  Fsio.write_file (stamp_file dir) (Printf.sprintf "shards %d\n" shards)
 
 (* Checksum-verify one sealed snapshot directory.  Returns the corrupt
    [(file, named error)] rows — a damaged MANIFEST is itself one — plus
@@ -92,23 +61,32 @@ let verify_snapshot seg_dir =
   match Journal.read_manifest ~dir:seg_dir with
   | `None -> (false, 0, [])
   | `Corrupt ->
-      (false, 0, [ ("MANIFEST", "manifest checksum mismatch: cut point untrusted") ])
+      ( false,
+        0,
+        [ (Fsio.marker, "manifest checksum mismatch: cut point untrusted") ]
+      )
   | `Seq floor ->
       let report =
         Integrity.Digests.verify_dir ~dir:(Journal.snapshot_dir seg_dir)
       in
       (true, floor, report.Integrity.Digests.corrupt)
 
+(* A sealed segment snapshot's pages, minus the files that failed
+   verification — those are reported, never served. *)
+let sealed_pages seg_dir corrupt =
+  match
+    Bx_repo.Store.load_pages
+      ~skip:(fun name -> List.mem_assoc name corrupt)
+      ~dir:(Journal.snapshot_dir seg_dir) ()
+  with
+  | Ok pages -> pages
+  | Error _ -> []
+
 (* A legacy (pre-sharding) directory is one that has served as a plain
    single-segment journal: its log or snapshot exists at the top level. *)
 let legacy_present dir =
   Sys.file_exists (Journal.log_file dir)
   || Sys.file_exists (Journal.snapshot_dir dir)
-
-let ensure_dir dir =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
-  else if not (Sys.is_directory dir) then
-    failwith (dir ^ " exists and is not a directory")
 
 (* Roll an interrupted snapshot install forward: every staged segment
    snapshot still present in [install.tmp] is swapped in; ones already
@@ -118,22 +96,19 @@ let ensure_dir dir =
 let finish_install ~dir ~shards =
   if Sys.file_exists (marker_file dir) then begin
     for k = 0 to shards - 1 do
-      let staged = Filename.concat (staging_dir dir) (Printf.sprintf "shard-%03d" k) in
+      let staged = Filename.concat (staging_dir dir) (shard_name k) in
       if Sys.file_exists staged then begin
         let seg = segment_dir ~dir ~shards k in
-        ensure_dir seg;
-        let snap = Journal.snapshot_dir seg in
-        let old_ = snap ^ ".old" in
-        remove_tree old_;
-        if Sys.file_exists snap then Sys.rename snap old_;
-        Sys.rename staged snap;
-        remove_tree old_
+        Fsio.ensure_dir seg;
+        Fsio.swap ~into:(Journal.snapshot_dir seg) staged
       end
     done;
     Sys.remove (marker_file dir);
-    remove_tree (staging_dir dir)
+    Fsio.remove_tree (staging_dir dir)
   end
-  else remove_tree (staging_dir dir) (* stale staging from a pre-marker crash *)
+  else
+    (* stale staging from a pre-marker crash *)
+    Fsio.remove_tree (staging_dir dir)
 
 type segment = {
   seg_j : Journal.t;
@@ -164,17 +139,7 @@ let open_segment seg_dir =
       match Journal.open_ ~dir:seg_dir ~next_seq:(seg_max + 1) with
       | Error e -> Error (Printf.sprintf "%s: journal open: %s" seg_dir e)
       | Ok j ->
-          let pages =
-            if sealed then
-              match
-                Bx_repo.Store.load_pages
-                  ~skip:(fun name -> List.mem_assoc name corrupt)
-                  ~dir:(Journal.snapshot_dir seg_dir) ()
-              with
-              | Ok pages -> pages
-              | Error _ -> []
-            else []
-          in
+          let pages = if sealed then sealed_pages seg_dir corrupt else [] in
           let replay =
             List.filter (fun (r : Journal.record) -> r.seq > floor) entries
           in
@@ -255,8 +220,8 @@ let open_segments ~dir ~shards ~migrated ~legacy =
 let open_ ~dir ~shards =
   if shards < 1 then Error "shards must be >= 1"
   else
-    try
-      ensure_dir dir;
+    Fsio.guard (fun () ->
+      Fsio.ensure_dir dir;
       match read_stamp dir with
       | Some n when n <> shards ->
           Error
@@ -286,17 +251,7 @@ let open_ ~dir ~shards =
           match Journal.read ~dir with
           | Error e -> Error ("journal read: " ^ e)
           | Ok { Journal.entries; torn; crc_errors; _ } ->
-              let pages =
-                if sealed then
-                  match
-                    Bx_repo.Store.load_pages
-                      ~skip:(fun name -> List.mem_assoc name lcorrupt)
-                      ~dir:(Journal.snapshot_dir dir) ()
-                  with
-                  | Ok pages -> pages
-                  | Error _ -> []
-                else []
-              in
+              let pages = if sealed then sealed_pages dir lcorrupt else [] in
               let replay =
                 List.filter (fun (r : Journal.record) -> r.seq > floor) entries
               in
@@ -306,7 +261,7 @@ let open_ ~dir ~shards =
                   floor entries
               in
               for k = 0 to shards - 1 do
-                remove_tree (segment_dir ~dir ~shards k)
+                Fsio.remove_tree (segment_dir ~dir ~shards k)
               done;
               let lt = (torn, crc_errors) in
               (match
@@ -325,10 +280,7 @@ let open_ ~dir ~shards =
                         corrupt =
                           List.map (fun (f, w) -> (0, f, w)) lcorrupt
                           @ recovery.corrupt;
-                      } )))
-    with
-    | Sys_error e | Failure e -> Error e
-    | Unix.Unix_error (e, _, arg) -> Error (arg ^ ": " ^ Unix.error_message e)
+                      } ))))
 
 let next_seq t =
   Mutex.lock t.mu;
@@ -393,17 +345,35 @@ let checkpoint_all t ~save =
   go 0 0
 
 let seal_migration t =
-  try
-    if Sys.file_exists (Journal.log_file t.dir) then
-      Sys.remove (Journal.log_file t.dir);
-    remove_tree (Journal.snapshot_dir t.dir);
-    remove_tree (Journal.snapshot_dir t.dir ^ ".tmp");
-    remove_tree (Journal.snapshot_dir t.dir ^ ".old");
-    write_stamp t.dir t.shards;
-    Ok ()
-  with
-  | Sys_error e | Failure e -> Error e
-  | Unix.Unix_error (e, _, arg) -> Error (arg ^ ": " ^ Unix.error_message e)
+  Fsio.guard (fun () ->
+      Fsio.remove_tree (Journal.log_file t.dir);
+      Fsio.remove_tree (Journal.snapshot_dir t.dir);
+      Fsio.remove_tree (Journal.snapshot_dir t.dir ^ ".tmp");
+      Fsio.remove_tree (Journal.snapshot_dir t.dir ^ ".old");
+      write_stamp t.dir t.shards;
+      Ok ())
+
+(* Targeted anti-entropy repair ships and installs one shard's snapshot
+   without touching the others.  Its names are uniformly prefixed
+   "shard-%03d/" even for a single-segment layout, so the wire format is
+   one shape. *)
+let shard_prefix k = shard_name k ^ "/"
+
+let check_shard t shard =
+  if shard < 0 || shard >= t.shards then
+    Error (Printf.sprintf "no such shard %d" shard)
+  else Ok ()
+
+let snapshot_files_shard t ~shard =
+  Result.bind (check_shard t shard) (fun () ->
+      match Journal.snapshot_files ~dir:t.seg_dirs.(shard) with
+      | Error e -> Error (Printf.sprintf "shard %d: %s" shard e)
+      | Ok (seq, files) ->
+          Ok
+            ( seq,
+              List.map
+                (fun (name, contents) -> (shard_prefix shard ^ name, contents))
+                files ))
 
 let snapshot_files t =
   if t.shards = 1 then Journal.snapshot_files ~dir:t.dir
@@ -411,8 +381,8 @@ let snapshot_files t =
     let rec go k seq acc =
       if k = t.shards then Ok (seq, List.concat (List.rev acc))
       else
-        match Journal.snapshot_files ~dir:t.seg_dirs.(k) with
-        | Error e -> Error (Printf.sprintf "shard %d: %s" k e)
+        match snapshot_files_shard t ~shard:k with
+        | Error e -> Error e
         | Ok (sk, files) ->
             if k > 0 && sk <> seq then
               Error
@@ -420,193 +390,113 @@ let snapshot_files t =
                    "segments sealed at different cuts (%d vs %d): checkpoint \
                     first"
                    seq sk)
-            else
-              let prefixed =
-                List.map
-                  (fun (name, contents) ->
-                    (Printf.sprintf "shard-%03d/%s" k name, contents))
-                  files
-              in
-              go (k + 1) sk (prefixed :: acc)
+            else go (k + 1) sk (files :: acc)
     in
     go 0 0 []
+
+let snapshot_pages_shard t ~shard =
+  Result.bind (check_shard t shard) (fun () ->
+      let snap = snapshot_dir t shard in
+      if not (Fsio.sealed snap) then Ok []
+      else
+        Result.map_error
+          (Printf.sprintf "shard %d: %s" shard)
+          (Bx_repo.Store.load_pages ~dir:snap ()))
 
 let snapshot_pages t =
   let rec go k acc =
     if k = t.shards then Ok (List.concat (List.rev acc))
     else
-      let seg_dir = t.seg_dirs.(k) in
-      if not (manifest_exists seg_dir) then go (k + 1) acc
-      else
-        match Bx_repo.Store.load_pages ~dir:(Journal.snapshot_dir seg_dir) () with
-        | Error e -> Error (Printf.sprintf "shard %d: %s" k e)
-        | Ok pages -> go (k + 1) (pages :: acc)
+      match snapshot_pages_shard t ~shard:k with
+      | Error e -> Error e
+      | Ok pages -> go (k + 1) (pages :: acc)
   in
   go 0 []
-
-(* ------------------------------------------------------------------ *)
-(* Targeted anti-entropy repair: ship and install one shard's snapshot
-   without touching the others.  Names are uniformly prefixed
-   "shard-%03d/" even for a single-segment layout, so the wire format is
-   one shape. *)
-
-let shard_prefix k = Printf.sprintf "shard-%03d/" k
-
-let snapshot_files_shard t ~shard =
-  if shard < 0 || shard >= t.shards then
-    Error (Printf.sprintf "no such shard %d" shard)
-  else
-    match Journal.snapshot_files ~dir:t.seg_dirs.(shard) with
-    | Error e -> Error (Printf.sprintf "shard %d: %s" shard e)
-    | Ok (seq, files) ->
-        Ok
-          ( seq,
-            List.map
-              (fun (name, contents) -> (shard_prefix shard ^ name, contents))
-              files )
-
-let snapshot_pages_shard t ~shard =
-  if shard < 0 || shard >= t.shards then
-    Error (Printf.sprintf "no such shard %d" shard)
-  else
-    let seg_dir = t.seg_dirs.(shard) in
-    if not (manifest_exists seg_dir) then Ok []
-    else
-      match Bx_repo.Store.load_pages ~dir:(Journal.snapshot_dir seg_dir) () with
-      | Error e -> Error (Printf.sprintf "shard %d: %s" shard e)
-      | Ok pages -> Ok pages
 
 (* Install one shard's shipped snapshot: strip the shard prefix, then
    let the segment's journal do the verified install (payload DIGESTS
    check, sealed MANIFEST at [seq], atomic swap, log reset to
    [seq + 1]).  The global sequence counter only ever moves forward. *)
 let install_shard t ~shard ~seq ~files =
-  if shard < 0 || shard >= t.shards then
-    Error (Printf.sprintf "no such shard %d" shard)
-  else
-    let prefix = shard_prefix shard in
-    let plen = String.length prefix in
-    let rec strip acc = function
-      | [] -> Ok (List.rev acc)
-      | (name, contents) :: rest ->
-          if
-            String.length name > plen
-            && String.sub name 0 plen = prefix
-          then strip ((String.sub name plen (String.length name - plen), contents) :: acc) rest
-          else Error (Printf.sprintf "file %S is not in shard %d" name shard)
-    in
-    match strip [] files with
-    | Error e -> Error e
-    | Ok flat -> (
-        match Journal.install_snapshot t.segments.(shard) ~seq ~files:flat with
-        | Error e -> Error e
-        | Ok () ->
-            with_mu t (fun () -> if seq + 1 > t.next then t.next <- seq + 1);
-            Ok ())
+  Result.bind (check_shard t shard) (fun () ->
+      let prefix = shard_prefix shard in
+      let plen = String.length prefix in
+      let rec strip acc = function
+        | [] -> Ok (List.rev acc)
+        | (name, contents) :: rest ->
+            if
+              String.length name > plen
+              && String.sub name 0 plen = prefix
+            then strip ((String.sub name plen (String.length name - plen), contents) :: acc) rest
+            else Error (Printf.sprintf "file %S is not in shard %d" name shard)
+      in
+      match strip [] files with
+      | Error e -> Error e
+      | Ok flat -> (
+          match Journal.install_snapshot t.segments.(shard) ~seq ~files:flat with
+          | Error e -> Error e
+          | Ok () ->
+              with_mu t (fun () -> if seq + 1 > t.next then t.next <- seq + 1);
+              Ok ()))
 
-(* Sharded snapshot install.  Stage everything under [install.tmp], seal
-   each staged segment with a manifest, then write the [INSTALL] marker:
-   from that point the swap loop is idempotent and {!finish_install}
-   rolls it forward across any crash.  Until the marker exists, the old
-   snapshots stay untouched. *)
+(* Sharded snapshot install.  Check every shard's payload, stage each
+   as a sealed segment snapshot under [install.tmp], then write the
+   [INSTALL] marker: from that point the swap loop is idempotent and
+   {!finish_install} rolls it forward across any crash.  Until the marker
+   exists, the old snapshots stay untouched. *)
 let install_snapshot t ~seq ~files =
   if t.shards = 1 then Journal.install_snapshot t.segments.(0) ~seq ~files
   else
-    try
-      let parse name =
-        match String.index_opt name '/' with
-        | None -> Error (Printf.sprintf "unsharded snapshot file %S" name)
-        | Some i ->
-            let d = String.sub name 0 i in
-            let rest = String.sub name (i + 1) (String.length name - i - 1) in
-            if
-              rest = "" || rest = "MANIFEST"
-              || Filename.basename rest <> rest
-              || String.length d <> 9
-              || not (String.length d > 6 && String.sub d 0 6 = "shard-")
-            then Error (Printf.sprintf "bad snapshot file name %S" name)
-            else
-              match int_of_string_opt (String.sub d 6 3) with
-              | Some k when k >= 0 && k < t.shards -> Ok (k, rest)
-              | _ -> Error (Printf.sprintf "bad shard in %S" name)
-      in
-      let by_shard = Array.make t.shards [] in
-      let rec sort_files = function
-        | [] -> Ok ()
-        | (name, contents) :: rest -> (
-            match parse name with
-            | Error e -> Error e
-            | Ok (k, flat) ->
-                by_shard.(k) <- (flat, contents) :: by_shard.(k);
-                sort_files rest)
-      in
-      match sort_files files with
-      | Error e -> Error e
-      | Ok () ->
-          let staging = staging_dir t.dir in
-          remove_tree staging;
-          ensure_dir staging;
-          Bx_fault.Fault.point "shardlog.install.pre_stage";
-          let payload_fault = ref None in
-          for k = 0 to t.shards - 1 do
-            (* Verify each shard's payload against the DIGESTS it ships
-               before staging a byte: a mangled transfer is refused
-               wholesale, and a pre-digest payload is sealed with a
-               locally computed manifest. *)
-            if !payload_fault = None then begin
-              (match
-                 List.assoc_opt Integrity.Digests.name by_shard.(k)
-                 |> Option.map Integrity.Digests.parse
-               with
-              | Some (Error e) ->
-                  payload_fault :=
-                    Some (Printf.sprintf "shard %d: payload DIGESTS unreadable: %s" k e)
-              | Some (Ok manifest) -> (
-                  match Integrity.Digests.verify_files ~manifest by_shard.(k) with
-                  | [] -> ()
-                  | (name, why) :: _ ->
-                      payload_fault :=
-                        Some
-                          (Printf.sprintf
-                             "shard %d: payload corrupt, refusing %s: %s" k name
-                             why))
-              | None -> ());
-              if !payload_fault = None then begin
-                let d = Filename.concat staging (Printf.sprintf "shard-%03d" k) in
-                ensure_dir d;
-                List.iter
-                  (fun (name, contents) ->
-                    write_small (Filename.concat d name) contents)
-                  by_shard.(k);
-                if not (List.mem_assoc Integrity.Digests.name by_shard.(k)) then
-                  Integrity.Digests.write_dir ~dir:d;
-                write_manifest d seq
-              end
-            end
-          done;
-          match !payload_fault with
-          | Some fault ->
-              remove_tree staging;
-              Error fault
-          | None ->
-          (* fall through to the marker + swap *)
-          Bx_fault.Fault.point "shardlog.install.pre_marker";
-          write_small (marker_file t.dir) "install\n";
-          Bx_fault.Fault.point "shardlog.install.mid_swap";
-          finish_install ~dir:t.dir ~shards:t.shards;
-          let rec reset k =
-            if k = t.shards then Ok ()
-            else
-              match Journal.reset t.segments.(k) ~next_seq:(seq + 1) with
-              | Error e -> Error e
-              | Ok () -> reset (k + 1)
+    let by_shard = Array.make t.shards [] in
+    let rec sort_files = function
+      | [] -> Ok ()
+      | (name, contents) :: rest -> (
+          let shard =
+            match String.index_opt name '/' with
+            | Some 9 when String.sub name 0 6 = "shard-" ->
+                int_of_string_opt (String.sub name 6 3)
+            | _ -> None
           in
-          let r = reset 0 in
-          with_mu t (fun () -> if seq + 1 > t.next then t.next <- seq + 1);
-          r
-    with
-    | Sys_error e | Failure e -> Error e
-    | Unix.Unix_error (e, _, arg) -> Error (arg ^ ": " ^ Unix.error_message e)
-    | Bx_fault.Fault.Injected m -> Error m
+          match shard with
+          | Some k when k >= 0 && k < t.shards ->
+              let flat = String.sub name 10 (String.length name - 10) in
+              by_shard.(k) <- (flat, contents) :: by_shard.(k);
+              sort_files rest
+          | _ -> Error (Printf.sprintf "bad snapshot file name %S" name))
+    in
+    let rec check k =
+      if k = t.shards then Ok ()
+      else
+        match Journal.check_payload by_shard.(k) with
+        | Error e -> Error (Printf.sprintf "shard %d: %s" k e)
+        | Ok () -> check (k + 1)
+    in
+    match Result.bind (sort_files files) (fun () -> check 0) with
+    | Error e -> Error e
+    | Ok () ->
+        Fsio.guard (fun () ->
+            let staging = staging_dir t.dir in
+            Fsio.remove_tree staging;
+            Fsio.ensure_dir staging;
+            Bx_fault.Fault.point "shardlog.install.pre_stage";
+            Array.iteri
+              (fun k files ->
+                Journal.stage ~dir:(Filename.concat staging (shard_name k)) ~seq
+                  files)
+              by_shard;
+            Bx_fault.Fault.point "shardlog.install.pre_marker";
+            Fsio.write_file (marker_file t.dir) "install\n";
+            Bx_fault.Fault.point "shardlog.install.mid_swap";
+            finish_install ~dir:t.dir ~shards:t.shards;
+            let rec reset k =
+              if k = t.shards then Ok ()
+              else
+                match Journal.reset t.segments.(k) ~next_seq:(seq + 1) with
+                | Error e -> Error e
+                | Ok () -> reset (k + 1)
+            in
+            let r = reset 0 in
+            with_mu t (fun () -> if seq + 1 > t.next then t.next <- seq + 1);
+            r)
 
 let close t = Array.iter Journal.close t.segments

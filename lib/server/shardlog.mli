@@ -66,6 +66,11 @@ type recovery = {
 val segment_dir : dir:string -> shards:int -> int -> string
 (** Where segment [k] lives (= [dir] when [shards = 1]). *)
 
+val file_name : shards:int -> int -> string -> string
+(** How a file of segment [k] is named outside its directory: flat for
+    one shard, ["shard-00k/name"] otherwise — the {!snapshot_files} wire
+    names and the quarantine's file keys. *)
+
 val open_ : dir:string -> shards:int -> (t * recovery, string) result
 (** Open (creating and, if needed, migrating) the segmented journal.
     Torn tails are truncated per segment; an unfinished snapshot install
@@ -127,6 +132,10 @@ val seal_migration : t -> (unit, string) result
     snapshot, then write the [SHARDS] stamp.  Call only after
     {!checkpoint_all} has captured the migrated state. *)
 
+val snapshot_dir : t -> int -> string
+(** Segment [k]'s sealed snapshot directory.  Shard 0's also holds the
+    document store's dump. *)
+
 val snapshot_files : t -> (int * (string * string) list, string) result
 (** The snapshot as a shippable payload: the common manifest sequence
     number and every file, named flat for one shard and
@@ -142,9 +151,10 @@ val install_snapshot :
   t -> seq:int -> files:(string * string) list -> (unit, string) result
 (** Install a shipped snapshot.  One shard: flat names, delegates to
     {!Journal.install_snapshot}.  Sharded: names must be
-    ["shard-00k/name"]; each shard's payload is verified against the
-    [DIGESTS] it ships (a mangled transfer is refused before a byte is
-    staged), all segment snapshots are staged, an [INSTALL] marker makes
+    ["shard-00k/name"]; each shard's payload passes
+    {!Journal.check_payload} (a mangled transfer, or one without a
+    [DIGESTS], is refused before a byte is staged), all segment
+    snapshots are staged and sealed, an [INSTALL] marker makes
     the multi-directory swap roll forward across a crash, and every
     segment log resets to [seq + 1]. *)
 

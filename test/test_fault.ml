@@ -427,6 +427,47 @@ let checkpoint_seam_case site =
            (page_rev t);
          Service.close t))
 
+(* A swap that fails between its two renames leaves the only sealed
+   snapshot in [snapshot.old] while serving continues.  The next
+   checkpoint must not delete that copy before its own swap lands: here
+   it crashes at the same seam, and an edit that only the first
+   snapshot holds (the log was truncated after it) must survive. *)
+let swap_failure_case =
+  tc "a failed swap then a crash in the next swap loses nothing acked"
+    (isolated (fun () ->
+         let sealed_path = "/examples:lines" in
+         let sealed_mark = "Sealed only by the first snapshot." in
+         let dir, acked =
+           run_torture ~run:(fun t current ack_fd ->
+               let page = (get t (sealed_path ^ ".wiki")).Bx_repo.Webui.body in
+               let marker = "++ Overview\n\n" in
+               let at =
+                 Str.search_forward (Str.regexp_string marker) page 0
+                 + String.length marker
+               in
+               let edited =
+                 String.sub page 0 at ^ sealed_mark ^ " "
+                 ^ String.sub page at (String.length page - at)
+               in
+               if (post t sealed_path edited).Bx_repo.Webui.status = 200 then
+                 ignore (Unix.write ack_fd (Bytes.make 1 'a') 0 1);
+               edit_once t current 1 ack_fd;
+               if Result.is_error (Service.checkpoint t) then Unix._exit 4;
+               edit_once t current 2 ack_fd;
+               Fault.set "fsio.swap.mid" (Fault.Times (1, Fault.Error "injected"));
+               if Result.is_ok (Service.checkpoint t) then Unix._exit 5;
+               Fault.set "fsio.swap.mid" Fault.Crash;
+               ignore (Service.checkpoint t))
+         in
+         Fault.clear ();
+         check Alcotest.int "all edits acked before the crash" 3 acked;
+         let t, _applied = recover dir in
+         check Alcotest.bool "the first snapshot's edit survived" true
+           (contains ~needle:sealed_mark
+              (get t (sealed_path ^ ".wiki")).Bx_repo.Webui.body);
+         check Alcotest.int "recovered state = last acked state" 2 (page_rev t);
+         Service.close t))
+
 let torture_tests =
   List.map append_seam_case
     [
@@ -441,6 +482,7 @@ let torture_tests =
         "journal.checkpoint.pre_swap";
         "journal.checkpoint.pre_truncate";
       ]
+  @ [ swap_failure_case ]
 
 (* ------------------------------------------------------------------ *)
 (* QCheck: a random byte clobbered anywhere after the segment header

@@ -306,6 +306,44 @@ let scrub_tests =
         check (Alcotest.option Alcotest.string) "flag cleared" None
           (Q.find (Service.quarantine t) (Q.Entry id));
         Service.close t);
+    tc "a sealed segment without DIGESTS is a finding until a checkpoint"
+      (fun () ->
+        let dir = fresh_dir "bxnodigests" in
+        let config = journal_config ~shards:2 dir in
+        let t = service ~config () in
+        let path = List.hd (wiki_paths t) in
+        let page = (get t (path ^ ".wiki")).Bx_repo.Webui.body in
+        let edited =
+          Str.replace_first (Str.regexp_string "++ Overview\n\n")
+            "++ Overview\n\nDigest probe. " page
+        in
+        check Alcotest.int "edit" 200 (post t path edited).Bx_repo.Webui.status;
+        ignore (ok_exn "checkpoint" (Service.checkpoint t));
+        Service.close t;
+        List.iter
+          (fun k ->
+            Sys.remove
+              (Filename.concat dir
+                 (Printf.sprintf "shard-%03d/snapshot/DIGESTS" k)))
+          [ 0; 1 ];
+        let t = service ~config () in
+        check Alcotest.bool "pages still load" true
+          (contains ~needle:"Digest probe."
+             (get t (path ^ ".wiki")).Bx_repo.Webui.body);
+        check Alcotest.bool "boot flagged it" true
+          (Option.is_some
+             (Q.find (Service.quarantine t) (Q.File "shard-000/DIGESTS")));
+        let _, findings = Service.scrub_once t in
+        check
+          Alcotest.(list string)
+          "scrub names each missing DIGESTS"
+          [ "file shard-000/DIGESTS"; "file shard-001/DIGESTS" ]
+          (List.sort compare (List.map fst findings));
+        ignore (ok_exn "checkpoint" (Service.checkpoint t));
+        let _, findings = Service.scrub_once t in
+        check Alcotest.int "a checkpoint rewrites it" 0 (List.length findings);
+        check Alcotest.int "and acquits it" 0 (Q.size (Service.quarantine t));
+        Service.close t);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -260,6 +260,44 @@ let journal_tests =
                 | Error _ -> ()
                 | Ok () -> Alcotest.failf "accepted %S" name)
               [ "MANIFEST"; "../evil"; "a/b"; ".hidden"; "" ]));
+    tc "a snapshot payload without DIGESTS is refused, shipped or received"
+      (fun () ->
+        let refused what = function
+          | Ok _ -> Alcotest.failf "%s: accepted a payload without DIGESTS" what
+          | Error e ->
+              check Alcotest.bool (what ^ " names DIGESTS") true
+                (contains ~needle:"DIGESTS" e)
+        in
+        let files = [ ("a.wiki", "alpha"); ("b.wiki", "beta") ] in
+        let dir = fresh_dir "bxnodigests" in
+        with_log dir (fun j ->
+            refused "install" (Journal.install_snapshot j ~seq:3 ~files);
+            check Alcotest.int "nothing installed" 0 (Journal.snapshot_seq ~dir);
+            ok_exn "install with DIGESTS"
+              (Journal.install_snapshot j ~seq:3
+                 ~files:
+                   ((Integrity.Digests.name, Integrity.Digests.render files)
+                   :: files));
+            check Alcotest.int "installed" 3 (Journal.snapshot_seq ~dir);
+            Sys.remove
+              (Filename.concat (Journal.snapshot_dir dir) Integrity.Digests.name);
+            refused "ship" (Journal.snapshot_files ~dir));
+        let sdir = fresh_dir "bxnodigests" in
+        match Shardlog.open_ ~dir:sdir ~shards:2 with
+        | Error e -> Alcotest.failf "shardlog open: %s" e
+        | Ok (log, _) ->
+            Fun.protect
+              ~finally:(fun () -> Shardlog.close log)
+              (fun () ->
+                refused "sharded install"
+                  (Shardlog.install_snapshot log ~seq:3
+                     ~files:
+                       (List.concat_map
+                          (fun k ->
+                            List.map
+                              (fun (n, c) -> (Printf.sprintf "shard-%03d/%s" k n, c))
+                              files)
+                          [ 0; 1 ]))));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -1124,7 +1124,23 @@ type p7_batch = {
   batch_scaling : float;
 }
 
-type p7_summary = { rows7 : p7_row list; batch7 : p7_batch }
+(* A put row for an alignment variant the gated workloads never send:
+   there, every view chunk equals its source chunk's view and is
+   spliced; here chunks are re-put (every record edited, or positional
+   alignment, which does not splice) or aligned by LCS. *)
+type p7_put_row = {
+  put_lens : string;
+  put_lines : int;
+  put_sliced_ns : float;
+  put_ref_ns : float;
+  put_speedup : float;
+}
+
+type p7_summary = {
+  rows7 : p7_row list;
+  batch7 : p7_batch;
+  puts7 : p7_put_row list;
+}
 
 let p7_strlens () =
   rule "P7: zero-copy slice engine vs copying engine (Composers end-to-end)";
@@ -1170,6 +1186,38 @@ let p7_strlens () =
         })
       [ 100; 1000 ]
   in
+  let puts7 =
+    let k = 1000 in
+    let src = csv_source_of_size k and view = csv_view_of_size k in
+    (* Every nationality edited: each record pairs by name, none splices. *)
+    let all_edited =
+      String.split_on_char '\n' view
+      |> List.map (fun l -> if l = "" then l else l ^ "x")
+      |> String.concat "\n"
+    in
+    List.map
+      (fun (name, l, r, view) ->
+        assert (String.equal (l.S.put view src) (r.R.put view src));
+        let sliced = time_per_run (fun () -> l.S.put view src) in
+        let copying = time_per_run (fun () -> r.R.put view src) in
+        Fmt.pr "lines=%5d  put %8.1f us sliced %8.1f us copying (%4.1fx)  %s@." k
+          (sliced *. 1e6) (copying *. 1e6) (copying /. sliced) name;
+        {
+          put_lens = name;
+          put_lines = k;
+          put_sliced_ns = sliced *. 1e9;
+          put_ref_ns = copying *. 1e9;
+          put_speedup = copying /. sliced;
+        })
+      [
+        ( "name_keyed_lens, every record edited",
+          name_keyed_lens,
+          R.star_key ~key:name_of_view_line ref_line,
+          all_edited );
+        ("positional_lens", positional_lens, R.star ref_line, view);
+        ("diff_lens", diff_lens, R.star_diff ~key:Fun.id ref_line, view);
+      ]
+  in
   (* Size the fan-out to the machine: spawning domains a single-core
      container cannot run in parallel only adds stop-the-world cost. *)
   let batch_docs = 256 and batch_doc_lines = 200 in
@@ -1186,6 +1234,7 @@ let p7_strlens () =
     (Domain.recommended_domain_count ());
   {
     rows7;
+    puts7;
     batch7 =
       {
         batch_docs;
@@ -1603,6 +1652,17 @@ let write_strlens_json path ~p7 =
         r.sliced_get_mb_s r.sliced_put_ns r.ref_put_ns r.put_speedup
         (if i = last then "" else ","))
     p7.rows7;
+  add "  ],\n";
+  add "  \"put_rows\": [\n";
+  let last = List.length p7.puts7 - 1 in
+  List.iteri
+    (fun i r ->
+      add
+        "    { \"lens\": %S, \"lines\": %d, \"sliced_put_ns\": %.1f, \
+         \"copying_put_ns\": %.1f, \"put_speedup\": %.2f }%s\n"
+        r.put_lens r.put_lines r.put_sliced_ns r.put_ref_ns r.put_speedup
+        (if i = last then "" else ","))
+    p7.puts7;
   add "  ],\n";
   let b = p7.batch7 in
   add "  \"batch_get_all\": {\n";

@@ -24,6 +24,9 @@ val diff_lens : Bx_strlens.Slens.t
 (** The same lens with LCS (diff) chunk alignment — the third point of
     the alignment-strategy ablation. *)
 
+val name_of_view_line : string -> string
+(** The key of {!name_keyed_lens}: a view record's name field. *)
+
 val name_keyed_lens : Bx_strlens.Slens.t
 (** The dictionary lens keyed by the composer's NAME only (the POPL'08
     [key] combinator's point): a nationality edit then reuses the old
@@ -33,6 +36,10 @@ val positional_lens : Bx_strlens.Slens.t
 (** The same lens with {e positional} chunk alignment — the ablation
     showing what resourcefulness buys: under view reordering, dates stay
     at their positions instead of following their composers. *)
+
+val ref_line : Bx_strlens.Slens_ref.t
+(** One record's lens on the copying reference engine, for rebuilding
+    the other alignment variants there. *)
 
 val ref_lens : Bx_strlens.Slens_ref.t
 (** {!lens} rebuilt on the copying reference engine

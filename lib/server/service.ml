@@ -506,6 +506,12 @@ let register_sampled t =
   counter "bxwiki_slens_ctx_fresh_total"
     "Lens runs that allocated a fresh execution context."
     (slens (fun s -> s.ctx_fresh));
+  counter ~labels:[ "outcome" ] "bxwiki_slens_chunks_total"
+    "Star put chunks spliced verbatim, re-put through the body, or created."
+    (fun () ->
+      let s = Bx_strlens.Slens.stats () in
+      List.map (fun (o, n) -> ([ o ], float_of_int n))
+        [ ("spliced", s.chunks_spliced); ("put", s.chunks_put); ("created", s.chunks_created) ]);
   let delta rows () =
     let s = Bx_strlens.Slens_delta.stats () in
     List.map (fun (l, pick) -> ([ l ], float_of_int (pick s))) rows

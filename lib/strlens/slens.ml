@@ -9,14 +9,21 @@ let type_error fmt = Format.kasprintf (fun m -> raise (Type_error m)) fmt
    counts input bytes entering top-level runs, [splits] the split
    decisions made by the slice engine, [ctx_reuse]/[ctx_fresh] how
    often a top-level run found its domain's execution context free
-   versus having to allocate one. *)
+   versus having to allocate one, [chunks_*] the outcomes of star put
+   chunks. *)
 
 let stat_bytes = Atomic.make 0
 let stat_splits = Atomic.make 0
 let stat_ctx_reuse = Atomic.make 0
 let stat_ctx_fresh = Atomic.make 0
+let stat_spliced = Atomic.make 0
+let stat_put = Atomic.make 0
+let stat_created = Atomic.make 0
 
-type stats = { bytes : int; splits : int; ctx_reuse : int; ctx_fresh : int }
+type stats = {
+  bytes : int; splits : int; ctx_reuse : int; ctx_fresh : int;
+  chunks_spliced : int; chunks_put : int; chunks_created : int;
+}
 
 let stats () =
   {
@@ -24,18 +31,22 @@ let stats () =
     splits = Atomic.get stat_splits;
     ctx_reuse = Atomic.get stat_ctx_reuse;
     ctx_fresh = Atomic.get stat_ctx_fresh;
+    chunks_spliced = Atomic.get stat_spliced;
+    chunks_put = Atomic.get stat_put;
+    chunks_created = Atomic.get stat_created;
   }
 
 let reset_stats () =
-  Atomic.set stat_bytes 0;
-  Atomic.set stat_splits 0;
-  Atomic.set stat_ctx_reuse 0;
-  Atomic.set stat_ctx_fresh 0
+  List.iter
+    (fun a -> Atomic.set a 0)
+    [ stat_bytes; stat_splits; stat_ctx_reuse; stat_ctx_fresh; stat_spliced; stat_put; stat_created ]
+
+let harvest a n = if n > 0 then ignore (Atomic.fetch_and_add a n : int)
 
 (* ------------------------------------------------------------------ *)
 (* The execution context: one shared output buffer, one splitter
    workspace, one spare buffer for the few places that must materialise
-   an intermediate string (chunk keys, compose).  Each domain keeps one
+   an intermediate string (chunk views, compose).  Each domain keeps one
    context and reuses it across runs; a re-entrant run (a user key
    function invoking a lens, a lens inside a lens) simply allocates a
    second context for its duration. *)
@@ -69,7 +80,11 @@ let exec input_bytes emit =
   Fun.protect
     ~finally:(fun () ->
       Buffer.clear ctx.out;
-      let (_ : int) = Atomic.fetch_and_add stat_splits (Split.splits_performed ctx.ws) in
+      let c = Split.chunk_counts ctx.ws in
+      harvest stat_splits (Split.splits_performed ctx.ws);
+      harvest stat_spliced c.spliced;
+      harvest stat_put c.put;
+      harvest stat_created c.created;
       Split.reset_splits ctx.ws;
       slot := Some ctx)
     (fun () ->
@@ -79,7 +94,7 @@ let exec input_bytes emit =
 
 (* Redirect the context's output into a side buffer for the duration of
    [emit] and return what it wrote — for the few combinators that need
-   an intermediate string (chunk keys, compose). *)
+   an intermediate string (chunk views, compose). *)
 let capture ctx emit =
   let saved = ctx.out in
   let side =
@@ -108,6 +123,10 @@ type impl = {
   e_get : ctx -> string -> int -> int -> unit;
   e_put : ctx -> string -> int -> int -> string -> int -> int -> unit;
   e_create : ctx -> string -> int -> int -> unit;
+  exact : bool;
+      (* [put (get s) s = s] byte for byte: true of [copy] and [const],
+         of a combinator whose children all have it, never of [of_funs]
+         (a quotient restores its source only up to canonization). *)
 }
 
 type t = {
@@ -124,7 +143,8 @@ type t = {
    {!Slens_delta} how the document chunks and how put aligns the
    chunks, so an edit can be localised to the chunks it touches.  Every
    other root is [Opaque] and delta calls fall back to the full
-   functions. *)
+   functions — so is a star whose body lacks exact GetPut, because the
+   delta tiers splice unchanged chunks. *)
 and shape = Opaque | Star of star_shape
 
 and star_shape = {
@@ -158,6 +178,7 @@ let seal ?(shape = Opaque) ~stype ~vtype impl =
           d
   in
   let ds = compiled stype and dv = compiled vtype in
+  let shape = match shape with Star sh when not sh.body.impl.exact -> Opaque | sh -> sh in
   let require what d r x =
     if not (Dfa.accepts_sub (d ()) x ~pos:0 ~len:(String.length x))
     then type_error "%s: %S does not belong to %a" what x Regex.pp r
@@ -199,6 +220,7 @@ let of_funs ~stype ~vtype ~get ~put ~create =
       e_create =
         (fun ctx v vp vl ->
           Buffer.add_string ctx.out (create (String.sub v vp vl)));
+      exact = false;
     }
   in
   { stype; vtype; get; put; create; impl; shape = Opaque }
@@ -224,17 +246,21 @@ let copy_impl =
     e_get = (fun ctx s pos len -> Buffer.add_substring ctx.out s pos len);
     e_put = (fun ctx v vp vl _ _ _ -> Buffer.add_substring ctx.out v vp vl);
     e_create = (fun ctx v vp vl -> Buffer.add_substring ctx.out v vp vl);
+    exact = true;
   }
 
 let copy r = seal ~stype:r ~vtype:r copy_impl
 
-let slice_equal lit s pos len =
-  len = String.length lit
+(* Byte equality of two slices, allocation-free: the splice test of the
+   star put and the delta tiers, and the view check of [const]. *)
+let slices_equal a apos alen b bpos blen =
+  alen = blen
   &&
-  let rec eq i =
-    i >= len || (String.unsafe_get s (pos + i) = String.unsafe_get lit i && eq (i + 1))
-  in
-  eq 0
+  let i = ref 0 in
+  while !i < alen && String.unsafe_get a (apos + !i) = String.unsafe_get b (bpos + !i) do
+    incr i
+  done;
+  !i = alen
 
 let const ~stype ~view ~default =
   if not (Regex.matches stype default) then
@@ -245,16 +271,19 @@ let const ~stype ~view ~default =
       e_get = (fun ctx _ _ _ -> Buffer.add_string ctx.out view);
       e_put =
         (fun ctx v vp vl s sp sl ->
-          if slice_equal view v vp vl then Buffer.add_substring ctx.out s sp sl
+          if slices_equal view 0 (String.length view) v vp vl then
+            Buffer.add_substring ctx.out s sp sl
           else
             type_error "const: put view %S differs from constant %S"
               (String.sub v vp vl) view);
       e_create =
         (fun ctx v vp vl ->
-          if slice_equal view v vp vl then Buffer.add_string ctx.out default
+          if slices_equal view 0 (String.length view) v vp vl then
+            Buffer.add_string ctx.out default
           else
             type_error "const: create view %S differs from constant %S"
               (String.sub v vp vl) view);
+      exact = true;
     }
 
 let del r ~default = const ~stype:r ~view:"" ~default
@@ -294,6 +323,7 @@ let multi_impl lenses =
         for i = 0 to k - 1 do
           ls.(i).impl.e_create ctx v vb.(i) (vb.(i + 1) - vb.(i))
         done);
+    exact = Array.for_all (fun l -> l.impl.exact) ls;
   }
 
 let concat l1 l2 =
@@ -368,18 +398,13 @@ let union l1 l2 =
           else
             type_error "union: create view %S matches neither view type"
               (String.sub v vp vl));
+      exact = l1.impl.exact && l2.impl.exact;
     }
 
 (* ------------------------------------------------------------------ *)
 (* Iteration.  Chunk boundaries for both sides are computed up front
    (one suffix pass + one table scan each); alignment then pairs view
    chunks with source chunks and emits straight into the output. *)
-
-(* The view of source chunk [i], materialised — alignment keys are user
-   strings, so this boundary copy is inherent to the [key] API. *)
-let chunk_view ctx l s bounds i =
-  capture ctx (fun () ->
-      l.impl.e_get ctx s bounds.(i) (bounds.(i + 1) - bounds.(i)))
 
 (* ------------------------------------------------------------------ *)
 (* Chunk pairing, shared between the star aligners here and the delta
@@ -389,26 +414,24 @@ let chunk_view ctx l s bounds i =
    first-unconsumed-match discipline, which [Array.init] does not
    guarantee. *)
 
+module Keys = Hashtbl.Make (String)
+
 let key_pairing ~skeys ~vkeys =
   let ns = Array.length skeys and nv = Array.length vkeys in
-  (* A queue per key preserves the first-unconsumed-match discipline
-     without rescanning the chunk array for every view chunk. *)
-  let by_key : (string, int Queue.t) Hashtbl.t = Hashtbl.create (2 * ns + 1) in
-  for i = 0 to ns - 1 do
-    let q =
-      match Hashtbl.find_opt by_key skeys.(i) with
-      | Some q -> q
-      | None ->
-          let q = Queue.create () in
-          Hashtbl.add by_key skeys.(i) q;
-          q
-    in
-    Queue.push i q
+  (* [head]: a key's first unconsumed source chunk (-1 once all are
+     consumed); [next.(i)]: the next chunk after [i] with the same key. *)
+  let head = Keys.create (2 * ns + 1) in
+  let next = Array.make ns (-1) in
+  for i = ns - 1 downto 0 do
+    (match Keys.find_opt head skeys.(i) with Some h -> next.(i) <- h | None -> ());
+    Keys.replace head skeys.(i) i
   done;
   let pair = Array.make nv (-1) in
   for j = 0 to nv - 1 do
-    match Hashtbl.find_opt by_key vkeys.(j) with
-    | Some q when not (Queue.is_empty q) -> pair.(j) <- Queue.pop q
+    match Keys.find_opt head vkeys.(j) with
+    | Some i when i >= 0 ->
+        pair.(j) <- i;
+        Keys.replace head vkeys.(j) next.(i)
     | _ -> ()
   done;
   pair
@@ -466,40 +489,68 @@ let star_with ~name ~kind ~align l =
           for i = 0 to Array.length vb - 2 do
             l.impl.e_create ctx v vb.(i) (vb.(i + 1) - vb.(i))
           done);
+      exact = l.impl.exact;
     }
 
 let star l =
   let positional ctx v vb s sb =
-    let ns = Array.length sb - 1 in
-    for j = 0 to Array.length vb - 2 do
+    let ns = Array.length sb - 1 and nv = Array.length vb - 1 in
+    for j = 0 to nv - 1 do
       if j < ns then
         l.impl.e_put ctx v vb.(j) (vb.(j + 1) - vb.(j)) s sb.(j) (sb.(j + 1) - sb.(j))
       else l.impl.e_create ctx v vb.(j) (vb.(j + 1) - vb.(j))
-    done
+    done;
+    let c = Split.chunk_counts ctx.ws in
+    c.put <- c.put + min ns nv;
+    c.created <- c.created + max 0 (nv - ns)
   in
   star_with ~name:"star" ~kind:Positional ~align:positional l
 
-(* Both keyed aligners share one skeleton: materialise the per-chunk
-   keys, let a pairing function decide reuse-vs-create per view chunk,
-   then emit.  The pairing functions are pure over the key arrays, so
-   the delta layer replays exactly the same decisions from its cached
-   keys without touching the source bytes. *)
+(* Both keyed aligners share one skeleton: capture every source chunk's
+   view in one string, derive the per-chunk keys, let a pairing function
+   decide reuse-vs-create per view chunk, then emit.  By GetPut, a view
+   chunk equal to its source chunk's view restores that chunk, so an
+   exact body's chunk is copied, not re-put.  The pairing functions are
+   pure over the key arrays, so the delta layer replays exactly the same
+   decisions from its cached keys without touching the source bytes. *)
 let keyed_align ~key ~pairing l ctx v vb s sb =
   let ns = Array.length sb - 1 and nv = Array.length vb - 1 in
+  (* Chunk [i]'s view is [sview.[ends.(i) .. ends.(i+1))]. *)
+  let ends = Array.make (ns + 1) 0 in
+  let sview =
+    capture ctx (fun () ->
+        for i = 0 to ns - 1 do
+          l.impl.e_get ctx s sb.(i) (sb.(i + 1) - sb.(i));
+          ends.(i + 1) <- Buffer.length ctx.out
+        done)
+  in
   let skeys = Array.make ns "" in
   for i = 0 to ns - 1 do
-    skeys.(i) <- key (chunk_view ctx l s sb i)
+    skeys.(i) <- key (String.sub sview ends.(i) (ends.(i + 1) - ends.(i)))
   done;
   let vkeys = Array.make nv "" in
   for j = 0 to nv - 1 do
     vkeys.(j) <- key (String.sub v vb.(j) (vb.(j + 1) - vb.(j)))
   done;
   let pair = pairing ~skeys ~vkeys in
+  let c = Split.chunk_counts ctx.ws in
   for j = 0 to nv - 1 do
-    let vlen = vb.(j + 1) - vb.(j) in
+    let vp = vb.(j) in
+    let vlen = vb.(j + 1) - vp in
     match pair.(j) with
-    | -1 -> l.impl.e_create ctx v vb.(j) vlen
-    | i -> l.impl.e_put ctx v vb.(j) vlen s sb.(i) (sb.(i + 1) - sb.(i))
+    | -1 ->
+        c.created <- c.created + 1;
+        l.impl.e_create ctx v vp vlen
+    | i ->
+        let sp = sb.(i) in
+        let slen = sb.(i + 1) - sp in
+        if l.impl.exact && slices_equal v vp vlen sview ends.(i) (ends.(i + 1) - ends.(i))
+        then (
+          c.spliced <- c.spliced + 1;
+          Buffer.add_substring ctx.out s sp slen)
+        else (
+          c.put <- c.put + 1;
+          l.impl.e_put ctx v vp vlen s sp slen)
   done
 
 let star_key ~key l =
@@ -540,6 +591,7 @@ let compose l1 l2 =
         (fun ctx v vp vl ->
           let mid = capture ctx (fun () -> l2.impl.e_create ctx v vp vl) in
           l1.impl.e_create ctx mid 0 (String.length mid));
+      exact = l1.impl.exact && l2.impl.exact;
     }
 
 let permute ~order ls =
@@ -590,6 +642,7 @@ let permute ~order ls =
             let p = vpos_of.(i) in
             lens_arr.(i).impl.e_create ctx v vb.(p) (vb.(p + 1) - vb.(p))
           done);
+      exact = Array.for_all (fun l -> l.impl.exact) lens_arr;
     }
 
 let swap l1 l2 = permute ~order:[ 1; 0 ] [ l1; l2 ]
@@ -708,6 +761,7 @@ module Internal = struct
   let e_get l ctx s pos len = l.impl.e_get ctx s pos len
   let e_put l ctx v vp vl s sp sl = l.impl.e_put ctx v vp vl s sp sl
   let e_create l ctx v vp vl = l.impl.e_create ctx v vp vl
+  let slices_equal = slices_equal
   let key_pairing = key_pairing
   let diff_pairing = diff_pairing
 end

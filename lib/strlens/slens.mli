@@ -41,8 +41,10 @@ type t = {
 (** How the root of the lens decomposes its documents, as much as the
     delta layer needs to localise an edit: a star at the root exposes
     its chunking and alignment policy; everything else is [Opaque] and
-    delta operations on it fall back to the full functions.  Correctness
-    never depends on the shape — it only gates the fast path. *)
+    delta operations on it fall back to the full functions.  So is a
+    star over an {!of_funs} lens (a {!Canonizer} quotient, say), whose
+    chunks the delta tiers could not splice.  Correctness never depends
+    on the shape — it only gates the fast path. *)
 and shape = Opaque | Star of star_shape
 
 and star_shape = {
@@ -116,16 +118,20 @@ val star_key : key:(string -> string) -> t -> t
     (POPL'08 dictionary lenses): each view chunk is matched, by [key], to
     the first unconsumed source chunk whose view has the same key, so the
     hidden parts of a chunk follow their key under reordering.  Source
-    chunks are indexed by key in a hash table of queues, so alignment is
-    linear in the number of chunks.  Same typing obligations as {!star}. *)
+    chunks are indexed by key in one hash table, repeated keys chained
+    through an index array, so alignment is linear in the number of
+    chunks.  A view chunk equal to its paired source chunk's view is
+    restored by copying that chunk (GetPut) unless the body contains an
+    {!of_funs} lens.  Same typing obligations as {!star}. *)
 
 val star_diff : key:(string -> string) -> t -> t
 (** Kleene iteration with {e order-respecting (diff) alignment} on [put]:
     a longest common subsequence of chunk keys decides which view chunks
     reuse which source chunks, so insertions and deletions in the middle
     of a long list keep every other chunk's hidden data — even with
-    duplicate keys, which defeat {!star_key}'s greedy first-match.  Same
-    typing obligations as {!star}. *)
+    duplicate keys, which defeat {!star_key}'s greedy first-match.
+    Unchanged chunks are copied as in {!star_key}.  Same typing
+    obligations as {!star}. *)
 
 val separated : sep:t -> t -> t
 (** [separated ~sep l] is the derived lens for a possibly-empty
@@ -190,6 +196,9 @@ type stats = {
   splits : int;  (** Split decisions made by the slice engine. *)
   ctx_reuse : int;  (** Runs that reused their domain's context. *)
   ctx_fresh : int;  (** Runs that had to allocate a context. *)
+  chunks_spliced : int;  (** Keyed star [put] chunks copied verbatim. *)
+  chunks_put : int;  (** Star [put] chunks re-run through the body's [put]. *)
+  chunks_created : int;  (** Star [put] chunks built by the body's [create]. *)
 }
 
 val stats : unit -> stats
@@ -241,6 +250,9 @@ module Internal : sig
 
   val blit : ctx -> string -> int -> int -> unit
   (** Append a raw slice verbatim to the output. *)
+
+  val slices_equal : string -> int -> int -> string -> int -> int -> bool
+  (** [slices_equal a apos alen b bpos blen]: byte equality of slices. *)
 
   val e_get : t -> ctx -> string -> int -> int -> unit
   val e_put : t -> ctx -> string -> int -> int -> string -> int -> int -> unit

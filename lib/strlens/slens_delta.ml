@@ -161,16 +161,6 @@ let find_ge a x =
   done;
   !lo
 
-let slices_equal a apos alen b bpos blen =
-  alen = blen
-  &&
-  let rec eq i =
-    i >= alen
-    || String.unsafe_get a (apos + i) = String.unsafe_get b (bpos + i)
-       && eq (i + 1)
-  in
-  eq 0
-
 (* Replace bound entries ci..cj of [old] with [window] (absolute values,
    [window.(0) = old.(ci)]) and shift everything after by [shift]. *)
 let splice_bounds old ci cj window shift =
@@ -245,7 +235,7 @@ let slow_put (sh : Slens.star_shape) c st ~source ~new_view =
               I.e_create sh.body ctx new_view vpos vlen
           | i ->
               if
-                slices_equal new_view vpos vlen st.vw st.vb.(i)
+                I.slices_equal new_view vpos vlen st.vw st.vb.(i)
                   (st.vb.(i + 1) - st.vb.(i))
               then begin
                 incr reused;
@@ -294,7 +284,7 @@ let fast_put (sh : Slens.star_shape) st ~source ~new_view ~ci ~cj ~wb ~pair
           | li ->
               let i = ci + li in
               if
-                slices_equal new_view vpos vlen st.vw st.vb.(i)
+                I.slices_equal new_view vpos vlen st.vw st.vb.(i)
                   (st.vb.(i + 1) - st.vb.(i))
               then begin
                 incr reused;
@@ -316,7 +306,7 @@ let fast_put (sh : Slens.star_shape) st ~source ~new_view ~ci ~cj ~wb ~pair
   let se =
     if
       ins_len = drop
-      && slices_equal new_source wsb.(0) ins_len source st.sb.(ci) drop
+      && I.slices_equal new_source wsb.(0) ins_len source st.sb.(ci) drop
     then Sdiff.empty
     else
       [
@@ -455,7 +445,7 @@ let star_get (sh : Slens.star_shape) c ~source ~view ~new_source ~a ~b_old
           let spos = wsb.(j) and slen = wsb.(j + 1) - wsb.(j) in
           if
             j < old_mw
-            && slices_equal new_source spos slen source
+            && I.slices_equal new_source spos slen source
                  st.sb.(ci + j)
                  (st.sb.(ci + j + 1) - st.sb.(ci + j))
           then begin
@@ -477,7 +467,7 @@ let star_get (sh : Slens.star_shape) c ~source ~view ~new_source ~a ~b_old
   let ve =
     if
       ins_len = drop
-      && slices_equal new_view wvb.(0) ins_len view st.vb.(ci) drop
+      && I.slices_equal new_view wvb.(0) ins_len view st.vb.(ci) drop
     then Sdiff.empty
     else
       [

@@ -33,8 +33,10 @@
     Correctness {e never} depends on the fast path: every tier computes
     exactly the document full [put]/[get] would, and the QCheck suite
     asserts extensional equality against both engines.  Splicing relies
-    on the body lens obeying GetPut ([put (get s) s = s]), which every
-    combinator-built lens does.
+    on the body lens obeying GetPut ([put (get s) s = s]) byte for byte,
+    which every combinator-built lens does; a star over a body that may
+    not (an {!Slens.of_funs} lens inside it) has an [Opaque] shape, so
+    its delta calls take the fallback tier.
 
     {2 Cache and preconditions}
 

@@ -11,18 +11,26 @@ let rev_string s =
 (* ------------------------------------------------------------------ *)
 (* The workspace: the suffix-mark scratch of the star chunker (one byte
    per position, grown geometrically, never shrunk) and the engine's
-   split counter, owned by one lens execution and reused by every split
-   it performs. *)
+   split and chunk-outcome counters, owned by one lens execution and
+   reused by every split it performs. *)
+
+type chunk_counts = { mutable spliced : int; mutable put : int; mutable created : int }
 
 type ws = {
   mutable suf : Bytes.t;
   mutable n_splits : int;  (* split decisions made since last harvest *)
+  chunks : chunk_counts;  (* star put chunk outcomes since last harvest *)
 }
 
-let make_ws () = { suf = Bytes.create 256; n_splits = 0 }
+let make_ws () =
+  { suf = Bytes.create 256; n_splits = 0; chunks = { spliced = 0; put = 0; created = 0 } }
 
 let splits_performed ws = ws.n_splits
-let reset_splits ws = ws.n_splits <- 0
+let chunk_counts ws = ws.chunks
+
+let reset_splits ws =
+  ws.n_splits <- 0;
+  ws.chunks.spliced <- 0; ws.chunks.put <- 0; ws.chunks.created <- 0
 
 let suf_scratch ws n =
   if Bytes.length ws.suf < n then
@@ -209,6 +217,37 @@ let make_star_splitter r : star_splitter =
 
 type multi_bounds = ws -> string -> int -> int -> int array
 
+(* Level [i] of the descent: record [b] as part [i]'s start and try to
+   close parts [i ..] within [s[b .. stop)].  Top-level rather than a
+   per-call closure, so a split allocates only its bounds array. *)
+let rec multi_parse fwd bounds s stop i b =
+  bounds.(i) <- b;
+  if i = Array.length fwd - 1 then tail_matches fwd.(i) s b stop
+  else begin
+    let d = fwd.(i) in
+    let table = Dfa.raw_table d in
+    let accept = Dfa.raw_accept d in
+    let sink = Dfa.sink d in
+    if Array.unsafe_get accept Dfa.initial && multi_parse fwd bounds s stop (i + 1) b then true
+    else begin
+      let st = ref Dfa.initial in
+      let j = ref b in
+      let ok = ref false in
+      (try
+         while !j < stop && not !ok do
+           st :=
+             Array.unsafe_get table
+               ((!st lsl 8) lor Char.code (String.unsafe_get s !j));
+           if !st = sink then raise Exit;
+           if Array.unsafe_get accept !st && multi_parse fwd bounds s stop (i + 1) (!j + 1)
+           then ok := true;
+           incr j
+         done
+       with Exit -> ());
+      !ok
+    end
+  end
+
 let make_multi_bounds parts : multi_bounds =
   let parts = Array.of_list parts in
   let k = Array.length parts in
@@ -225,35 +264,7 @@ let make_multi_bounds parts : multi_bounds =
       let stop = pos + len in
       let bounds = Array.make (k + 1) pos in
       bounds.(k) <- stop;
-      let rec parse i b =
-        bounds.(i) <- b;
-        if i = k - 1 then tail_matches fwd.(i) s b stop
-        else begin
-          let d = fwd.(i) in
-          let table = Dfa.raw_table d in
-          let accept = Dfa.raw_accept d in
-          let sink = Dfa.sink d in
-          if Array.unsafe_get accept Dfa.initial && parse (i + 1) b then true
-          else begin
-            let st = ref Dfa.initial in
-            let j = ref b in
-            let ok = ref false in
-            (try
-               while !j < stop && not !ok do
-                 st :=
-                   Array.unsafe_get table
-                     ((!st lsl 8) lor Char.code (String.unsafe_get s !j));
-                 if !st = sink then raise Exit;
-                 if Array.unsafe_get accept !st && parse (i + 1) (!j + 1) then
-                   ok := true;
-                 incr j
-               done
-             with Exit -> ());
-            !ok
-          end
-        end
-      in
-      if not (parse 0 pos) then
+      if not (multi_parse fwd bounds s stop 0 pos) then
         split_error "no split of %S against %a . ..." (sub_for_error s pos len)
           Regex.pp parts.(0);
       ws.n_splits <- ws.n_splits + (k - 1);

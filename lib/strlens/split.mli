@@ -32,7 +32,7 @@ val rev_string : string -> string
 
 type ws
 (** Reusable scratch: the star chunker's suffix-mark buffer (grown
-    geometrically on demand) and the split counter.  A workspace must
+    geometrically on demand) and the split and chunk counters.  A workspace must
     not be shared between concurrently executing lens runs; give each
     domain its own. *)
 
@@ -42,7 +42,14 @@ val splits_performed : ws -> int
 (** Split decisions made through this workspace since {!reset_splits} —
     the engine's instrumentation counter. *)
 
+type chunk_counts = { mutable spliced : int; mutable put : int; mutable created : int }
+(** Chunk outcomes of the star [put]s run through a workspace since
+    {!reset_splits}: copied verbatim, re-put, or created. *)
+
+val chunk_counts : ws -> chunk_counts
+
 val reset_splits : ws -> unit
+(** Zero the split counter and the chunk counts. *)
 
 (** {1 Slice splitters (zero-copy)} *)
 

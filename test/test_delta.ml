@@ -534,6 +534,36 @@ let deterministic_tests =
         Alcotest.(check string) "equals full get" (l.S.get target) nv;
         Alcotest.(check string) "edit replays" nv (Sdiff.apply view ve);
         Alcotest.(check int) "fast get" (before + 1) (D.stats ()).D.fast_gets);
+    Alcotest.test_case "a star over a quotient body agrees with full put"
+      `Quick (fun () ->
+        (* left_quot restores its source only up to canonization (here:
+           squeezing repeated spaces), so splicing an unchanged chunk
+           verbatim would keep the non-canonical bytes that full put
+           canonizes away.  Such a star is opaque to the delta layer. *)
+        let canon_line = Regex.(seq (seq word (star (seq (chr ' ') word))) (chr '\n')) in
+        let loose_line =
+          Regex.(seq (seq word (star (seq (plus (chr ' ')) word))) (chr '\n'))
+        in
+        let squeeze s =
+          let b = Buffer.create (String.length s) in
+          String.iteri
+            (fun i c -> if not (c = ' ' && i > 0 && s.[i - 1] = ' ') then Buffer.add_char b c)
+            s;
+          Buffer.contents b
+        in
+        let cz = Canonizer.make ~ctype:loose_line ~atype:canon_line ~canonize:squeeze in
+        let l = S.star_key ~key:Fun.id (Canonizer.left_quot cz (S.copy canon_line)) in
+        let src = "ab  cd\nef gh\n" in
+        let view = l.S.get src in
+        let tview = "ab cd\nef gx\n" in
+        let edit = Sdiff.diff view tview in
+        let (ns, se), (_, _, fb) =
+          delta_stats_diff (fun () -> D.put_delta l ~cache:(D.make_cache ()) ~source:src ~view edit)
+        in
+        Alcotest.(check string) "full put canonizes" "ab cd\nef gx\n" (l.S.put tview src);
+        Alcotest.(check string) "equals full put" (l.S.put tview src) ns;
+        Alcotest.(check string) "edit replays" ns (Sdiff.apply src se);
+        Alcotest.(check int) "fallback" 1 fb);
   ]
 
 (* ------------------------------------------------------------------ *)

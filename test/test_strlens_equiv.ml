@@ -116,24 +116,24 @@ open QCheck2
 let gen_word = Gen.(string_size ~gen:(char_range 'a' 'z') (1 -- 5))
 let gen_digits = Gen.(string_size ~gen:(char_range '0' '9') (1 -- 4))
 
-let desc_gen =
+(* Descriptions whose separators are all below level [n + 1]. *)
+let rec desc_at n =
   let open Gen in
   let leaf = oneofl [ Dword; Ddigits; Ddel; Dconst; Dins ] in
-  let rec go n =
-    if n = 0 then leaf
-    else
-      frequency
-        [
-          (2, leaf);
-          (2, map2 (fun a b -> Dseq (n, a, b)) (go (n - 1)) (go (n - 1)));
-          (2, map2 (fun a b -> Dalt (a, b)) (go (n - 1)) (go (n - 1)));
-          (2, map (fun d -> Drep (n, d)) (go (n - 1)));
-          (1, map (fun d -> Drepkey (n, d)) (go (n - 1)));
-          (1, map2 (fun a b -> Dperm (n, a, b)) (go (n - 1)) (go (n - 1)));
-          (1, map (fun d -> Dcomp d) (go (n - 1)));
-        ]
-  in
-  1 -- 3 >>= go
+  if n = 0 then leaf
+  else
+    frequency
+      [
+        (2, leaf);
+        (2, map2 (fun a b -> Dseq (n, a, b)) (desc_at (n - 1)) (desc_at (n - 1)));
+        (2, map2 (fun a b -> Dalt (a, b)) (desc_at (n - 1)) (desc_at (n - 1)));
+        (2, map (fun d -> Drep (n, d)) (desc_at (n - 1)));
+        (1, map (fun d -> Drepkey (n, d)) (desc_at (n - 1)));
+        (1, map2 (fun a b -> Dperm (n, a, b)) (desc_at (n - 1)) (desc_at (n - 1)));
+        (1, map (fun d -> Dcomp d) (desc_at (n - 1)));
+      ]
+
+let desc_gen = Gen.(1 -- 3 >>= desc_at)
 
 let rec gen_src = function
   | Dword | Ddel -> gen_word
@@ -189,6 +189,37 @@ let with_view_src =
   Gen.(
     desc_gen >>= fun d -> triple (return d) (gen_view d) (gen_src d))
 
+(* A star-rooted description, a source, and a view made from [get s]
+   by one chunk-level edit: reorder, delete, duplicate, insert a fresh
+   chunk, or replace one chunk's content.  Unedited chunks take the
+   star put's splice path, edited ones the body's put or create. *)
+let with_chunk_edit =
+  let open Gen in
+  1 -- 3 >>= fun n ->
+  desc_at (n - 1) >>= fun body ->
+  oneofl [ Drep (n, body); Drepkey (n, body) ] >>= fun d ->
+  gen_src d >>= fun s ->
+  let sep = sep_str n in
+  let chunks =
+    match List.rev (String.split_on_char sep.[0] ((build_r d).R.get s)) with
+    | _ :: rev -> List.rev rev
+    | [] -> []
+  in
+  gen_view body >>= fun fresh ->
+  int_bound (List.length chunks) >>= fun at ->
+  let insert x =
+    List.filteri (fun j _ -> j < at) chunks @ (x :: List.filteri (fun j _ -> j >= at) chunks)
+  in
+  oneof
+    [
+      shuffle_l chunks;
+      return (List.filteri (fun j _ -> j <> at) chunks);
+      return (insert (Option.value (List.nth_opt chunks at) ~default:fresh));
+      return (insert fresh);
+      return (List.mapi (fun j c -> if j = at then fresh else c) chunks);
+    ]
+  >|= fun cs -> (d, String.concat "" (List.map (fun c -> c ^ sep) cs), s)
+
 let print_pair (d, s) = Format.asprintf "%a on %S" pp_desc d s
 let print_triple (d, v, s) = Format.asprintf "%a put %S %S" pp_desc d v s
 
@@ -229,6 +260,21 @@ let equiv_tests =
           ignore ((build_s d).S.get bad);
           false
         with S.Type_error _ | Split.Split_error _ -> true);
+    prop "put agrees with the copying engine on chunk-edited views"
+      with_chunk_edit print_triple (fun (d, v, s) ->
+        (* Keyed by the whole chunk, a pair always has equal views; the
+           first-byte key also pairs chunks whose views differ, so the
+           keyed put's re-put path runs too. *)
+        let first c = if c = "" then "" else String.sub c 0 1 in
+        let coarse_s, coarse_r =
+          match d with
+          | Drep (n, body) | Drepkey (n, body) ->
+              ( S.star_key ~key:first (S.concat (build_s body) (S.copy (sep_re n))),
+                R.star_key ~key:first (R.concat (build_r body) (R.copy (sep_re n))) )
+          | _ -> assert false
+        in
+        (build_s d).S.put v s = (build_r d).R.put v s
+        && coarse_s.S.put v s = coarse_r.R.put v s);
   ]
 
 let () =

@@ -227,36 +227,6 @@ let suffix_marks_sub d s ~pos ~len ~into =
   if !i >= 0 then Bytes.fill into 0 (!i + 1) '\000';
   !i + 1
 
-(* The k-way variant: one right-to-left pass over the slice advancing
-   every (reversed) automaton at once; bit [j] of [into.(i)] reports
-   automaton [j]'s acceptance of [s[pos+i .. pos+len)].  This is what
-   lets a k-ary concatenation splitter share a single suffix pass
-   instead of running one full pass per part. *)
-let suffix_marks_multi ds s ~pos ~len ~into =
-  let k = Array.length ds in
-  if k > Sys.int_size - 2 then
-    invalid_arg "Dfa.suffix_marks_multi: too many automata for one word";
-  let states = Array.make k initial in
-  let mask = ref 0 in
-  for j = 0 to k - 1 do
-    if ds.(j).accept.(initial) then mask := !mask lor (1 lsl j)
-  done;
-  into.(len) <- !mask;
-  for i = len - 1 downto 0 do
-    let c = Char.code (String.unsafe_get s (pos + i)) in
-    let m = ref 0 in
-    for j = 0 to k - 1 do
-      let d = Array.unsafe_get ds j in
-      let st =
-        Array.unsafe_get d.table
-          ((Array.unsafe_get states j lsl 8) lor c)
-      in
-      Array.unsafe_set states j st;
-      if Array.unsafe_get d.accept st then m := !m lor (1 lsl j)
-    done;
-    Array.unsafe_set into i !m
-  done
-
 let prefix_marks d s =
   let n = String.length s in
   let scratch = Bytes.create (n + 1) in

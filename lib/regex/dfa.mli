@@ -83,13 +83,6 @@ val suffix_marks_sub : t -> string -> pos:int -> len:int -> into:Bytes.t -> int
     out at the sink (blanking the scratch below) and returns the lowest
     index that can still carry a mark. *)
 
-val suffix_marks_multi : t array -> string -> pos:int -> len:int -> into:int array -> unit
-(** One right-to-left pass advancing every (reversed) automaton at once:
-    bit [j] of [into.(i)] reports whether [s[pos+i .. pos+len)] belongs
-    to automaton [j]'s (unreversed) language.  [into] needs [len + 1]
-    slots; at most [Sys.int_size - 2] automata.  The shared pass behind
-    the k-ary concatenation splitter. *)
-
 val raw_table : t -> int array
 (** The dense transition table itself: the successor of state [i] on byte
     [c] is at index [(i lsl 8) lor c].  Exposed for the splitter inner

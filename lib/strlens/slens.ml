@@ -178,10 +178,27 @@ let seal ?(shape = Opaque) ~stype ~vtype impl =
           d
   in
   let ds = compiled stype and dv = compiled vtype in
+  (* A star root's chunk scan decides membership in the star exactly
+     ({!Split.make_star_bounds}), so its sides skip the separate scan.
+     Only a failed split re-runs the checks, in the same order, to raise
+     the same type error as any other root. *)
+  let star_root = match shape with Star _ -> true | Opaque -> false in
   let shape = match shape with Star sh when not sh.body.impl.exact -> Opaque | sh -> sh in
   let require what d r x =
     if not (Dfa.accepts_sub (d ()) x ~pos:0 ~len:(String.length x))
     then type_error "%s: %S does not belong to %a" what x Regex.pp r
+  in
+  let checked checks run =
+    if not star_root then (
+      checks ();
+      run ())
+    else
+      match run () with
+      | r -> r
+      | exception (Split.Split_error _ as e) ->
+          let bt = Printexc.get_raw_backtrace () in
+          checks ();
+          Printexc.raise_with_backtrace e bt
   in
   {
     stype;
@@ -190,20 +207,24 @@ let seal ?(shape = Opaque) ~stype ~vtype impl =
     shape;
     get =
       (fun s ->
-        require "get" ds stype s;
         let n = String.length s in
-        exec n (fun ctx -> impl.e_get ctx s 0 n));
+        checked
+          (fun () -> require "get" ds stype s)
+          (fun () -> exec n (fun ctx -> impl.e_get ctx s 0 n)));
     put =
       (fun v s ->
-        require "put" dv vtype v;
-        require "put" ds stype s;
         let nv = String.length v and ns = String.length s in
-        exec (nv + ns) (fun ctx -> impl.e_put ctx v 0 nv s 0 ns));
+        checked
+          (fun () ->
+            require "put" dv vtype v;
+            require "put" ds stype s)
+          (fun () -> exec (nv + ns) (fun ctx -> impl.e_put ctx v 0 nv s 0 ns)));
     create =
       (fun v ->
-        require "create" dv vtype v;
         let n = String.length v in
-        exec n (fun ctx -> impl.e_create ctx v 0 n));
+        checked
+          (fun () -> require "create" dv vtype v)
+          (fun () -> exec n (fun ctx -> impl.e_create ctx v 0 n)));
   }
 
 let of_funs ~stype ~vtype ~get ~put ~create =
@@ -291,9 +312,8 @@ let ins s = const ~stype:Regex.epsilon ~view:s ~default:""
 
 (* ------------------------------------------------------------------ *)
 (* Concatenation.  All concatenations — binary [concat], [concat_list],
-   [permute] — run on the k-ary single-pass splitter: one shared
-   suffix pass for all the rest-languages, k short forward scans, no
-   intermediate substrings. *)
+   [permute] — run on the k-ary splitter: one guarded forward descent
+   over the parts' DFAs, no intermediate substrings. *)
 
 let multi_impl lenses =
   let ls = Array.of_list lenses in
@@ -403,8 +423,9 @@ let union l1 l2 =
 
 (* ------------------------------------------------------------------ *)
 (* Iteration.  Chunk boundaries for both sides are computed up front
-   (one suffix pass + one table scan each); alignment then pairs view
-   chunks with source chunks and emits straight into the output. *)
+   (one table scan each, after a suffix pass only when the body is not
+   prefix-free); alignment then pairs view chunks with source chunks and
+   emits straight into the output. *)
 
 (* ------------------------------------------------------------------ *)
 (* Chunk pairing, shared between the star aligners here and the delta
@@ -414,25 +435,36 @@ let union l1 l2 =
    first-unconsumed-match discipline, which [Array.init] does not
    guarantee. *)
 
-module Keys = Hashtbl.Make (String)
-
 let key_pairing ~skeys ~vkeys =
   let ns = Array.length skeys and nv = Array.length vkeys in
-  (* [head]: a key's first unconsumed source chunk (-1 once all are
-     consumed); [next.(i)]: the next chunk after [i] with the same key. *)
-  let head = Keys.create (2 * ns + 1) in
+  (* An open-addressing index over the source keys, at most half full,
+     so each key is hashed once.  A slot holds a representative chunk
+     [rep] (whose key is the slot's key) and [head], the key's first
+     unconsumed chunk (-1 once all are consumed); [next.(i)] is the next
+     chunk after [i] with the same key. *)
+  let size = ref 1 in
+  while !size < 2 * ns do size := 2 * !size done;
+  let mask = !size - 1 in
+  let rep = Array.make !size (-1) and head = Array.make !size (-1) in
   let next = Array.make ns (-1) in
+  (* The slot holding key [k], or the empty slot ending its probe. *)
+  let rec slot k h =
+    let r = rep.(h) in
+    if r < 0 || String.equal skeys.(r) k then h else slot k ((h + 1) land mask)
+  in
   for i = ns - 1 downto 0 do
-    (match Keys.find_opt head skeys.(i) with Some h -> next.(i) <- h | None -> ());
-    Keys.replace head skeys.(i) i
+    let h = slot skeys.(i) (Hashtbl.hash skeys.(i) land mask) in
+    if rep.(h) < 0 then rep.(h) <- i else next.(i) <- head.(h);
+    head.(h) <- i
   done;
   let pair = Array.make nv (-1) in
   for j = 0 to nv - 1 do
-    match Keys.find_opt head vkeys.(j) with
-    | Some i when i >= 0 ->
-        pair.(j) <- i;
-        Keys.replace head vkeys.(j) next.(i)
-    | _ -> ()
+    let h = slot vkeys.(j) (Hashtbl.hash vkeys.(j) land mask) in
+    let i = head.(h) in
+    if i >= 0 then begin
+      pair.(j) <- i;
+      head.(h) <- next.(i)
+    end
   done;
   pair
 

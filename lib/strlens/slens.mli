@@ -97,8 +97,8 @@ val concat : t -> t -> t
 
 val concat_list : t list -> t
 (** k-ary juxtaposition; the empty list is [copy] of the empty string.
-    Runs on the single-pass k-way splitter — one shared suffix pass for
-    all the rest-languages instead of a chain of pairwise splits. *)
+    Runs on the k-way splitter — one forward descent over the parts'
+    DFAs instead of a chain of pairwise splits. *)
 
 val union : t -> t -> t
 (** Conditional choice.  Requires disjoint source types.  On [put], the

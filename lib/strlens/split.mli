@@ -11,17 +11,28 @@
     [(string, pos, len)] slices and return split {e offsets}, never
     substrings.  Because the unambiguity side conditions are established
     statically, a well-typed slice has exactly one decomposition, and
-    the splitters use {e first-match} parsing: scan forward with the
-    part's DFA and accept the first position from which the rest of the
-    slice belongs to the rest-language (checked by running the rest DFA
-    forward, which kills wrong candidates at its sink within a byte or
-    two).  The star chunker amortises that check into one right-to-left
-    suffix-mark pass — a DFA for the reversed star run over the original
-    bytes, so no reversed copy of the input is ever built — written into
-    a caller-supplied {!ws} workspace that one lens execution reuses for
-    every split it performs.  The string-returning splitters
-    ({!make_concat_splitter}, {!make_star_splitter}) are thin
-    compatibility wrappers over the slice engine. *)
+    the splitters use {e first-match} parsing at about one DFA table
+    step per byte:
+    - A concatenation chain is split by a backtracking descent.  Each
+      part scans forward with its DFA and treats a position as a
+      candidate boundary only where it accepts and the next byte can
+      start the rest of the chain (or the slice ends and the rest is
+      nullable).  A candidate past which the part cannot continue is
+      committed to without a backtracking point.  Both facts are
+      computed from the regexes when the splitter is built.
+    - A star whose body is {e prefix-free} (no chunk word is a proper
+      prefix of another, as with any terminator-ended record) closes
+      each chunk at its first accepting position, by a forward scan
+      alone.  Any other body first runs one right-to-left suffix-mark
+      pass — a DFA for the reversed star run over the original bytes,
+      into a caller-supplied {!ws} workspace — and closes each chunk at
+      its first accepting position whose suffix is still in the star.
+      Either way the chunk scan decides membership in the star exactly.
+
+    The string-returning splitters ({!make_concat_splitter},
+    {!make_star_splitter}) are thin compatibility wrappers over the
+    slice engine that make a fresh workspace per call, so one splitter
+    may be called from several domains at once. *)
 
 exception Split_error of string
 
@@ -31,8 +42,9 @@ val rev_string : string -> string
 (** {1 Workspace} *)
 
 type ws
-(** Reusable scratch: the star chunker's suffix-mark buffer (grown
-    geometrically on demand) and the split and chunk counters.  A workspace must
+(** Reusable scratch: the star chunker's suffix-mark buffer (allocated
+    by the first non-prefix-free star, then grown geometrically on
+    demand) and the split and chunk counters.  A workspace must
     not be shared between concurrently executing lens runs; give each
     domain its own. *)
 
@@ -59,8 +71,7 @@ type concat_pos = ws -> string -> int -> int -> int
 
 val make_concat_pos : Bx_regex.Regex.t -> Bx_regex.Regex.t -> concat_pos
 (** Build a boundary finder for the (unambiguous) concatenation
-    [r1 . r2]: first-match with [r1]'s DFA, each candidate verified by
-    running [r2]'s DFA over the remainder (sink bail-out). *)
+    [r1 . r2]: the two-part case of {!make_multi_bounds}. *)
 
 type star_bounds = ws -> string -> int -> int -> int array
 (** [bounds ws s pos len] returns the chunk boundaries of
@@ -70,17 +81,17 @@ type star_bounds = ws -> string -> int -> int -> int array
 
 val make_star_bounds : Bx_regex.Regex.t -> star_bounds
 (** Build a chunker for the (uniquely iterable) [r*].  Requires
-    [ε ∉ L(r)]; raises [Invalid_argument] otherwise. *)
+    [ε ∉ L(r)]; raises [Invalid_argument] otherwise.  The chunker raises
+    {!Split_error} exactly when the slice is not in [r*]. *)
 
 type multi_bounds = ws -> string -> int -> int -> int array
 (** [bounds ws s pos len] returns the [k+1] part boundaries of
     [s[pos .. pos+len)] against [r0 . r1 . ... . r(k-1)]. *)
 
 val make_multi_bounds : Bx_regex.Regex.t list -> multi_bounds
-(** Build a k-way splitter for an (unambiguous) concatenation chain.
-    Each level closes by first-match against one DFA for its whole
-    rest-language — no pairwise chain over shrinking substring copies,
-    no intermediate strings at all. *)
+(** Build a k-way splitter for an (unambiguous) concatenation chain:
+    one backtracking descent over the parts' DFAs, guarded by each
+    part's follow bytes, with no intermediate strings at all. *)
 
 (** {1 String splitters (compatibility wrappers)} *)
 

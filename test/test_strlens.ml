@@ -60,6 +60,29 @@ let split_tests =
              ignore (split "ab;cd");
              false
            with Split.Split_error _ -> true));
+    tc "two domains share one star splitter on a non-prefix-free body" (fun () ->
+        (* ",ab" is a prefix of ",abc", so every call runs the suffix
+           pass; each call must use scratch of its own. *)
+        let split = Split.make_star_splitter (Regex.seq (Regex.chr ',') word) in
+        let doc seed n =
+          String.concat "" (List.init n (fun i -> "," ^ String.make (1 + ((seed + i) mod 7)) 'a'))
+        in
+        let docs = Array.init 8 (fun d -> doc d (200 + (d * 37))) in
+        let expected = Array.map split docs in
+        let run d () =
+          let ok = ref true in
+          for r = 1 to 300 do
+            let i = (d + r) mod Array.length docs in
+            match split docs.(i) with
+            | chunks -> if chunks <> expected.(i) then ok := false
+            | exception _ -> ok := false
+          done;
+          !ok
+        in
+        let others = Domain.spawn (run 1) in
+        let mine = run 0 () in
+        check Alcotest.bool "first domain agrees" true mine;
+        check Alcotest.bool "second domain agrees" true (Domain.join others));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -703,6 +726,49 @@ let engine_tests =
         let words = Gc.minor_words () -. before in
         if words > 50_000. then
           Alcotest.failf "put allocates %.0f minor words (budget 50000)" words);
+    tc "ill-typed inputs raise the membership type error" (fun () ->
+        (* The message names the public function, the offending string
+           and the type it fails; when both sides of a put are ill
+           typed it names the view.  No split error escapes. *)
+        let lead =
+          Slens.star
+            (Slens.concat_list
+               [ Slens.copy (Regex.chr ','); Slens.copy word; Slens.del digits ~default:"0" ])
+        in
+        let expect (l : Slens.t) what x r f =
+          match f () with
+          | _ -> Alcotest.failf "%s accepted ill-typed %S" what x
+          | exception Slens.Type_error m ->
+              check Alcotest.string what
+                (Format.asprintf "%s: %S does not belong to %a" what x Regex.pp
+                   (if r = `Source then l.Slens.stype else l.Slens.vtype))
+                m
+          | exception Split.Split_error m -> Alcotest.failf "split error escaped: %s" m
+        in
+        let cases =
+          [
+            ( CS.lens,
+              CS.synthetic_source 3,
+              CS.synthetic_view 3,
+              [ CS.synthetic_source 3 ^ "Jean"; "Jean, 1865-1957\n"; "x" ],
+              [ CS.synthetic_view 3 ^ "Jean"; "Jean, Finnish"; "Jean,Finnish\n" ] );
+            (lead, ",ab12,cd3", ",ab,cd", [ ",ab12,cd3~"; "ab12,cd3"; ",ab,cd" ], [ ",ab,cd~"; "ab,cd"; ",ab1" ]);
+          ]
+        in
+        List.iter
+          (fun (l, s, v, bad_s, bad_v) ->
+            List.iter
+              (fun bs ->
+                expect l "get" bs `Source (fun () -> l.Slens.get bs);
+                expect l "put" bs `Source (fun () -> l.Slens.put v bs))
+              bad_s;
+            List.iter
+              (fun bv ->
+                expect l "create" bv `View (fun () -> l.Slens.create bv);
+                expect l "put" bv `View (fun () -> l.Slens.put bv s);
+                List.iter (fun bs -> expect l "put" bv `View (fun () -> l.Slens.put bv bs)) bad_s)
+              bad_v)
+          cases);
   ]
 
 let () =

@@ -31,6 +31,7 @@ type desc =
   | Drepkey of int * desc
   | Dperm of int * desc * desc
   | Dcomp of desc
+  | Dlead of int * desc  (* star (sep_n . d): not prefix-free in general *)
 
 let sep_ch = [| ','; ';'; '|' |]
 let sep_str n = String.make 1 sep_ch.(n - 1)
@@ -53,6 +54,7 @@ let rec pp_desc fmt = function
   | Dperm (n, a, b) ->
       Format.fprintf fmt "perm%d(%a,%a)" n pp_desc a pp_desc b
   | Dcomp d -> Format.fprintf fmt "comp(%a)" pp_desc d
+  | Dlead (n, d) -> Format.fprintf fmt "lead%d(%a)" n pp_desc d
 
 (* Mirror builders: the same combinator tree on both engines. *)
 
@@ -80,6 +82,7 @@ let rec build_s : desc -> S.t = function
   | Dcomp d ->
       let l = build_s d in
       S.compose l (S.copy l.S.vtype)
+  | Dlead (n, d) -> S.star (S.concat (S.copy (sep_re n)) (build_s d))
 
 let rec build_r : desc -> R.t = function
   | Dword -> R.copy word
@@ -105,6 +108,7 @@ let rec build_r : desc -> R.t = function
   | Dcomp d ->
       let l = build_r d in
       R.compose l (R.copy l.R.vtype)
+  | Dlead (n, d) -> R.star (R.concat (R.copy (sep_re n)) (build_r d))
 
 (* ------------------------------------------------------------------ *)
 (* Generators: a description plus members of its source and view
@@ -151,6 +155,10 @@ let rec gen_src = function
       Gen.map
         (fun xs -> String.concat "" (List.map (fun x -> x ^ sep_str n) xs))
         (Gen.list_size Gen.(0 -- 4) (gen_src d))
+  | Dlead (n, d) ->
+      Gen.map
+        (fun xs -> String.concat "" (List.map (fun x -> sep_str n ^ x) xs))
+        (Gen.list_size Gen.(0 -- 4) (gen_src d))
   | Dperm (n, a, b) ->
       Gen.map2
         (fun x y -> x ^ sep_str n ^ y ^ sep_str n)
@@ -174,6 +182,10 @@ let rec gen_view = function
   | Drep (n, d) | Drepkey (n, d) ->
       Gen.map
         (fun xs -> String.concat "" (List.map (fun x -> x ^ sep_str n) xs))
+        (Gen.list_size Gen.(0 -- 4) (gen_view d))
+  | Dlead (n, d) ->
+      Gen.map
+        (fun xs -> String.concat "" (List.map (fun x -> sep_str n ^ x) xs))
         (Gen.list_size Gen.(0 -- 4) (gen_view d))
   | Dperm (n, a, b) ->
       (* View order is the permutation: second child first. *)
@@ -219,6 +231,17 @@ let with_chunk_edit =
       return (List.mapi (fun j c -> if j = at then fresh else c) chunks);
     ]
   >|= fun cs -> (d, String.concat "" (List.map (fun c -> c ^ sep) cs), s)
+
+(* A separator-led star, at the root or as the body of a star one level
+   up, with a view and a source.  Its body is not prefix-free whenever
+   [d]'s language is not (",ab" is a prefix of ",abc"), so its chunk
+   scans run the suffix pass; the generators above only build
+   prefix-free star bodies. *)
+let with_lead =
+  let open Gen in
+  let lead n = desc_at (n - 1) >|= fun d -> Dlead (n, d) in
+  oneof [ 1 -- 3 >>= lead; 1 -- 2 >>= fun n -> lead n >|= fun l -> Drep (n + 1, l) ]
+  >>= fun d -> triple (return d) (gen_view d) (gen_src d)
 
 let print_pair (d, s) = Format.asprintf "%a on %S" pp_desc d s
 let print_triple (d, v, s) = Format.asprintf "%a put %S %S" pp_desc d v s
@@ -275,6 +298,40 @@ let equiv_tests =
         in
         (build_s d).S.put v s = (build_r d).R.put v s
         && coarse_s.S.put v s = coarse_r.R.put v s);
+    prop "get, put and create agree with the copying engine on separator-led stars"
+      with_lead print_triple (fun (d, v, s) ->
+        let ls = build_s d and lr = build_r d in
+        ls.S.get s = lr.R.get s && ls.S.put v s = lr.R.put v s && ls.S.create v = lr.R.create v);
+    prop "both engines reject ill-typed separator-led stars" with_lead print_triple
+      (fun (d, v, s) ->
+        (* '~' is in no alphabet; dropping the leading separator usually
+           leaves the type too, and is kept when it does. *)
+        let ls = build_s d and lr = build_r d in
+        let raises f =
+          match f () with
+          | _ -> false
+          | exception (S.Type_error _ | R.Type_error _ | Split.Split_error _) -> true
+        in
+        let bad ty x =
+          (x ^ "~")
+          :: List.filter
+               (fun y -> not (Regex.matches ty y))
+               (if x = "" then [] else [ String.sub x 1 (String.length x - 1) ])
+        in
+        List.for_all
+          (fun bs ->
+            raises (fun () -> ls.S.get bs)
+            && raises (fun () -> lr.R.get bs)
+            && raises (fun () -> ls.S.put v bs)
+            && raises (fun () -> lr.R.put v bs))
+          (bad ls.S.stype s)
+        && List.for_all
+             (fun bv ->
+               raises (fun () -> ls.S.create bv)
+               && raises (fun () -> lr.R.create bv)
+               && raises (fun () -> ls.S.put bv s)
+               && raises (fun () -> lr.R.put bv s))
+             (bad ls.S.vtype v));
   ]
 
 let () =

@@ -1103,6 +1103,10 @@ let p6_engine () =
    across domains.  Recorded in the --json-strlens dump
    (BENCH_strlens.json in the repo). *)
 
+(* Words one run allocates on this domain: minor, promoted, and direct
+   in the major heap. *)
+type gc_words = { minor_w : float; promoted_w : float; direct_major_w : float }
+
 type p7_row = {
   p7_lines : int;
   p7_bytes : int;
@@ -1113,7 +1117,36 @@ type p7_row = {
   sliced_put_ns : float;
   ref_put_ns : float;
   put_speedup : float;
+  get_words : gc_words;
+  put_words : gc_words;
 }
+
+(* Bracketed by minor collections; the least of three runs, because the
+   runtime folds direct-major words into its counters a slice at a time
+   and a sample can carry words allocated before it. *)
+let gc_words_per_run f =
+  ignore (Sys.opaque_identity (f ()));
+  let once () =
+    Gc.minor ();
+    let a = Gc.quick_stat () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor ();
+    let b = Gc.quick_stat () in
+    let promoted_w = b.Gc.promoted_words -. a.Gc.promoted_words in
+    {
+      minor_w = b.Gc.minor_words -. a.Gc.minor_words;
+      promoted_w;
+      direct_major_w = b.Gc.major_words -. a.Gc.major_words -. promoted_w;
+    }
+  in
+  List.fold_left
+    (fun a b ->
+      {
+        minor_w = Float.min a.minor_w b.minor_w;
+        promoted_w = Float.min a.promoted_w b.promoted_w;
+        direct_major_w = Float.min a.direct_major_w b.direct_major_w;
+      })
+    (once ()) [ once (); once () ]
 
 type p7_batch = {
   batch_docs : int;
@@ -1156,6 +1189,12 @@ let p7_row ~k (l : Bx_strlens.Slens.t) (r : Bx_strlens.Slens_ref.t) src view =
   let ref_put = time_per_run (fun () -> r.put view src) in
   let get_speedup = ref_get /. sliced_get in
   let put_speedup = ref_put /. sliced_put in
+  let get_words = gc_words_per_run (fun () -> l.get src) in
+  let put_words = gc_words_per_run (fun () -> l.put view src) in
+  let pp_words w =
+    Printf.sprintf "%.0f minor, %.0f promoted, %.0f direct-major words" w.minor_w w.promoted_w
+      w.direct_major_w
+  in
   Fmt.pr
     "lines=%5d  get %8.1f us sliced %8.1f us copying (%4.1fx, %6.1f \
      MB/s)@."
@@ -1167,6 +1206,7 @@ let p7_row ~k (l : Bx_strlens.Slens.t) (r : Bx_strlens.Slens_ref.t) src view =
     (if k >= 1000 && (get_speedup < 3.0 || put_speedup < 3.0) then
        "  *** BELOW 3x TARGET ***"
      else "");
+  Fmt.pr "             get %s@.             put %s@." (pp_words get_words) (pp_words put_words);
   {
     p7_lines = k;
     p7_bytes = bytes;
@@ -1177,6 +1217,8 @@ let p7_row ~k (l : Bx_strlens.Slens.t) (r : Bx_strlens.Slens_ref.t) src view =
     sliced_put_ns = sliced_put *. 1e9;
     ref_put_ns = ref_put *. 1e9;
     put_speedup;
+    get_words;
+    put_words;
   }
 
 let p7_strlens () =
@@ -1669,15 +1711,21 @@ let write_strlens_json path ~p7 =
   add "  \"speedup_target\": 3.0,\n";
   add "  \"rows\": [\n";
   let last = List.length p7.rows7 - 1 in
+  let words w =
+    Printf.sprintf "{ \"minor\": %.0f, \"promoted\": %.0f, \"direct_major\": %.0f }" w.minor_w
+      w.promoted_w w.direct_major_w
+  in
   List.iteri
     (fun i r ->
       add
         "    { \"lines\": %d, \"bytes\": %d, \"sliced_get_ns\": %.1f, \
          \"copying_get_ns\": %.1f, \"get_speedup\": %.2f, \
          \"sliced_get_mb_per_s\": %.2f, \"sliced_put_ns\": %.1f, \
-         \"copying_put_ns\": %.1f, \"put_speedup\": %.2f }%s\n"
+         \"copying_put_ns\": %.1f, \"put_speedup\": %.2f, \
+         \"get_words_per_op\": %s, \"put_words_per_op\": %s }%s\n"
         r.p7_lines r.p7_bytes r.sliced_get_ns r.ref_get_ns r.get_speedup
-        r.sliced_get_mb_s r.sliced_put_ns r.ref_put_ns r.put_speedup
+        r.sliced_get_mb_s r.sliced_put_ns r.ref_put_ns r.put_speedup (words r.get_words)
+        (words r.put_words)
         (if i = last then "" else ","))
     p7.rows7;
   add "  ],\n";

@@ -243,13 +243,15 @@ let status_text = function
   | 504 -> "Gateway Timeout"
   | _ -> "Internal Server Error"
 
-let write_all fd s =
+let write_all fd b len =
   Bx_fault.Fault.point "httpd.write";
-  let len = String.length s in
-  let rec go off =
-    if off < len then go (off + Unix.write_substring fd s off (len - off))
-  in
+  let rec go off = if off < len then go (off + Unix.write fd b off (len - off)) in
   go 0
+
+(* Each domain assembles responses in one reused buffer, taken for the
+   write (another thread on the domain gets a fresh one) and dropped
+   instead of kept when it grew past the largest request body. *)
+let write_slot : Bytes.t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
 
 (* Every 503 carries Retry-After: overload is the one condition where
    the server knows the client should come back, and the retrying client
@@ -289,7 +291,18 @@ let write_response fd ~keep_alive (r : Bx_repo.Webui.response) =
        else "")
       (if keep_alive then "keep-alive" else "close")
   in
-  write_all fd (head ^ r.Bx_repo.Webui.body)
+  let body = r.Bx_repo.Webui.body in
+  let hl = String.length head in
+  let n = hl + String.length body in
+  let slot = Domain.DLS.get write_slot in
+  let have = match !slot with Some b -> slot := None; b | None -> Bytes.empty in
+  let b = if Bytes.length have >= n then have else Bytes.create (max n (2 * Bytes.length have)) in
+  Bytes.blit_string head 0 b 0 hl;
+  Bytes.blit_string body 0 b hl (n - hl);
+  (* One buffer, one write loop: the response leaves as one segment. *)
+  Fun.protect
+    ~finally:(fun () -> if Bytes.length b <= default_max_body then slot := Some b)
+    (fun () -> write_all fd b n)
 
 let shed_response ?retry_after ~reason () =
   {

@@ -512,6 +512,22 @@ let register_sampled t =
       let s = Bx_strlens.Slens.stats () in
       List.map (fun (o, n) -> ([ o ], float_of_int n))
         [ ("spliced", s.chunks_spliced); ("put", s.chunks_put); ("created", s.chunks_created) ]);
+  (* The runtime's allocation and collection counts, all domains. *)
+  let gc rows () =
+    let s = Gc.quick_stat () in
+    List.map (fun (kind, pick) -> ([ kind ], pick s)) rows
+  in
+  counter ~labels:[ "kind" ] "bxwiki_gc_collections_total"
+    "Minor and major garbage collections."
+    (gc
+       [ ("minor", fun s -> float_of_int s.Gc.minor_collections);
+         ("major", fun s -> float_of_int s.Gc.major_collections) ]);
+  counter ~labels:[ "kind" ] "bxwiki_gc_words_total"
+    "Words allocated in the minor heap, promoted out of it, and allocated \
+     in the major heap (promoted words included)."
+    (gc
+       [ ("minor", fun s -> s.Gc.minor_words); ("promoted", fun s -> s.Gc.promoted_words);
+         ("major", fun s -> s.Gc.major_words) ]);
   let delta rows () =
     let s = Bx_strlens.Slens_delta.stats () in
     List.map (fun (l, pick) -> ([ l ], float_of_int (pick s))) rows
@@ -869,11 +885,50 @@ let rs = '\x1e'
 let us = '\x1f'
 let rs_str = String.make 1 rs
 
-let split_once sep str =
-  match String.index_opt str sep with
-  | None -> None
-  | Some i ->
-      Some (String.sub str 0 i, String.sub str (i + 1) (String.length str - i - 1))
+(* The first [c] in [body[pos .. stop)], or [stop]. *)
+let rec index_in body c pos stop =
+  if pos >= stop || String.unsafe_get body pos = c then pos else index_in body c (pos + 1) stop
+
+(* [f pos len] on each RS-separated document of [body], in order: none
+   in an empty body, an empty last one after a trailing RS. *)
+let each_doc body f =
+  let n = String.length body in
+  let rec go pos =
+    let stop = index_in body rs pos n in
+    f pos (stop - pos);
+    if stop < n then go (stop + 1)
+  in
+  if n > 0 then go 0
+
+(* [f out pos len] on every document of a batch, RS between outputs.
+   As in {!Bx_strlens.Slens.get_all}, each passes the
+   [slens.batch.worker] failpoint and runs even after one failed; the
+   first failure is re-raised at the end, after [counted] has the
+   number of documents. *)
+let run_batch ~counted out body f =
+  let first = ref None and docs = ref 0 in
+  each_doc body (fun pos len ->
+      if pos > 0 then Buffer.add_char out rs;
+      incr docs;
+      try
+        Bx_fault.Fault.point "slens.batch.worker";
+        f out pos len
+      with e -> if Option.is_none !first then first := Some (e, Printexc.get_raw_backtrace ()));
+  counted !docs;
+  Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) !first
+
+(* Lens output goes to one buffer per domain, taken for the request (a
+   second thread on the domain makes its own) and dropped, not kept,
+   once it grew past the largest request body. *)
+let out_slot = Domain.DLS.new_key (fun () -> ref None)
+
+let with_out emit =
+  let slot = Domain.DLS.get out_slot in
+  let out = match !slot with Some b -> slot := None; b | None -> Buffer.create 4096 in
+  Fun.protect
+    (fun () -> emit out; Buffer.contents out)
+    ~finally:(fun () ->
+      if Buffer.length out <= Httpd.default_max_body then (Buffer.clear out; slot := Some out))
 
 let handle_slens t path body =
   match String.split_on_char '/' path with
@@ -885,6 +940,14 @@ let handle_slens t path body =
             Metrics.observe_lens t.metrics ~lens:name ~op ~docs
               ~bytes:(String.length body)
           in
+          let n = String.length body in
+          let ok emit = respond_text 200 (with_out emit) in
+          (* Put the record [view sep source] at [body[pos .. pos+len)]. *)
+          let put_record sep out pos len =
+            let u = index_in body sep pos (pos + len) in
+            Bx_strlens.Slens.put_into lens out body pos (u - pos) body (u + 1)
+              (pos + len - u - 1)
+          in
           try
             match op with
             | "get" ->
@@ -893,42 +956,25 @@ let handle_slens t path body =
             | "create" ->
                 observe "create" 1;
                 respond_text 200 (lens.Bx_strlens.Slens.create body)
-            | "put" -> (
-                match split_once rs body with
-                | None ->
-                    respond_text 400
-                      "put body must be <view> RS (0x1e) <source>\n"
-                | Some (v, s) ->
-                    observe "put" 1;
-                    respond_text 200 (lens.Bx_strlens.Slens.put v s))
+            | "put" ->
+                if index_in body rs 0 n = n then
+                  respond_text 400 "put body must be <view> RS (0x1e) <source>\n"
+                else (
+                  observe "put" 1;
+                  ok (fun out -> put_record rs out 0 n))
             | "get_batch" ->
-                let docs =
-                  if body = "" then [] else String.split_on_char rs body
-                in
-                observe "get_batch" (List.length docs);
-                respond_text 200
-                  (String.concat rs_str
-                     (Bx_strlens.Slens.get_all lens docs))
-            | "put_batch" -> (
-                let records =
-                  if body = "" then [] else String.split_on_char rs body
-                in
-                match
-                  List.fold_right
-                    (fun r acc ->
-                      match (acc, split_once us r) with
-                      | None, _ | _, None -> None
-                      | Some acc, Some pair -> Some (pair :: acc))
-                    records (Some [])
-                with
-                | None ->
-                    respond_text 400
-                      "put_batch records must be <view> US (0x1f) <source>\n"
-                | Some pairs ->
-                    observe "put_batch" (List.length pairs);
-                    respond_text 200
-                      (String.concat rs_str
-                         (Bx_strlens.Slens.put_all lens pairs)))
+                ok (fun out ->
+                    run_batch ~counted:(observe "get_batch") out body
+                      (fun out -> Bx_strlens.Slens.get_into lens out body))
+            | "put_batch" ->
+                let malformed = ref false in
+                each_doc body (fun pos len ->
+                    if index_in body us pos (pos + len) = pos + len then malformed := true);
+                if !malformed then
+                  respond_text 400
+                    "put_batch records must be <view> US (0x1f) <source>\n"
+                else
+                  ok (fun out -> run_batch ~counted:(observe "put_batch") out body (put_record us))
             | _ -> respond_text 404 (Printf.sprintf "unknown lens op %S\n" op)
           with
           | Bx_strlens.Slens.Type_error m | Bx_strlens.Split.Split_error m ->
@@ -1066,7 +1112,9 @@ let doc_key_of path body =
   match String.split_on_char '/' path with
   | [ ""; "slens"; name; "doc"; docid ] -> Some (name, docid)
   | [ ""; "slens"; name; ("patch" | "patch_source") ] ->
-      Option.map (fun (docid, _) -> (name, docid)) (split_once rs body)
+      let n = String.length body in
+      let i = index_in body rs 0 n in
+      if i = n then None else Some (name, String.sub body 0 i)
   | _ -> None
 
 (* One document's contribution to shard 0's digest; 0 when absent, so

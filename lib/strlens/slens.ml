@@ -63,9 +63,9 @@ let make_ctx () =
 let ctx_slot : ctx option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-(* Run [emit] in a (reused) context and return the bytes it produced.
-   [input_bytes] is the instrumentation charge for this run. *)
-let exec input_bytes emit =
+(* Run [f] in this domain's (reused) context, then return the context
+   and harvest its workspace counters. *)
+let with_ctx f =
   let slot = Domain.DLS.get ctx_slot in
   let ctx =
     match !slot with
@@ -87,14 +87,28 @@ let exec input_bytes emit =
       harvest stat_created c.created;
       Split.reset_splits ctx.ws;
       slot := Some ctx)
-    (fun () ->
+    (fun () -> f ctx)
+
+(* Run [emit] and return the bytes it produced.  [input_bytes] is the
+   instrumentation charge for this run. *)
+let exec input_bytes emit =
+  with_ctx (fun ctx ->
       emit ctx;
-      let (_ : int) = Atomic.fetch_and_add stat_bytes input_bytes in
+      harvest stat_bytes input_bytes;
       Buffer.contents ctx.out)
 
+(* Run [emit] with its bytes appended to the caller's [out] (a failed
+   run may leave part of them there). *)
+let exec_into out input_bytes emit =
+  with_ctx (fun ctx ->
+      let own = ctx.out in
+      ctx.out <- out;
+      Fun.protect ~finally:(fun () -> ctx.out <- own) (fun () -> emit ctx);
+      harvest stat_bytes input_bytes)
+
 (* Redirect the context's output into a side buffer for the duration of
-   [emit] and return what it wrote — for the few combinators that need
-   an intermediate string (chunk views, compose). *)
+   [emit] and return what it wrote — for a combinator that needs an
+   intermediate string (compose). *)
 let capture ctx emit =
   let saved = ctx.out in
   let side =
@@ -137,6 +151,16 @@ type t = {
   create : string -> string;
   impl : impl;
   shape : shape;
+  sliced : sliced option;
+}
+
+(* The slice entry points of a sealed lens, beside the [get] and [put]
+   they back, so a record update that replaces those is noticed. *)
+and sliced = {
+  sealed_get : string -> string;
+  sealed_put : string -> string -> string;
+  get_into : Buffer.t -> string -> int -> int -> unit;
+  put_into : Buffer.t -> string -> int -> int -> string -> int -> int -> unit;
 }
 
 (* Structural reflection for the delta layer: a star at the root tells
@@ -184,9 +208,9 @@ let seal ?(shape = Opaque) ~stype ~vtype impl =
      the same type error as any other root. *)
   let star_root = match shape with Star _ -> true | Opaque -> false in
   let shape = match shape with Star sh when not sh.body.impl.exact -> Opaque | sh -> sh in
-  let require what d r x =
-    if not (Dfa.accepts_sub (d ()) x ~pos:0 ~len:(String.length x))
-    then type_error "%s: %S does not belong to %a" what x Regex.pp r
+  let require what d r x pos len =
+    if not (Dfa.accepts_sub (d ()) x ~pos ~len)
+    then type_error "%s: %S does not belong to %a" what (String.sub x pos len) Regex.pp r
   in
   let checked checks run =
     if not star_root then (
@@ -200,31 +224,43 @@ let seal ?(shape = Opaque) ~stype ~vtype impl =
           checks ();
           Printexc.raise_with_backtrace e bt
   in
+  (* The one checked path, over slices: [exec] runs it for the string
+     functions, [exec_into out] for the [_into] ones. *)
+  let get_with exec s pos len =
+    checked
+      (fun () -> require "get" ds stype s pos len)
+      (fun () -> exec len (fun ctx -> impl.e_get ctx s pos len))
+  in
+  let put_with exec v vp vl s sp sl =
+    checked
+      (fun () ->
+        require "put" dv vtype v vp vl;
+        require "put" ds stype s sp sl)
+      (fun () -> exec (vl + sl) (fun ctx -> impl.e_put ctx v vp vl s sp sl))
+  in
+  let get s = get_with exec s 0 (String.length s) in
+  let put v s = put_with exec v 0 (String.length v) s 0 (String.length s) in
   {
     stype;
     vtype;
     impl;
     shape;
-    get =
-      (fun s ->
-        let n = String.length s in
-        checked
-          (fun () -> require "get" ds stype s)
-          (fun () -> exec n (fun ctx -> impl.e_get ctx s 0 n)));
-    put =
-      (fun v s ->
-        let nv = String.length v and ns = String.length s in
-        checked
-          (fun () ->
-            require "put" dv vtype v;
-            require "put" ds stype s)
-          (fun () -> exec (nv + ns) (fun ctx -> impl.e_put ctx v 0 nv s 0 ns)));
+    get;
+    put;
     create =
       (fun v ->
         let n = String.length v in
         checked
-          (fun () -> require "create" dv vtype v)
+          (fun () -> require "create" dv vtype v 0 n)
           (fun () -> exec n (fun ctx -> impl.e_create ctx v 0 n)));
+    sliced =
+      Some
+        {
+          sealed_get = get;
+          sealed_put = put;
+          get_into = (fun out -> get_with (exec_into out));
+          put_into = (fun out -> put_with (exec_into out));
+        };
   }
 
 let of_funs ~stype ~vtype ~get ~put ~create =
@@ -244,7 +280,19 @@ let of_funs ~stype ~vtype ~get ~put ~create =
       exact = false;
     }
   in
-  { stype; vtype; get; put; create; impl; shape = Opaque }
+  { stype; vtype; get; put; create; impl; shape = Opaque; sliced = None }
+
+(* A lens without slice entry points, or whose [get]/[put] were replaced
+   after construction, runs its own string functions on copies. *)
+let get_into l out s pos len =
+  match l.sliced with
+  | Some e when e.sealed_get == l.get -> e.get_into out s pos len
+  | _ -> Buffer.add_string out (l.get (String.sub s pos len))
+
+let put_into l out v vp vl s sp sl =
+  match l.sliced with
+  | Some e when e.sealed_put == l.put -> e.put_into out v vp vl s sp sl
+  | _ -> Buffer.add_string out (l.put (String.sub v vp vl) (String.sub s sp sl))
 
 let require_unambig_concat what r1 r2 =
   match Ambig.unambig_concat r1 r2 with
@@ -272,16 +320,21 @@ let copy_impl =
 
 let copy r = seal ~stype:r ~vtype:r copy_impl
 
-(* Byte equality of two slices, allocation-free: the splice test of the
-   star put and the delta tiers, and the view check of [const]. *)
+(* Byte equality of two slices, allocation-free, a word at a time: the
+   splice test of the star put and the delta tiers, the view check of
+   [const], and key comparison. *)
+let rec equal_from a i b j stop =
+  if i + 8 <= stop then
+    Int64.equal (Bytes.get_int64_ne a i) (Bytes.get_int64_ne b j)
+    && equal_from a (i + 8) b (j + 8) stop
+  else
+    i >= stop
+    || (Bytes.unsafe_get a i = Bytes.unsafe_get b j && equal_from a (i + 1) b (j + 1) stop)
+
+let bytes_equal a apos alen b bpos blen = alen = blen && equal_from a apos b bpos (apos + alen)
+
 let slices_equal a apos alen b bpos blen =
-  alen = blen
-  &&
-  let i = ref 0 in
-  while !i < alen && String.unsafe_get a (apos + !i) = String.unsafe_get b (bpos + !i) do
-    incr i
-  done;
-  !i = alen
+  bytes_equal (Bytes.unsafe_of_string a) apos alen (Bytes.unsafe_of_string b) bpos blen
 
 let const ~stype ~view ~default =
   if not (Regex.matches stype default) then
@@ -431,12 +484,91 @@ let union l1 l2 =
 (* Chunk pairing, shared between the star aligners here and the delta
    layer's slow path ({!Slens_delta}): given the per-chunk keys of both
    sides, decide for every view chunk which source chunk it reuses
-   ([-1] = none, create).  Explicit loops — evaluation order carries the
-   first-unconsumed-match discipline, which [Array.init] does not
-   guarantee. *)
+   ([-1] = none, create).
 
-let key_pairing ~skeys ~vkeys =
-  let ns = Array.length skeys and nv = Array.length vkeys in
+   Keys are packed in a scratch, not held as strings in an array: an
+   array that survives a minor collection is promoted with every young
+   key it points to.  Key [k] is [keys.[koff.(k) .. koff.(k+1))], the
+   [ns] source keys first, then the view keys.  Each domain keeps one
+   scratch, grown geometrically and reused; like the execution context
+   it is taken for one alignment, so a keyed star nested in a keyed
+   star's body gets a fresh one. *)
+
+type scratch = {
+  mutable views : Bytes.t;  (* source chunk [i]'s view: [views.[ends.(i) .. ends.(i+1))] *)
+  mutable ends : int array;
+  mutable keys : Bytes.t;
+  mutable koff : int array;
+  mutable rep : int array;
+  mutable head : int array;
+  mutable next : int array;
+  mutable pair : int array;
+}
+
+let new_scratch () =
+  { views = Bytes.empty; ends = [||]; keys = Bytes.empty; koff = [||];
+    rep = [||]; head = [||]; next = [||]; pair = [||] }
+
+let scratch_slot = Domain.DLS.new_key (fun () -> ref None)
+
+let with_scratch f =
+  let slot = Domain.DLS.get scratch_slot in
+  let sc = match !slot with Some sc -> slot := None; sc | None -> new_scratch () in
+  match f sc with
+  | r ->
+      slot := Some sc;
+      r
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      slot := Some sc;
+      Printexc.raise_with_backtrace e bt
+
+(* At least [n] ints (contents dropped) or bytes (the first [keep] kept). *)
+let ints a n = if Array.length a >= n then a else Array.make (max n (2 * Array.length a)) 0
+
+let room b n ~keep =
+  if Bytes.length b >= n then b
+  else
+    let b' = Bytes.create (max n (2 * Bytes.length b)) in
+    Bytes.blit b 0 b' 0 keep;
+    b'
+
+(* Room for [n] keys, to be set in order by [set_key]. *)
+let start_keys sc n =
+  sc.koff <- ints sc.koff (n + 1);
+  sc.koff.(0) <- 0
+
+let set_key sc i k =
+  let p = sc.koff.(i) and len = String.length k in
+  sc.keys <- room sc.keys (p + len) ~keep:p;
+  Bytes.blit_string k 0 sc.keys p len;
+  sc.koff.(i + 1) <- p + len
+
+let key_equal sc a b =
+  let o = sc.koff in
+  bytes_equal sc.keys o.(a) (o.(a + 1) - o.(a)) sc.keys o.(b) (o.(b + 1) - o.(b))
+
+(* Multiplicative hashing a word, then a byte, at a time; each step folds
+   the high bits of the product down to where the table mask looks. *)
+let mix h x =
+  let h = (h lxor x) * 0x1e3779b97f4a7c15 in
+  h lxor (h lsr 29)
+
+let rec hash_from b i stop h =
+  if i + 8 <= stop then hash_from b (i + 8) stop (mix h (Int64.to_int (Bytes.get_int64_ne b i)))
+  else if i < stop then hash_from b (i + 1) stop (mix h (Char.code (Bytes.unsafe_get b i)))
+  else h
+
+let key_hash sc k = hash_from sc.keys sc.koff.(k) sc.koff.(k + 1) 0
+
+let reset_pair sc nv =
+  sc.pair <- ints sc.pair nv;
+  Array.fill sc.pair 0 nv (-1);
+  sc.pair
+
+(* Explicit loops — evaluation order carries the first-unconsumed-match
+   discipline, which [Array.init] does not guarantee. *)
+let key_pairing sc ~ns ~nv =
   (* An open-addressing index over the source keys, at most half full,
      so each key is hashed once.  A slot holds a representative chunk
      [rep] (whose key is the slot's key) and [head], the key's first
@@ -445,22 +577,25 @@ let key_pairing ~skeys ~vkeys =
   let size = ref 1 in
   while !size < 2 * ns do size := 2 * !size done;
   let mask = !size - 1 in
-  let rep = Array.make !size (-1) and head = Array.make !size (-1) in
-  let next = Array.make ns (-1) in
+  sc.rep <- ints sc.rep !size;
+  sc.head <- ints sc.head !size;
+  sc.next <- ints sc.next ns;
+  let rep = sc.rep and head = sc.head and next = sc.next in
+  Array.fill rep 0 !size (-1);
   (* The slot holding key [k], or the empty slot ending its probe. *)
   let rec slot k h =
     let r = rep.(h) in
-    if r < 0 || String.equal skeys.(r) k then h else slot k ((h + 1) land mask)
+    if r < 0 || key_equal sc r k then h else slot k ((h + 1) land mask)
   in
   for i = ns - 1 downto 0 do
-    let h = slot skeys.(i) (Hashtbl.hash skeys.(i) land mask) in
-    if rep.(h) < 0 then rep.(h) <- i else next.(i) <- head.(h);
+    let h = slot i (key_hash sc i land mask) in
+    next.(i) <- (if rep.(h) < 0 then (rep.(h) <- i; -1) else head.(h));
     head.(h) <- i
   done;
-  let pair = Array.make nv (-1) in
+  let pair = reset_pair sc nv in
   for j = 0 to nv - 1 do
-    let h = slot vkeys.(j) (Hashtbl.hash vkeys.(j) land mask) in
-    let i = head.(h) in
+    let h = slot (ns + j) (key_hash sc (ns + j) land mask) in
+    let i = if rep.(h) < 0 then -1 else head.(h) in
     if i >= 0 then begin
       pair.(j) <- i;
       head.(h) <- next.(i)
@@ -468,29 +603,30 @@ let key_pairing ~skeys ~vkeys =
   done;
   pair
 
-(* Longest common subsequence of two key arrays, as a list of index
-   pairs (i_source, j_view), strictly increasing in both components. *)
-let lcs_pairs a b =
-  let n = Array.length a and m = Array.length b in
+(* Longest common subsequence of the source keys and the view keys, as
+   a list of index pairs (i_source, j_view), strictly increasing in both
+   components. *)
+let lcs_pairs sc n m =
+  let eq i j = key_equal sc i (n + j) in
   let table = Array.make_matrix (n + 1) (m + 1) 0 in
   for i = n - 1 downto 0 do
     for j = m - 1 downto 0 do
       table.(i).(j) <-
-        (if String.equal a.(i) b.(j) then 1 + table.(i + 1).(j + 1)
+        (if eq i j then 1 + table.(i + 1).(j + 1)
          else max table.(i + 1).(j) table.(i).(j + 1))
     done
   done;
   let rec walk i j acc =
     if i >= n || j >= m then List.rev acc
-    else if String.equal a.(i) b.(j) then walk (i + 1) (j + 1) ((i, j) :: acc)
+    else if eq i j then walk (i + 1) (j + 1) ((i, j) :: acc)
     else if table.(i + 1).(j) >= table.(i).(j + 1) then walk (i + 1) j acc
     else walk i (j + 1) acc
   in
   walk 0 0 []
 
-let diff_pairing ~skeys ~vkeys =
-  let pair = Array.make (Array.length vkeys) (-1) in
-  List.iter (fun (i, j) -> pair.(j) <- i) (lcs_pairs skeys vkeys);
+let diff_pairing sc ~ns ~nv =
+  let pair = reset_pair sc nv in
+  List.iter (fun (i, j) -> pair.(j) <- i) (lcs_pairs sc ns nv);
   pair
 
 let star_with ~name ~kind ~align l =
@@ -538,52 +674,60 @@ let star l =
   in
   star_with ~name:"star" ~kind:Positional ~align:positional l
 
-(* Both keyed aligners share one skeleton: capture every source chunk's
-   view in one string, derive the per-chunk keys, let a pairing function
-   decide reuse-vs-create per view chunk, then emit.  By GetPut, a view
-   chunk equal to its source chunk's view restores that chunk, so an
-   exact body's chunk is copied, not re-put.  The pairing functions are
-   pure over the key arrays, so the delta layer replays exactly the same
-   decisions from its cached keys without touching the source bytes. *)
+(* Both keyed aligners share one skeleton: run every source chunk's get
+   onto the output and move those views into the scratch, pack the keys,
+   let a pairing function decide reuse-vs-create per view chunk, then
+   emit.  By GetPut, a view chunk equal to its source chunk's view
+   restores that chunk, so an exact body's chunk is copied, not re-put.
+   The pairing functions are pure over the packed keys, so the delta
+   layer replays exactly the same decisions from its cached keys without
+   touching the source bytes. *)
 let keyed_align ~key ~pairing l ctx v vb s sb =
   let ns = Array.length sb - 1 and nv = Array.length vb - 1 in
-  (* Chunk [i]'s view is [sview.[ends.(i) .. ends.(i+1))]. *)
-  let ends = Array.make (ns + 1) 0 in
-  let sview =
-    capture ctx (fun () ->
-        for i = 0 to ns - 1 do
-          l.impl.e_get ctx s sb.(i) (sb.(i + 1) - sb.(i));
-          ends.(i + 1) <- Buffer.length ctx.out
-        done)
-  in
-  let skeys = Array.make ns "" in
-  for i = 0 to ns - 1 do
-    skeys.(i) <- key (String.sub sview ends.(i) (ends.(i + 1) - ends.(i)))
-  done;
-  let vkeys = Array.make nv "" in
-  for j = 0 to nv - 1 do
-    vkeys.(j) <- key (String.sub v vb.(j) (vb.(j + 1) - vb.(j)))
-  done;
-  let pair = pairing ~skeys ~vkeys in
-  let c = Split.chunk_counts ctx.ws in
-  for j = 0 to nv - 1 do
-    let vp = vb.(j) in
-    let vlen = vb.(j + 1) - vp in
-    match pair.(j) with
-    | -1 ->
-        c.created <- c.created + 1;
-        l.impl.e_create ctx v vp vlen
-    | i ->
-        let sp = sb.(i) in
-        let slen = sb.(i + 1) - sp in
-        if l.impl.exact && slices_equal v vp vlen sview ends.(i) (ends.(i + 1) - ends.(i))
-        then (
-          c.spliced <- c.spliced + 1;
-          Buffer.add_substring ctx.out s sp slen)
-        else (
-          c.put <- c.put + 1;
-          l.impl.e_put ctx v vp vlen s sp slen)
-  done
+  with_scratch (fun sc ->
+      let out = ctx.out in
+      let base = Buffer.length out in
+      sc.ends <- ints sc.ends (ns + 1);
+      let ends = sc.ends in
+      ends.(0) <- 0;
+      for i = 0 to ns - 1 do
+        l.impl.e_get ctx s sb.(i) (sb.(i + 1) - sb.(i));
+        ends.(i + 1) <- Buffer.length out - base
+      done;
+      sc.views <- room sc.views ends.(ns) ~keep:0;
+      let views = sc.views in
+      Buffer.blit out base views 0 ends.(ns);
+      Buffer.truncate out base;
+      start_keys sc (ns + nv);
+      for i = 0 to ns - 1 do
+        set_key sc i (key (Bytes.sub_string views ends.(i) (ends.(i + 1) - ends.(i))))
+      done;
+      for j = 0 to nv - 1 do
+        set_key sc (ns + j) (key (String.sub v vb.(j) (vb.(j + 1) - vb.(j))))
+      done;
+      let pair = pairing sc ~ns ~nv in
+      let c = Split.chunk_counts ctx.ws in
+      for j = 0 to nv - 1 do
+        let vp = vb.(j) in
+        let vlen = vb.(j + 1) - vp in
+        match pair.(j) with
+        | -1 ->
+            c.created <- c.created + 1;
+            l.impl.e_create ctx v vp vlen
+        | i ->
+            let sp = sb.(i) in
+            let slen = sb.(i + 1) - sp in
+            if
+              l.impl.exact
+              && bytes_equal (Bytes.unsafe_of_string v) vp vlen views ends.(i)
+                   (ends.(i + 1) - ends.(i))
+            then (
+              c.spliced <- c.spliced + 1;
+              Buffer.add_substring ctx.out s sp slen)
+            else (
+              c.put <- c.put + 1;
+              l.impl.e_put ctx v vp vlen s sp slen)
+      done)
 
 let star_key ~key l =
   star_with ~name:"star_key" ~kind:(Keyed key)
@@ -794,6 +938,16 @@ module Internal = struct
   let e_put l ctx v vp vl s sp sl = l.impl.e_put ctx v vp vl s sp sl
   let e_create l ctx v vp vl = l.impl.e_create ctx v vp vl
   let slices_equal = slices_equal
+  type nonrec scratch = scratch
+
+  let with_scratch = with_scratch
+
+  let pack_keys sc skeys vkeys =
+    let ns = Array.length skeys in
+    start_keys sc (ns + Array.length vkeys);
+    Array.iteri (set_key sc) skeys;
+    Array.iteri (fun j -> set_key sc (ns + j)) vkeys
+
   let key_pairing = key_pairing
   let diff_pairing = diff_pairing
 end

@@ -36,7 +36,10 @@ type t = {
   create : string -> string;
   impl : impl;  (** The zero-copy engine behind the string functions. *)
   shape : shape;  (** Structural reflection for {!Slens_delta}. *)
+  sliced : sliced option;  (** The slice entry points, see {!get_into}. *)
 }
+
+and sliced
 
 (** How the root of the lens decomposes its documents, as much as the
     delta layer needs to localise an edit: a star at the root exposes
@@ -60,6 +63,18 @@ and align_kind =
       (** {!star_key}: first unconsumed source chunk with the same key. *)
   | Diffed of (string -> string)
       (** {!star_diff}: longest common subsequence of chunk keys. *)
+
+val get_into : t -> Buffer.t -> string -> int -> int -> unit
+(** [get_into l out s pos len] appends [l.get] of the slice
+    [s[pos .. pos+len)] to [out], with the same checks and errors (the
+    slice is copied only into an error message).  A failed run may
+    leave part of its output in [out].  A lens from {!of_funs}, or one
+    whose [get] was replaced by a record update, runs its [get] on a
+    copy of the slice. *)
+
+val put_into : t -> Buffer.t -> string -> int -> int -> string -> int -> int -> unit
+(** [put_into l out v vp vl s sp sl]: [l.put] over a view slice and a
+    source slice, as {!get_into}. *)
 
 (** {1 Primitives} *)
 
@@ -258,12 +273,24 @@ module Internal : sig
   val e_put : t -> ctx -> string -> int -> int -> string -> int -> int -> unit
   val e_create : t -> ctx -> string -> int -> int -> unit
 
-  val key_pairing : skeys:string array -> vkeys:string array -> int array
-  (** {!star_key}'s alignment over materialised key arrays: for each
-      view chunk, the source chunk it reuses ([-1] = create), following
-      the first-unconsumed-match discipline. *)
+  type scratch
+  (** Chunk keys packed in one buffer, and the pairing tables. *)
 
-  val diff_pairing : skeys:string array -> vkeys:string array -> int array
-  (** {!star_diff}'s alignment: reuse decided by a longest common
-      subsequence of the key arrays ([-1] = create). *)
+  val with_scratch : (scratch -> 'a) -> 'a
+  (** Run with this domain's scratch, taken for the call (a nested or
+      concurrent use on the domain gets a fresh one). *)
+
+  val pack_keys : scratch -> string array -> string array -> unit
+  (** [pack_keys sc skeys vkeys] packs the source keys, then the view
+      keys. *)
+
+  val key_pairing : scratch -> ns:int -> nv:int -> int array
+  (** {!star_key}'s alignment over [ns] source and [nv] view keys: for
+      each view chunk [j < nv], the source chunk it reuses ([-1] =
+      create), first unconsumed match first.  The array belongs to the
+      scratch and may be longer than [nv]. *)
+
+  val diff_pairing : scratch -> ns:int -> nv:int -> int array
+  (** {!star_diff}'s alignment, by a longest common subsequence of the
+      keys, as {!key_pairing}. *)
 end

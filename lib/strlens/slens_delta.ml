@@ -93,6 +93,14 @@ let keys_of align doc bounds =
       done;
       ks
 
+(* Full put's pairing over cached keys, packed into the domain's scratch. *)
+let pairing align ~skeys ~vkeys =
+  let ns = Array.length skeys and nv = Array.length vkeys in
+  let pairing = match align with Slens.Diffed _ -> I.diff_pairing | _ -> I.key_pairing in
+  I.with_scratch (fun sc ->
+      I.pack_keys sc skeys vkeys;
+      Array.sub (pairing sc ~ns ~nv) 0 nv)
+
 let rebuild_table st =
   Hashtbl.reset st.table;
   st.dup <- false;
@@ -219,8 +227,7 @@ let slow_put (sh : Slens.star_shape) c st ~source ~new_view =
           if j < ns_chunks then p.(j) <- j
         done;
         p
-    | Slens.Keyed _ -> I.key_pairing ~skeys:st.keys ~vkeys:nkeys
-    | Slens.Diffed _ -> I.diff_pairing ~skeys:st.keys ~vkeys:nkeys
+    | Slens.Keyed _ | Slens.Diffed _ -> pairing sh.align ~skeys:st.keys ~vkeys:nkeys
   in
   let nsb = Array.make (m + 1) 0 in
   let reused = ref 0 and recomputed = ref 0 in
@@ -377,13 +384,8 @@ let star_put (sh : Slens.star_shape) c ~source ~view ~new_view ~a ~b_old
             if !outside then slow_put sh c st ~source ~new_view
             else
               let skeys = Array.sub st.keys ci (cj - ci) in
-              let pairing =
-                match sh.align with
-                | Slens.Keyed _ -> I.key_pairing
-                | _ -> I.diff_pairing
-              in
               fast_put sh st ~source ~new_view ~ci ~cj ~wb
-                ~pair:(pairing ~skeys ~vkeys:ykeys)
+                ~pair:(pairing sh.align ~skeys ~vkeys:ykeys)
                 ~ykeys)
 
 let put_delta (l : Slens.t) ~cache:c ~source ~view edit =

@@ -627,6 +627,95 @@ let lens_tests =
             "bxwiki_slens_ctx_fresh_total";
             "bxwiki_requests_total{route=\"slens\",method=\"POST\",status=\"200\"} 2";
           ]);
+    tc "edge-case batch and put bodies answer as before" (fun () ->
+        let t = lens_service () in
+        let answer path body =
+          let r = post t path body in
+          (r.Bx_repo.Webui.status, r.Bx_repo.Webui.body)
+        in
+        let pair = Alcotest.(pair int string) in
+        let doc = CS.synthetic_source 2 in
+        check pair "empty get_batch" (200, "") (answer "/slens/composers/get_batch" "");
+        check pair "empty put_batch" (200, "") (answer "/slens/composers/put_batch" "");
+        check pair "a trailing RS is an empty last document"
+          (200, CS.lens.Bx_strlens.Slens.get doc ^ rs)
+          (answer "/slens/composers/get_batch" (doc ^ rs));
+        let malformed = (400, "put_batch records must be <view> US (0x1f) <source>\n") in
+        check pair "an empty last put_batch record has no US" malformed
+          (answer "/slens/composers/put_batch" (CS.synthetic_view 2 ^ us ^ doc ^ rs));
+        let processed () = (Bx_strlens.Slens.stats ()).Bx_strlens.Slens.bytes in
+        let before = processed () in
+        check pair "one record without US among valid ones" malformed
+          (answer "/slens/composers/put_batch"
+             (String.concat rs
+                [ CS.synthetic_view 2 ^ us ^ doc; CS.synthetic_view 2 ^ doc; CS.synthetic_view 2 ^ us ^ doc ]));
+        check Alcotest.int "no record ran" before (processed ());
+        let m = get t "/metrics" in
+        check Alcotest.bool "bytes processed unmoved" true
+          (contains
+             ~needle:(Printf.sprintf "bxwiki_slens_bytes_processed_total %d\n" before)
+             m.Bx_repo.Webui.body);
+        let bad = "Jean Sibelius, 1865, Finnish\n" in
+        let single = answer "/slens/composers/get" bad in
+        check Alcotest.int "ill-typed get" 422 (fst single);
+        check pair "an ill-typed second document fails get_batch as get does" single
+          (answer "/slens/composers/get_batch" (String.concat rs [ doc; bad; doc ]));
+        check pair "a put body without RS"
+          (400, "put body must be <view> RS (0x1e) <source>\n")
+          (answer "/slens/composers/put" (CS.synthetic_view 2 ^ us ^ doc)));
+    tc "a lens whose get and put were replaced serves every route through them"
+      (fun () ->
+        (* A tracer wraps a lens's string functions with a record update;
+           the slice paths of the batch and put routes must not bypass
+           the wrappers. *)
+        let gets = ref 0 and puts = ref 0 in
+        let l = CS.lens in
+        let wrapped =
+          {
+            l with
+            Bx_strlens.Slens.get = (fun s -> incr gets; l.Bx_strlens.Slens.get s);
+            put = (fun v s -> incr puts; l.Bx_strlens.Slens.put v s);
+          }
+        in
+        let t =
+          match Service.create ~lenses:[ ("composers", wrapped) ] ~seed () with
+          | Ok t -> t
+          | Error e -> Alcotest.fail e
+        in
+        let src = CS.synthetic_source 3 and view = CS.synthetic_view 3 in
+        let expect path body want =
+          let r = post t path body in
+          check Alcotest.int path 200 r.Bx_repo.Webui.status;
+          check Alcotest.string path want r.Bx_repo.Webui.body
+        in
+        expect "/slens/composers/get" src (l.get src);
+        expect "/slens/composers/get_batch" (src ^ rs ^ src) (l.get src ^ rs ^ l.get src);
+        expect "/slens/composers/put" (view ^ rs ^ src) (l.put view src);
+        expect "/slens/composers/put_batch" (view ^ us ^ src) (l.put view src);
+        check Alcotest.(pair int int) "wrapped calls" (3, 2) (!gets, !puts));
+    tc "one 1000-record put advances the GC minor-words series" (fun () ->
+        let t = lens_service () in
+        (* The runtime counts a domain's minor words at its minor
+           collections; one forced after the put brings them in. *)
+        let minor_words () =
+          let body = (get t "/metrics").Bx_repo.Webui.body in
+          let prefix = "bxwiki_gc_words_total{kind=\"minor\"} " in
+          match
+            List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' body)
+          with
+          | Some line ->
+              let n = String.length prefix in
+              float_of_string (String.sub line n (String.length line - n))
+          | None -> Alcotest.fail "no minor-words series"
+        in
+        let body = CS.synthetic_view 1000 ^ rs ^ CS.synthetic_source 1000 in
+        Gc.minor ();
+        let before = minor_words () in
+        check Alcotest.int "put" 200 (post t "/slens/composers/put" body).Bx_repo.Webui.status;
+        Gc.minor ();
+        let after = minor_words () in
+        if after -. before < 10_000. then
+          Alcotest.failf "minor words went from %.0f to %.0f" before after);
   ]
 
 let () =

@@ -243,6 +243,53 @@ let with_lead =
   oneof [ 1 -- 3 >>= lead; 1 -- 2 >>= fun n -> lead n >|= fun l -> Drep (n + 1, l) ]
   >>= fun d -> triple (return d) (gen_view d) (gen_src d)
 
+(* A keyed star whose body holds a keyed star, with a view and a
+   source.  Keyed by its first byte, the outer star pairs chunks whose
+   views differ, so the inner star's put runs while the outer one's
+   alignment is still live. *)
+let with_nested_keyed =
+  let open Gen in
+  oneof
+    [
+      (desc_at 0 >|= fun leaf -> Drepkey (2, Drepkey (1, leaf)));
+      (pair (desc_at 0) (desc_at 1) >|= fun (leaf, d) ->
+       Drepkey (3, Dseq (2, Drepkey (1, leaf), d)));
+    ]
+  >>= fun d -> triple (return d) (gen_view d) (gen_src d)
+
+(* Composers records over three names, so keys repeat on both sides. *)
+let with_composers =
+  let open Gen in
+  let name = oneofl [ "Ann"; "Bo"; "Cy Twombly" ] and nat = oneofl [ "Finnish"; "French" ] in
+  let year = map (Printf.sprintf "%04d") (0 -- 9999) in
+  let record = map3 (fun n y z -> (n, y, z)) name (pair year year) nat in
+  let records = list_size (0 -- 6) record in
+  pair records records >|= fun (rs, vs) ->
+  ( String.concat "" (List.map (fun (n, _, z) -> Printf.sprintf "%s, %s\n" n z) vs),
+    String.concat "" (List.map (fun (n, (a, b), z) -> Printf.sprintf "%s, %s-%s, %s\n" n a b z) rs) )
+
+let first_byte c = if c = "" then "" else String.sub c 0 1
+
+(* get, put and create agree on both engines, and reject alike the
+   source and view with a byte from no alphabet appended. *)
+let agree (ls : S.t) (lr : R.t) v s =
+  let raises f =
+    match f () with
+    | _ -> false
+    | exception (S.Type_error _ | R.Type_error _ | Split.Split_error _) -> true
+  in
+  let bs = s ^ "~" and bv = v ^ "~" in
+  ls.S.get s = lr.R.get s
+  && ls.S.put v s = lr.R.put v s
+  && ls.S.create v = lr.R.create v
+  && List.for_all raises
+       [
+         (fun () -> ls.S.get bs); (fun () -> lr.R.get bs);
+         (fun () -> ls.S.put v bs); (fun () -> lr.R.put v bs);
+         (fun () -> ls.S.put bv s); (fun () -> lr.R.put bv s);
+         (fun () -> ls.S.create bv); (fun () -> lr.R.create bv);
+       ]
+
 let print_pair (d, s) = Format.asprintf "%a on %S" pp_desc d s
 let print_triple (d, v, s) = Format.asprintf "%a put %S %S" pp_desc d v s
 
@@ -332,6 +379,54 @@ let equiv_tests =
                && raises (fun () -> ls.S.put bv s)
                && raises (fun () -> lr.R.put bv s))
              (bad ls.S.vtype v));
+    prop "a keyed star nested in a keyed star's body agrees with the copying engine"
+      with_nested_keyed print_triple (fun (d, v, s) ->
+        match d with
+        | Drepkey (n, body) ->
+            agree (build_s d) (build_r d) v s
+            && agree
+                 (S.star_key ~key:first_byte (S.concat (build_s body) (S.copy (sep_re n))))
+                 (R.star_key ~key:first_byte (R.concat (build_r body) (R.copy (sep_re n))))
+                 v s
+        | _ -> assert false);
+    prop "name_keyed_lens agrees with the copying engine under duplicate keys"
+      with_composers
+      (fun (v, s) -> Format.asprintf "put %S %S" v s)
+      (fun (v, s) ->
+        let module CS = Bx_catalogue.Composers_string in
+        agree CS.name_keyed_lens (R.star_key ~key:CS.name_of_view_line CS.ref_line) v s);
+    prop "star_diff agrees with the copying engine" with_chunk_edit print_triple
+      (fun (d, v, s) ->
+        match d with
+        | Drep (n, body) | Drepkey (n, body) ->
+            List.for_all
+              (fun key ->
+                agree
+                  (S.star_diff ~key (S.concat (build_s body) (S.copy (sep_re n))))
+                  (R.star_diff ~key (R.concat (build_r body) (R.copy (sep_re n))))
+                  v s)
+              [ Fun.id; first_byte ]
+        | _ -> assert false);
+    Alcotest.test_case "two domains running one keyed put match the sequential answers"
+      `Quick (fun () ->
+        let module CS = Bx_catalogue.Composers_string in
+        let jobs =
+          List.concat_map
+            (fun l ->
+              List.init 4 (fun i ->
+                  let k = 50 + (40 * i) in
+                  (l, CS.synthetic_view k, CS.synthetic_source (k + 7))))
+            [ CS.lens; CS.name_keyed_lens; CS.diff_lens ]
+        in
+        let expected = List.map (fun (l, v, s) -> l.S.put v s) jobs in
+        let run () =
+          List.init 20 (fun _ -> List.map (fun (l, v, s) -> l.S.put v s) jobs)
+        in
+        let other = Domain.spawn run in
+        let here = run () in
+        List.iter
+          (fun got -> Alcotest.(check (list string)) "same answers" expected got)
+          (here @ Domain.join other));
   ]
 
 let () =

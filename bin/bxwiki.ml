@@ -227,83 +227,23 @@ let client_main args =
       overall_deadline
   in
   (* One attempt: Ok (status, retry_after, stale, body) or a retryable
-     error. *)
+     error; transport failures raise and are named below. *)
   let attempt port =
-    let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Fun.protect
-      ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
-      (fun () ->
-        Unix.setsockopt_float sock Unix.SO_RCVTIMEO 10.0;
-        Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-        let deadline_header =
-          match remaining_ms () with
-          | Some ms ->
-              Printf.sprintf "X-Bxwiki-Deadline: %d\r\n"
-                (int_of_float (Float.max 1. ms))
-          | None -> ""
-        in
-        let request =
-          Printf.sprintf
-            "%s %s HTTP/1.1\r\nContent-Length: %d\r\n%sConnection: close\r\n\r\n%s"
-            meth path (String.length body) deadline_header body
-        in
-        let rec send off =
-          if off < String.length request then
-            send (off + Unix.write_substring sock request off
-                          (String.length request - off))
-        in
-        send 0;
-        let ic = Unix.in_channel_of_descr sock in
-        let status_line = input_line ic in
-        let status =
-          match String.split_on_char ' ' status_line with
-          | _ :: code :: _ -> int_of_string_opt code
-          | _ -> None
-        in
-        match status with
-        | None -> Error "malformed status line"
-        | Some status ->
-            let content_length = ref None in
-            let retry_after = ref None in
-            let stale = ref None in
-            (try
-               let rec headers () =
-                 let line = String.trim (input_line ic) in
-                 if line <> "" then begin
-                   (match String.index_opt line ':' with
-                   | Some i ->
-                       let name =
-                         String.lowercase_ascii (String.sub line 0 i)
-                       in
-                       let value =
-                         String.trim
-                           (String.sub line (i + 1) (String.length line - i - 1))
-                       in
-                       if name = "content-length" then
-                         content_length := int_of_string_opt value
-                       else if name = "retry-after" then
-                         retry_after := float_of_string_opt value
-                       else if name = "x-bxwiki-stale" then
-                         stale := int_of_string_opt value
-                   | None -> ());
-                   headers ()
-                 end
-               in
-               headers ()
-             with End_of_file -> ());
-            let resp_body =
-              match !content_length with
-              | Some n -> really_input_string ic n
-              | None ->
-                  let b = Buffer.create 1024 in
-                  (try
-                     while true do
-                       Buffer.add_channel b ic 1
-                     done
-                   with End_of_file -> ());
-                  Buffer.contents b
-            in
-            Ok (status, !retry_after, !stale, resp_body))
+    let headers =
+      match remaining_ms () with
+      | Some ms ->
+          [ ("X-Bxwiki-Deadline", string_of_int (int_of_float (Float.max 1. ms))) ]
+      | None -> []
+    in
+    Result.map
+      (fun { Bx_server.Replication.status; headers; body } ->
+        let header name parse = Option.bind (List.assoc_opt name headers) parse in
+        ( status,
+          header "retry-after" float_of_string_opt,
+          header "x-bxwiki-stale" int_of_string_opt,
+          body ))
+      (Bx_server.Replication.exchange ~host:"" ~port ~timeout:10.0 ~headers
+         ~meth ~path ~body ())
   in
   (* Capped exponential backoff with decorrelated jitter: each sleep is
      drawn from [base, 3 * previous sleep], capped — retries spread out

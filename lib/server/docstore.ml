@@ -169,17 +169,31 @@ let is_doc_path path =
   | [ ""; "slens"; _; "doc"; _ ] -> true
   | _ -> false
 
-let apply t ~path ~body =
+(* The reply body is the wire answer: the new generation, and for a
+   patch the complementary edit after an RS. *)
+let mutate t ~path ~body =
   match String.split_on_char '/' path with
-  | [ ""; "slens"; name; "doc"; docid ] -> (
-      match put_doc t ~lens:name ~docid ~source:body with
-      | Ok _ -> Ok ()
-      | Error e -> Error (describe e))
-  | [ ""; "slens"; name; ("patch" | "patch_source" as op) ] -> (
-      match patch t ~lens:name ~reverse:(op = "patch_source") body with
-      | Ok _ -> Ok ()
-      | Error e -> Error (describe e))
-  | _ -> Error "not a document-store path"
+  | [ ""; "slens"; name; "doc"; docid ] ->
+      Result.map
+        (fun gen -> string_of_int gen ^ "\n")
+        (put_doc t ~lens:name ~docid ~source:body)
+  | [ ""; "slens"; name; ("patch" | "patch_source" as op) ] ->
+      Result.map
+        (fun (gen, edit) ->
+          string_of_int gen ^ String.make 1 rs ^ Sdiff.encode edit)
+        (patch t ~lens:name ~reverse:(op = "patch_source") body)
+  | _ ->
+      Error
+        (Not_found
+           "document paths are /slens/<name>/doc/<docid> and \
+            /slens/<name>/patch")
+
+let doc_of ~path ~body =
+  match String.split_on_char '/' path with
+  | [ ""; "slens"; name; "doc"; docid ] -> Some (name, docid)
+  | [ ""; "slens"; name; ("patch" | "patch_source") ] ->
+      Option.map (fun i -> (name, String.sub body 0 i)) (String.index_opt body rs)
+  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot dump: a deterministic, length-prefixed flat file.  Only

@@ -68,11 +68,18 @@ val is_doc_path : string -> bool
     [/slens/<name>/patch_source]) as opposed to running a stateless
     lens op. *)
 
-val apply : t -> path:string -> body:string -> (unit, string) result
-(** Re-apply a journalled or replicated record (the request path and
-    body are stored verbatim).  Replay is deterministic, so generation
-    checks pass by construction; any refusal is reported as an error
-    string for the caller's replay accounting. *)
+val mutate : t -> path:string -> body:string -> (string, error) result
+(** Apply one write as the request (or the journal record, which stores
+    it verbatim) names it: [POST /slens/<name>/doc/<docid>] is
+    {!put_doc}, [/slens/<name>/patch] and [/patch_source] are {!patch}.
+    Returns the reply body: ["<gen>\n"], or [<gen> RS <edit>] for a
+    patch.  Any other path is [Not_found].  Replay is deterministic, so
+    a replayed patch's generation check passes by construction. *)
+
+val doc_of : path:string -> body:string -> (string * string) option
+(** The (lens, docid) a {!mutate} at [path] with [body] would touch —
+    for a patch, the frame's first RS field; [None] when there is
+    none. *)
 
 (** {1 Snapshot persistence}
 

@@ -35,12 +35,8 @@ let crc32 = Integrity.crc32
      record  u32be payload-length | u32be crc32(payload) | payload
      payload "<seq> <path-len>\n" ^ path ^ body
 
-   Format v1 (the seed format, still readable) is the line-oriented
-     "bxj1 <seq> <plen> <blen> <md5>\n<path>\n<body>\n"
-   whose only integrity check is the MD5 over the content — no framing
-   checksum, so a mid-file bit flip in a length field could once send
-   the parser into garbage.  v2's CRC covers the whole payload and the
-   length prefix makes every record boundary explicit. *)
+   The CRC covers the whole payload and the length prefix makes every
+   record boundary explicit. *)
 
 let magic = "bxjournal 2\n"
 let magic_len = String.length magic
@@ -74,44 +70,10 @@ let encode ~seq ~path ~body =
 (* ------------------------------------------------------------------ *)
 (* Reading *)
 
-(* v1 records; None on any malformation. *)
-let digest_v1 path body = Digest.to_hex (Digest.string (path ^ "\x00" ^ body))
-
 (* Some (record, next_off) for an intact record; None when the bytes at
    [off] cannot be a complete record.  [`Torn] when the malformation is
    consistent with a truncated tail, [`Corrupt] when a complete-looking
    record fails its checksum (a bit flip, not a crash). *)
-let parse_record_v1 data off =
-  let len = String.length data in
-  match String.index_from_opt data off '\n' with
-  | None -> Stdlib.Error `Torn
-  | Some nl -> (
-      let header = String.sub data off (nl - off) in
-      match String.split_on_char ' ' header with
-      | [ "bxj1"; seq_s; plen_s; blen_s; md5 ] -> (
-          match
-            (int_of_string_opt seq_s, int_of_string_opt plen_s,
-             int_of_string_opt blen_s)
-          with
-          | Some seq, Some plen, Some blen
-            when seq >= 0 && plen >= 0 && blen >= 0 ->
-              let path_at = nl + 1 in
-              let body_at = path_at + plen + 1 in
-              let end_at = body_at + blen + 1 in
-              if
-                end_at <= len
-                && data.[path_at + plen] = '\n'
-                && data.[body_at + blen] = '\n'
-              then
-                let path = String.sub data path_at plen in
-                let body = String.sub data body_at blen in
-                if String.equal (digest_v1 path body) md5 then
-                  Stdlib.Ok ({ seq; path; body }, end_at)
-                else Stdlib.Error `Corrupt
-              else Stdlib.Error `Torn
-          | _ -> Stdlib.Error `Torn)
-      | _ -> Stdlib.Error `Torn)
-
 let parse_record_v2 data off =
   let len = String.length data in
   if off + 8 > len then Stdlib.Error `Torn
@@ -151,14 +113,14 @@ let is_v2 data =
    checksum failure is counted separately from a torn tail so operators
    can tell a crash (expected, benign) from corruption (a disk problem
    worth investigating). *)
-let scan parse data start =
+let scan data start =
   let len = String.length data in
   let rec go acc off crc_errors =
     if off >= len then
       { entries = List.rev acc; valid_bytes = off; torn = false; crc_errors;
         version = 0 }
     else
-      match parse data off with
+      match parse_record_v2 data off with
       | Stdlib.Ok (r, next) -> go (r :: acc) next crc_errors
       | Stdlib.Error fault ->
           {
@@ -173,16 +135,26 @@ let scan parse data start =
 
 let read ~dir =
   let file = log_file dir in
-  if not (Sys.file_exists file) then
-    Ok { entries = []; valid_bytes = 0; torn = false; crc_errors = 0; version = 2 }
+  let empty =
+    { entries = []; valid_bytes = 0; torn = false; crc_errors = 0; version = 2 }
+  in
+  if not (Sys.file_exists file) then Ok empty
   else
     try
       let data = Fsio.read_file file in
-      if String.length data = 0 then
-        Ok { entries = []; valid_bytes = 0; torn = false; crc_errors = 0; version = 2 }
-      else if is_v2 data then
-        Ok { (scan parse_record_v2 data magic_len) with version = 2 }
-      else Ok { (scan parse_record_v1 data 0) with version = 1 }
+      if is_v2 data then Ok { (scan data magic_len) with version = 2 }
+      else if String.length data <= magic_len then
+        (* Too short to hold a record, whatever its bytes: what a crash
+           before the header was stamped, or inside [rewind], leaves.
+           Nothing is lost, and [open_] stamps the header afresh; the
+           damaged bytes still count as a torn tail. *)
+        Ok { empty with torn = data <> "" }
+      else
+        (* A damaged header says nothing about the records behind it;
+           reading on would guess, and truncating would erase them. *)
+        Error
+          (Printf.sprintf "%s does not start with the segment header %S" file
+             magic)
     with Sys_error e -> Error e
 
 (* A tailing read for replication: the intact records at or after
@@ -197,7 +169,7 @@ let tail ~dir ~from =
 (* Strict frame decoding for replication payloads: transport batches are
    never torn, so any malformation is an error, not a truncation. *)
 let decode_frames data ~off =
-  let scanned = scan parse_record_v2 data off in
+  let scanned = scan data off in
   if scanned.torn then
     Error
       (if scanned.crc_errors > 0 then "frame checksum mismatch"
@@ -255,43 +227,26 @@ let write_all fd s =
   in
   go 0
 
-(* A v1 log is upgraded in place the first time it is opened: its intact
-   records are rewritten under the v2 header via the same tmp+rename
-   discipline as everything else, so a crash mid-migration leaves either
-   the old readable v1 file or the new readable v2 file. *)
-let migrate_v1 ~file entries =
-  Fsio.write_file file
-    (String.concat ""
-       (magic
-       :: List.map
-            (fun { seq; path; body } -> encode ~seq ~path ~body)
-            entries))
-
 let open_ ~dir ~next_seq =
   Fsio.guard (fun () ->
       Fsio.ensure_dir dir;
       recover_snapshot ~dir;
       match read ~dir with
       | Error e -> Error e
-      | Ok { entries; valid_bytes; torn; version; _ } ->
-          let file = log_file dir in
-          if version = 1 then migrate_v1 ~file entries;
-          let fd = Unix.openfile file [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
-          let pos =
-            if version = 1 then Unix.lseek fd 0 Unix.SEEK_END
-            else if valid_bytes = 0 then begin
-              (* Fresh (or fully empty) log: stamp the segment header. *)
-              Unix.ftruncate fd 0;
-              write_all fd magic;
-              Unix.fsync fd;
-              magic_len
-            end
-            else begin
-              if torn then Unix.ftruncate fd valid_bytes;
-              Unix.lseek fd valid_bytes Unix.SEEK_SET
-            end
+      | Ok { entries; valid_bytes; torn; _ } ->
+          let fd =
+            Unix.openfile (log_file dir) [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644
           in
-          ignore pos;
+          if valid_bytes = 0 then begin
+            (* Fresh (or record-less) log: stamp the segment header. *)
+            Unix.ftruncate fd 0;
+            write_all fd magic;
+            Unix.fsync fd
+          end
+          else begin
+            if torn then Unix.ftruncate fd valid_bytes;
+            ignore (Unix.lseek fd valid_bytes Unix.SEEK_SET)
+          end;
           Ok { dir; fd; next_seq; records = List.length entries })
 
 (* Append errors travel as strings (they are operator-facing), so a
@@ -491,8 +446,3 @@ let write_epoch ~dir epoch =
       Ok ())
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
-
-(* Kept for tests that fabricate v1 logs: the seed's record encoder. *)
-let encode_v1 ~seq ~path ~body =
-  Printf.sprintf "bxj1 %d %d %d %s\n%s\n%s\n" seq (String.length path)
-    (String.length body) (digest_v1 path body) path body

@@ -16,7 +16,7 @@
     not already contain — a crash {e between} writing a snapshot and
     truncating the log cannot double-apply an edit.
 
-    {b Format v2} (current): the log opens with a magic+version segment
+    {b Format v2}: the log opens with a magic+version segment
     header, then length-prefixed CRC32-framed records:
     {v bxjournal 2\n
 u32be payload-len | u32be crc32(payload) | "<seq> <path-len>\n" path body v}
@@ -24,10 +24,11 @@ u32be payload-len | u32be crc32(payload) | "<seq> <path-len>\n" path body v}
     — not just a torn tail — is detected; the length prefix makes every
     record boundary explicit without trusting record contents.
 
-    {b Format v1} (the seed format) is still read: a log without the
-    magic is parsed as the line-oriented
-    [bxj1 <seq> <plen> <blen> <md5>] records and {!open_} migrates it to
-    v2 in place (tmp + rename), so pre-upgrade journals replay cleanly.
+    A log longer than the header that does not start with it is
+    refused, not repaired: {!read} returns an [Error] naming the file
+    and the expected header, and {!open_} leaves the file untouched.  A
+    log no longer than the header holds no record and reads as empty
+    (any bytes other than the header count as a torn tail).
 
     Recovery policy: parsing stops at the first malformed record.  A
     truncated tail (the partial record a [kill -9] mid-append leaves) is
@@ -58,7 +59,7 @@ type replayed = {
   crc_errors : int;
       (** complete-looking records rejected by checksum — corruption,
           as opposed to a benign crash tail *)
-  version : int;  (** 1 = seed format, 2 = CRC-framed (also for empty) *)
+  version : int;  (** always 2, the only format read *)
 }
 
 val log_file : string -> string
@@ -74,13 +75,10 @@ val magic : string
 val encode : seq:int -> path:string -> body:string -> string
 (** One v2 record, framed and checksummed — exposed for tests. *)
 
-val encode_v1 : seq:int -> path:string -> body:string -> string
-(** The seed's v1 record encoding — for tests that fabricate old
-    journals to exercise the compatibility path. *)
-
 val read : dir:string -> (replayed, string) result
-(** Parse the log, tolerating a torn or corrupt tail.  A missing or
-    empty log file reads as empty v2. *)
+(** Parse the log, tolerating a torn or corrupt tail.  A missing log,
+    or one no longer than the header, reads as empty; a longer one
+    without the header is an [Error]. *)
 
 val tail : dir:string -> from:int -> (record list, string) result
 (** The intact records with sequence number [>= from] — the replication
@@ -111,8 +109,8 @@ val recover_snapshot : dir:string -> unit
 
 val open_ : dir:string -> next_seq:int -> (t, string) result
 (** Open (creating [dir] and the log as needed) for appending.  The torn
-    or corrupt tail, if any, is truncated away; a v1 log is migrated to
-    v2.  [next_seq] is the sequence number the next {!append} will use —
+    or corrupt tail, if any, is truncated away; a log {!read} refuses is
+    refused here too, untouched.  [next_seq] is the sequence number the next {!append} will use —
     the caller derives it from {!snapshot_seq} and the replayed
     records. *)
 

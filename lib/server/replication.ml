@@ -95,78 +95,88 @@ let parse_snapshot_body data =
    cadence is seconds, so keep-alive buys nothing and [Connection:
    close] keeps the state machine trivial. *)
 
-let request ~host ~port ?(timeout = 15.0) ~meth ~path ~body () =
+type response = {
+  status : int;
+  headers : (string * string) list;
+  body : string;
+}
+
+let exchange ~host ~port ?(timeout = 15.0) ?(headers = []) ~meth ~path ~body
+    () =
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
     (fun () ->
-      try
-        Unix.setsockopt_float sock Unix.SO_RCVTIMEO timeout;
-        Unix.setsockopt_float sock Unix.SO_SNDTIMEO timeout;
-        let addr =
-          if host = "" || host = "localhost" then Unix.inet_addr_loopback
-          else
-            try Unix.inet_addr_of_string host
-            with Failure _ -> Unix.inet_addr_loopback
-        in
-        Unix.connect sock (Unix.ADDR_INET (addr, port));
-        let req =
-          Printf.sprintf
-            "%s %s HTTP/1.1\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s"
-            meth path (String.length body) body
-        in
-        let rec send off =
-          if off < String.length req then
-            send (off + Unix.write_substring sock req off (String.length req - off))
-        in
-        send 0;
-        let ic = Unix.in_channel_of_descr sock in
-        let status_line = input_line ic in
-        let status =
-          match String.split_on_char ' ' status_line with
-          | _ :: code :: _ -> int_of_string_opt code
-          | _ -> None
-        in
-        match status with
-        | None -> Error "malformed status line"
-        | Some status ->
-            let content_length = ref None in
-            (try
-               let rec headers () =
-                 let line = String.trim (input_line ic) in
-                 if line <> "" then begin
-                   (match String.index_opt line ':' with
-                   | Some i ->
-                       let name = String.lowercase_ascii (String.sub line 0 i) in
-                       let value =
-                         String.trim
-                           (String.sub line (i + 1) (String.length line - i - 1))
-                       in
-                       if name = "content-length" then
-                         content_length := int_of_string_opt value
-                   | None -> ());
-                   headers ()
-                 end
-               in
-               headers ()
-             with End_of_file -> ());
-            let resp_body =
-              match !content_length with
-              | Some n -> really_input_string ic n
-              | None ->
-                  let b = Buffer.create 1024 in
-                  (try
-                     while true do
-                       Buffer.add_channel b ic 1
-                     done
-                   with End_of_file -> ());
-                  Buffer.contents b
-            in
-            Ok (status, resp_body)
-      with
-      | Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-      | End_of_file -> Error "connection closed mid-response"
-      | Sys_error e -> Error e)
+      Unix.setsockopt_float sock Unix.SO_RCVTIMEO timeout;
+      Unix.setsockopt_float sock Unix.SO_SNDTIMEO timeout;
+      let addr =
+        if host = "" || host = "localhost" then Unix.inet_addr_loopback
+        else
+          try Unix.inet_addr_of_string host
+          with Failure _ -> Unix.inet_addr_loopback
+      in
+      Unix.connect sock (Unix.ADDR_INET (addr, port));
+      let req =
+        Printf.sprintf "%s %s HTTP/1.1\r\nContent-Length: %d\r\n%sConnection: close\r\n\r\n%s"
+          meth path (String.length body)
+          (String.concat "" (List.map (fun (n, v) -> n ^ ": " ^ v ^ "\r\n") headers))
+          body
+      in
+      let rec send off =
+        if off < String.length req then
+          send (off + Unix.write_substring sock req off (String.length req - off))
+      in
+      send 0;
+      let ic = Unix.in_channel_of_descr sock in
+      let status_line = input_line ic in
+      let status =
+        match String.split_on_char ' ' status_line with
+        | _ :: code :: _ -> int_of_string_opt code
+        | _ -> None
+      in
+      match status with
+      | None -> Error "malformed status line"
+      | Some status ->
+          let rec read_headers acc =
+            match String.trim (input_line ic) with
+            | "" -> acc
+            | line -> (
+                match String.index_opt line ':' with
+                | Some i ->
+                    let name = String.lowercase_ascii (String.sub line 0 i) in
+                    let value =
+                      String.trim
+                        (String.sub line (i + 1) (String.length line - i - 1))
+                    in
+                    read_headers ((name, value) :: acc)
+                | None -> read_headers acc)
+            | exception End_of_file -> acc
+          in
+          let headers = List.rev (read_headers []) in
+          let body =
+            match
+              Option.bind (List.assoc_opt "content-length" headers)
+                int_of_string_opt
+            with
+            | Some n -> really_input_string ic n
+            | None ->
+                let b = Buffer.create 1024 in
+                (try
+                   while true do
+                     Buffer.add_channel b ic 1
+                   done
+                 with End_of_file -> ());
+                Buffer.contents b
+          in
+          Ok { status; headers; body })
+
+let request ~host ~port ?timeout ~meth ~path ~body () =
+  match exchange ~host ~port ?timeout ~meth ~path ~body () with
+  | Ok r -> Ok (r.status, r.body)
+  | Error _ as e -> e
+  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+  | exception End_of_file -> Error "connection closed mid-response"
+  | exception Sys_error e -> Error e
 
 (* ------------------------------------------------------------------ *)
 (* The follower *)

@@ -60,6 +60,30 @@ val parse_snapshot_body :
   string -> (int * int * (string * string) list, string) result
 (** [(epoch, seq, files)]. *)
 
+type response = {
+  status : int;
+  headers : (string * string) list;
+      (** in arrival order, names lower-cased, values trimmed *)
+  body : string;
+}
+
+val exchange :
+  host:string ->
+  port:int ->
+  ?timeout:float ->
+  ?headers:(string * string) list ->
+  meth:string ->
+  path:string ->
+  body:string ->
+  unit ->
+  (response, string) result
+(** One loopback HTTP request, [Connection: close], sending [headers]
+    after [Content-Length].  [timeout] (default 15 s) bounds each socket
+    send and receive.  A malformed status line is an [Error]; transport
+    failures raise, as [Unix.Unix_error], [End_of_file] (the server
+    closed mid-response) or [Sys_error], so each caller names them in
+    its own terms. *)
+
 val request :
   host:string ->
   port:int ->
@@ -69,9 +93,8 @@ val request :
   body:string ->
   unit ->
   (int * string, string) result
-(** One loopback HTTP request, [Connection: close]; returns (status,
-    body).  Connection failures and timeouts come back as [Error], never
-    as exceptions. *)
+(** {!exchange}, returning (status, body).  Connection failures and
+    timeouts come back as [Error], never as exceptions. *)
 
 type apply_error =
   [ `Gap of int * int

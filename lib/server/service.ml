@@ -331,30 +331,54 @@ let load_docs docstore log =
 let is_slens_path path =
   String.length path > 7 && String.sub path 0 7 = "/slens/"
 
+let respond_html status title body =
+  {
+    Bx_repo.Webui.status;
+    content_type = "text/html; charset=utf-8";
+    body = Bx_repo.Webui.html_page ~title body;
+    headers = [];
+  }
+
+let respond_text status body =
+  {
+    Bx_repo.Webui.status;
+    content_type = "text/plain; charset=utf-8";
+    body;
+    headers = [];
+  }
+
+let docstore_error e =
+  let status =
+    match e with
+    | Docstore.Not_found _ -> 404
+    | Docstore.Stale _ -> 409
+    | Docstore.Bad_request _ -> 400
+    | Docstore.Unprocessable _ -> 422
+  in
+  respond_text status (Docstore.describe e ^ "\n")
+
+(* The in-memory half of every write — a live POST, a replayed journal
+   record, a streamed replica record: lens-document paths mutate the
+   docstore, everything else goes to the registry.  Nothing here locks,
+   journals or counts; the callers decide that. *)
+let perform registry docstore ~path ~body =
+  if is_slens_path path then
+    match Docstore.mutate docstore ~path ~body with
+    | Ok reply -> respond_text 200 reply
+    | Error e -> docstore_error e
+  else Bx_repo.Webui.handle registry ~meth:"POST" ~path ~body
+
 let replay_edits registry docstore records =
   List.fold_left
     (fun (ok, failed) (r : Journal.record) ->
-      if is_slens_path r.path then
-        (* Lens-document records replay against the docstore; the
-           registry never sees them. *)
-        match Docstore.apply docstore ~path:r.path ~body:r.body with
-        | Ok () -> (ok + 1, failed)
-        | Error e ->
-            Printf.eprintf
-              "bxwiki: journal record %d (%s) no longer applies (%s)\n%!"
-              r.seq r.path e;
-            (ok, failed + 1)
-      else
-        let response =
-          Bx_repo.Webui.handle registry ~meth:"POST" ~path:r.path ~body:r.body
-        in
-        if response.Bx_repo.Webui.status = 200 then (ok + 1, failed)
-        else begin
-          Printf.eprintf
-            "bxwiki: journal record %d (%s) no longer applies (status %d)\n%!"
-            r.seq r.path response.Bx_repo.Webui.status;
-          (ok, failed + 1)
-        end)
+      let response = perform registry docstore ~path:r.path ~body:r.body in
+      if response.Bx_repo.Webui.status = 200 then (ok + 1, failed)
+      else begin
+        Printf.eprintf
+          "bxwiki: journal record %d (%s) no longer applies (status %d)\n%!"
+          r.seq r.path response.Bx_repo.Webui.status;
+        (ok, failed + 1)
+      end)
     (0, 0) records
 
 (* Per-shard snapshot writer: segment [k] dumps only shard [k], so
@@ -372,26 +396,18 @@ let save_shard_cb t k ~dir =
         | Ok () -> Ok (n + 1)
         | Error e -> Error e
 
-let checkpoint_shard_locked t k =
-  (* Caller holds shard [k]'s write lock. *)
+(* Caller holds shard [k]'s write lock, or for [`All] every write lock
+   (or is single-threaded at boot or shutdown): then all segments seal at
+   the same global cut. *)
+let checkpoint_locked t which =
   match t.log with
   | None -> Ok 0
   | Some log ->
+      let save k ~dir = save_shard_cb t k ~dir in
       let result =
-        Shardlog.checkpoint_shard log ~shard:k ~save:(fun ~dir ->
-            save_shard_cb t k ~dir)
-      in
-      Metrics.compaction t.metrics ~ok:(Result.is_ok result);
-      result
-
-let checkpoint_all_locked t =
-  (* Caller holds every write lock (or is single-threaded at boot or
-     shutdown): all segments seal at the same global cut. *)
-  match t.log with
-  | None -> Ok 0
-  | Some log ->
-      let result =
-        Shardlog.checkpoint_all log ~save:(fun k ~dir -> save_shard_cb t k ~dir)
+        match which with
+        | `Shard k -> Shardlog.checkpoint_shard log ~shard:k ~save:(save k)
+        | `All -> Shardlog.checkpoint_all log ~save
       in
       Metrics.compaction t.metrics ~ok:(Result.is_ok result);
       result
@@ -713,7 +729,7 @@ let create ?(config = default_config) ?(pages = []) ?(lenses = []) ~seed () =
                    legacy files and stamp the directory — a crash before
                    the stamp redoes the migration from the still-intact
                    legacy state. *)
-                match checkpoint_all_locked t with
+                match checkpoint_locked t `All with
                 | Error e -> Error ("migration checkpoint: " ^ e)
                 | Ok _ -> (
                     match Shardlog.seal_migration log with
@@ -744,14 +760,6 @@ let route_of t path =
   else if ends_with ".json" then "entry.json"
   else "entry"
 
-let respond_html status title body =
-  {
-    Bx_repo.Webui.status;
-    content_type = "text/html; charset=utf-8";
-    body = Bx_repo.Webui.html_page ~title body;
-    headers = [];
-  }
-
 (* Which registry shard a path's cache validity rides on: an entry route
    is exactly as fresh as its shard's generation, everything else (the
    index, search, the manuscript...) reads the whole catalogue and is
@@ -780,14 +788,6 @@ let gen_for_key t key =
   match shard_route t path with
   | Some k -> t.gens.(k)
   | None -> total_gen t
-
-let respond_text status body =
-  {
-    Bx_repo.Webui.status;
-    content_type = "text/plain; charset=utf-8";
-    body;
-    headers = [];
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Deadline propagation.  A request carries the client's remaining
@@ -997,7 +997,92 @@ let write_barrier t =
           freed\n")
   else None
 
-(* The durability half of an accepted write: bump shard [k]'s
+(* ------------------------------------------------------------------ *)
+(* The write path.  A write at run time — a live POST or a streamed
+   replica record — is first routed by what it touches: the shard whose
+   lock, generation and journal segment it uses, and the item whose hash
+   moves that shard's digest.  An entry edit rides its entry's shard; a
+   lens document rides shard 0 (its snapshot carries the docstore);
+   anything unroutable takes every lock and recomputes every digest.
+   [apply_write] then runs {!perform} and keeps the digest exact (boot
+   replay runs {!perform} alone: the digests are computed whole after
+   it).  The two orders around it: a primary applies, then journals (a
+   refused edit never reaches the log); a replica journals, then applies
+   (a crash in between replays to the same state at the next boot). *)
+
+type touch =
+  | Entry of int * Bx_repo.Identifier.t
+  | Doc of (string * string) option
+  | Unroutable
+
+let touch_of t ~path ~body =
+  if is_slens_path path then Doc (Docstore.doc_of ~path ~body)
+  else
+    match Bx_repo.Webui.page_identifier path with
+    | Some id -> Entry (Bx_repo.Registry.shard_of_id t.registry id, id)
+    | None -> Unroutable
+
+let shard_of = function Entry (k, _) -> k | Doc _ | Unroutable -> 0
+
+let write_locked t touch =
+  match touch with
+  | Unroutable -> write_all t
+  | Entry _ | Doc _ -> write_shard t (shard_of touch)
+
+(* The touched item's contribution to its shard's digest; 0 when absent,
+   so the before/after XOR covers creation too.  Caller holds the
+   shard's write lock. *)
+let item_hash t = function
+  | Entry (_, id) -> Integrity.entry_hash t.registry id
+  | Doc (Some (lens, docid)) -> (
+      match Docstore.get_doc t.docstore ~lens ~docid ~view:false with
+      | Ok (gen, source) -> Integrity.doc_hash ~lens ~docid ~gen ~source
+      | Error _ -> 0)
+  | Doc None | Unroutable -> 0
+
+(* Caller holds [write_locked t touch].  The pre-image hash is sampled
+   under the same lock that applies the write: XORing it out and the
+   post-image in keeps the shard digest exact without rescanning the
+   shard.  A replica's digests track the same XOR, so a digest comparison
+   measures content divergence, not bookkeeping drift. *)
+let apply_write t touch ~path ~body =
+  let before = item_hash t touch in
+  let response = perform t.registry t.docstore ~path ~body in
+  (if response.Bx_repo.Webui.status = 200 then
+     match touch with
+     | Unroutable -> recompute_digests t
+     | Entry _ | Doc _ ->
+         let k = shard_of touch in
+         t.digests.(k) <- t.digests.(k) lxor before lxor item_hash t touch);
+  response
+
+(* An append's verdict on the journal.  A failure flips /readyz until the
+   next successful append; ENOSPC is special — no retry can succeed
+   until an operator frees space, so it latches [disk_full] and the
+   write barrier turns the node read-only instead of flapping per
+   request. *)
+let note_append t = function
+  | Ok _ -> Atomic.set t.journal_ok true
+  | Error e ->
+      Atomic.set t.journal_ok false;
+      if Journal.is_disk_full_error e then Atomic.set t.disk_full true
+
+(* Caller holds shard [k]'s write lock.  A failed compaction must not
+   take the service down: the journal keeps growing, the failure is
+   counted and surfaced in /metrics, and serving continues.  Only this
+   shard's segment snapshots and truncates — compaction cost is
+   O(shard), whatever the catalogue size. *)
+let maybe_compact t k =
+  match t.log with
+  | Some log
+    when t.config.compact_every > 0
+         && Shardlog.record_count log k >= t.config.compact_every -> (
+      match checkpoint_locked t (`Shard k) with
+      | Ok _ -> ()
+      | Error e -> Printf.eprintf "bxwiki: compaction failed: %s\n%!" e)
+  | _ -> ()
+
+(* The durability half of an accepted live write: bump shard [k]'s
    generation, append the record, compact the segment when it is due.
    The caller holds shard [k]'s write lock and has already applied the
    edit in memory. *)
@@ -1008,88 +1093,59 @@ let journal_accepted t ~k ~path ~body response =
       Atomic.incr t.applied_next;
       response
   | Some log -> (
-      match Shardlog.append log ~shard:k ~path ~body with
+      let appended = Shardlog.append log ~shard:k ~path ~body in
+      note_append t appended;
+      match appended with
       | Error e ->
           (* The in-memory edit stands, but durability was promised and
-             could not be delivered: tell the client the truth, flip
-             /readyz, and let the operator look at the disk.  ENOSPC is
-             special — no retry can succeed until an operator frees
-             space, so it latches [disk_full] and the write barrier turns
-             the node read-only instead of flapping per request. *)
-          Atomic.set t.journal_ok false;
-          if Journal.is_disk_full_error e then Atomic.set t.disk_full true;
+             could not be delivered: tell the client the truth and let
+             the operator look at the disk. *)
           Metrics.protocol_error t.metrics ~route:"journal"
             ~reason:"append_failed";
           respond_html 500 "Journal write failed"
             ("<p>Edit applied in memory but not journaled: "
             ^ Bx_repo.Markup.html_escape e ^ "</p>")
       | Ok _ ->
-          Atomic.set t.journal_ok true;
           Atomic.set t.applied_next (Shardlog.next_seq log);
-          if
-            t.config.compact_every > 0
-            && Shardlog.record_count log k >= t.config.compact_every
-          then begin
-            (* A failed compaction must not take the service down: the
-               journal keeps growing, the failure is counted and
-               surfaced in /metrics, and serving continues.  Only this
-               shard's segment snapshots and truncates — compaction
-               cost is O(shard), whatever the catalogue size. *)
-            match checkpoint_shard_locked t k with
-            | Ok _ -> ()
-            | Error e -> Printf.eprintf "bxwiki: compaction failed: %s\n%!" e
-          end;
+          maybe_compact t k;
           response)
 
-let handle_post ?deadline t path body =
+(* Live document writes count in the lens metrics; replayed and streamed
+   records do not. *)
+let observe_doc_write t path body =
+  let observe lens op =
+    Metrics.observe_lens t.metrics ~lens ~op ~docs:1
+      ~bytes:(String.length body)
+  in
+  match String.split_on_char '/' path with
+  | [ ""; "slens"; name; "doc"; _ ] -> observe name "doc_put"
+  | [ ""; "slens"; name; ("patch" | "patch_source" as op) ] -> observe name op
+  | _ -> ()
+
+(* A live POST: an entry edit takes only its shard's write lock, so
+   edits to entries in other shards proceed in parallel; a document
+   write takes shard 0's; anything unroutable serialises against
+   everything. *)
+let handle_write ?deadline t path body =
   match write_barrier t with
   | Some refusal -> refusal
   | None when deadline_expired deadline -> shed_deadline t
   | None ->
-  Bx_fault.Fault.point "service.lock.write";
-  (* An entry edit takes only its shard's write lock (and lands in that
-     shard's journal segment); edits to entries in other shards proceed
-     in parallel.  Anything unroutable serialises against everything. *)
-  let id_opt = Bx_repo.Webui.page_identifier path in
-  let shard_opt =
-    Option.map (fun id -> Bx_repo.Registry.shard_of_id t.registry id) id_opt
-  in
-  let locked =
-    match shard_opt with
-    | Some k -> write_shard t k
-    | None -> write_all t
-  in
-  locked (fun () ->
-      (* Re-checked after the (possibly contended) lock wait, and before
-         the edit is applied: this is the last point an exhausted budget
-         can abort cleanly — once the in-memory apply happens, skipping
-         the journal fsync would diverge memory from disk. *)
-      if deadline_expired deadline then shed_deadline t
-      else
-      (* The entry's pre-image hash, sampled under the same write lock
-         that applies the edit: XORing it out and the post-image in
-         keeps the shard digest exact without rescanning the shard. *)
-      let before =
-        match id_opt with
-        | Some id -> Integrity.entry_hash t.registry id
-        | None -> 0
-      in
-      let response =
-        Bx_repo.Webui.handle t.registry ~meth:"POST" ~path ~body
-      in
-      if response.Bx_repo.Webui.status <> 200 then response
-      else begin
-        (match (id_opt, shard_opt) with
-        | Some id, Some k ->
-            t.digests.(k) <-
-              t.digests.(k) lxor before lxor Integrity.entry_hash t.registry id
-        | _ ->
-            (* Unroutable writes hold every lock already. *)
-            recompute_digests t);
-        journal_accepted t
-          ~k:(Option.value shard_opt ~default:0)
-          ~path ~body response
-      end)
+      Bx_fault.Fault.point "service.lock.write";
+      let touch = touch_of t ~path ~body in
+      write_locked t touch (fun () ->
+          (* Re-checked after the (possibly contended) lock wait, and
+             before the edit is applied: this is the last point an
+             exhausted budget can abort cleanly — once the in-memory
+             apply happens, skipping the journal fsync would diverge
+             memory from disk. *)
+          if deadline_expired deadline then shed_deadline t
+          else begin
+            observe_doc_write t path body;
+            let response = apply_write t touch ~path ~body in
+            if response.Bx_repo.Webui.status <> 200 then response
+            else journal_accepted t ~k:(shard_of touch) ~path ~body response
+          end)
 
 (* ------------------------------------------------------------------ *)
 (* Lens-backed documents.  POST /slens/<name>/doc/<docid> stores a
@@ -1101,38 +1157,9 @@ let handle_post ?deadline t path body =
    generation and the complementary source edit.  [/patch_source] is
    the mirror direction (a source edit, answered with the view edit).
 
-   Mutations ride shard 0's write lock and journal segment, and the
-   journal record {e is} the request frame: what the log and the
-   replication stream carry for a patch is the edit, not the
-   document. *)
-
-(* The (lens, docid) a docstore mutation touches — the unit of shard 0's
-   digest.  Patch frames carry the docid as their first RS field. *)
-let doc_key_of path body =
-  match String.split_on_char '/' path with
-  | [ ""; "slens"; name; "doc"; docid ] -> Some (name, docid)
-  | [ ""; "slens"; name; ("patch" | "patch_source") ] ->
-      let n = String.length body in
-      let i = index_in body rs 0 n in
-      if i = n then None else Some (name, String.sub body 0 i)
-  | _ -> None
-
-(* One document's contribution to shard 0's digest; 0 when absent, so
-   before/after XOR covers creation too.  Caller holds shard 0's lock. *)
-let doc_contrib t (lens, docid) =
-  match Docstore.get_doc t.docstore ~lens ~docid ~view:false with
-  | Ok (gen, source) -> Integrity.doc_hash ~lens ~docid ~gen ~source
-  | Error _ -> 0
-
-let docstore_error e =
-  let status =
-    match e with
-    | Docstore.Not_found _ -> 404
-    | Docstore.Stale _ -> 409
-    | Docstore.Bad_request _ -> 400
-    | Docstore.Unprocessable _ -> 422
-  in
-  respond_text status (Docstore.describe e ^ "\n")
+   Writes go through {!handle_write}, and the journal record {e is} the
+   request frame: what the log and the replication stream carry for a
+   patch is the edit, not the document. *)
 
 let handle_docstore_get t ~query path =
   match String.split_on_char '/' path with
@@ -1160,57 +1187,6 @@ let handle_docstore_get t ~query path =
               respond_text 200 (string_of_int gen ^ rs_str ^ doc)
           | Error e -> docstore_error e))
   | _ -> respond_text 404 "document paths are /slens/<name>/doc/<docid>\n"
-
-let handle_docstore_post ?deadline t path body =
-  match write_barrier t with
-  | Some refusal -> refusal
-  | None when deadline_expired deadline -> shed_deadline t
-  | None ->
-      Bx_fault.Fault.point "service.lock.write";
-      write_shard t 0 (fun () ->
-          (* Same pre-apply re-check as {!handle_post}: abort while
-             aborting is still free. *)
-          if deadline_expired deadline then shed_deadline t
-          else
-          let key = doc_key_of path body in
-          let before =
-            match key with Some dk -> doc_contrib t dk | None -> 0
-          in
-          let result =
-            match String.split_on_char '/' path with
-            | [ ""; "slens"; name; "doc"; docid ] ->
-                Metrics.observe_lens t.metrics ~lens:name ~op:"doc_put"
-                  ~docs:1 ~bytes:(String.length body);
-                Result.map
-                  (fun gen -> respond_text 200 (string_of_int gen ^ "\n"))
-                  (Docstore.put_doc t.docstore ~lens:name ~docid
-                     ~source:body)
-            | [ ""; "slens"; name; (("patch" | "patch_source") as op) ] ->
-                Metrics.observe_lens t.metrics ~lens:name ~op ~docs:1
-                  ~bytes:(String.length body);
-                Result.map
-                  (fun (gen, edit) ->
-                    respond_text 200
-                      (string_of_int gen ^ rs_str
-                     ^ Bx_strlens.Sdiff.encode edit))
-                  (Docstore.patch t.docstore ~lens:name
-                     ~reverse:(op = "patch_source") body)
-            | _ ->
-                Ok
-                  (respond_text 404
-                     "document paths are /slens/<name>/doc/<docid> and \
-                      /slens/<name>/patch\n")
-          in
-          match result with
-          | Error e -> docstore_error e
-          | Ok response when response.Bx_repo.Webui.status <> 200 -> response
-          | Ok response ->
-              (match key with
-              | Some dk ->
-                  t.digests.(0) <-
-                    t.digests.(0) lxor before lxor doc_contrib t dk
-              | None -> ());
-              journal_accepted t ~k:0 ~path ~body response)
 
 (* ------------------------------------------------------------------ *)
 (* Replication: the primary side (stream + snapshot endpoints), the
@@ -1351,7 +1327,7 @@ let handle_snapshot t query =
           | Some k when k >= 0 && k < Shardlog.shards log ->
               snapshot_response t
                 (write_shard t k (fun () ->
-                     match checkpoint_shard_locked t k with
+                     match checkpoint_locked t (`Shard k) with
                      | Error e -> Error e
                      | Ok _ -> Shardlog.snapshot_files_shard log ~shard:k))
           | _ -> respond_text 400 (Printf.sprintf "bad shard %S\n" v))
@@ -1367,7 +1343,7 @@ let handle_snapshot t query =
                  at one global cut, so cut one now under all write
                  locks. *)
               write_all t (fun () ->
-                  match checkpoint_all_locked t with
+                  match checkpoint_locked t `All with
                   | Error e -> Error e
                   | Ok _ -> Shardlog.snapshot_files log)
           in
@@ -1391,118 +1367,58 @@ let replication_apply t records =
   try
     Bx_fault.Fault.point "repl.apply";
     write_all t (fun () ->
-        (* Replayed records fan into the same shard (lock, generation and
-           journal segment) a local edit would have used — a replica's
-           on-disk layout converges on the primary's. *)
-        let shard_of_path path =
-          if is_slens_path path then 0
-          else
-            match Bx_repo.Webui.page_identifier path with
-            | Some id -> Bx_repo.Registry.shard_of_id t.registry id
-            | None -> 0
-        in
-        let apply_one (r : Journal.record) =
-          let k = shard_of_path r.path in
-          let id_opt =
-            if is_slens_path r.path then None
-            else Bx_repo.Webui.page_identifier r.path
-          in
-          let doc_key =
-            if is_slens_path r.path then doc_key_of r.path r.body else None
-          in
-          let before =
-            match (id_opt, doc_key) with
-            | Some id, _ -> Integrity.entry_hash t.registry id
-            | None, Some dk -> doc_contrib t dk
-            | None, None -> 0
-          in
-          (if is_slens_path r.path then begin
-             (* A streamed patch record carries the edit, not the
-                document: the follower propagates it through its own
-                docstore (put_delta and its internal full-put
-                fallback), converging on the primary's state. *)
-             match Docstore.apply t.docstore ~path:r.path ~body:r.body with
-             | Ok () -> ()
-             | Error e ->
-                 Printf.eprintf
-                   "bxwiki: streamed record %d (%s) did not apply (%s)\n%!"
-                   r.seq r.path e;
-                 Metrics.protocol_error t.metrics ~route:"replication"
-                   ~reason:"apply_failed"
-           end
-           else
-             let response =
-               Bx_repo.Webui.handle t.registry ~meth:"POST" ~path:r.path
-                 ~body:r.body
-             in
-             if response.Bx_repo.Webui.status <> 200 then begin
-               Printf.eprintf
-                 "bxwiki: streamed record %d (%s) did not apply (status %d)\n%!"
-                 r.seq r.path response.Bx_repo.Webui.status;
-               Metrics.protocol_error t.metrics ~route:"replication"
-                 ~reason:"apply_failed"
-             end);
-          (* The replica's digests track the same incremental XOR a
-             primary maintains, so a digest comparison measures real
-             content divergence, not bookkeeping drift. *)
-          (match (id_opt, doc_key) with
-          | Some id, _ ->
-              t.digests.(k) <-
-                t.digests.(k) lxor before
-                lxor Integrity.entry_hash t.registry id
-          | None, Some dk ->
-              t.digests.(0) <- t.digests.(0) lxor before lxor doc_contrib t dk
-          | None, None ->
-              if not (is_slens_path r.path) then recompute_digests t);
+        (* A streamed patch record carries the edit, not the document:
+           the follower propagates it through its own docstore (put_delta
+           and its internal full-put fallback), converging on the
+           primary's state.  Records fan into the same shard (lock,
+           generation and journal segment) a local edit would have used —
+           a replica's on-disk layout converges on the primary's. *)
+        let apply_one (r : Journal.record) touch =
+          let response = apply_write t touch ~path:r.path ~body:r.body in
+          if response.Bx_repo.Webui.status <> 200 then begin
+            Printf.eprintf
+              "bxwiki: streamed record %d (%s) did not apply (status %d)\n%!"
+              r.seq r.path response.Bx_repo.Webui.status;
+            Metrics.protocol_error t.metrics ~route:"replication"
+              ~reason:"apply_failed"
+          end;
+          let k = shard_of touch in
           Atomic.set t.applied_next (r.seq + 1);
           t.gens.(k) <- t.gens.(k) + 1;
           Metrics.replication_applied t.metrics ~records:1;
-          match t.log with
-          | Some log
-            when t.config.compact_every > 0
-                 && Shardlog.record_count log k >= t.config.compact_every -> (
-              match checkpoint_shard_locked t k with
-              | Ok _ -> ()
-              | Error e -> Printf.eprintf "bxwiki: compaction failed: %s\n%!" e)
-          | _ -> ()
+          maybe_compact t k
         in
         let rec go = function
           | [] -> Ok ()
-          | (r : Journal.record) :: rest ->
+          | (r : Journal.record) :: rest -> (
               let next = Atomic.get t.applied_next in
               if r.seq < next then go rest
               else if r.seq > next then Error (`Gap (next, r.seq))
-              else begin
+              else
+                let touch = touch_of t ~path:r.path ~body:r.body in
                 match t.log with
                 | None ->
-                    apply_one r;
+                    apply_one r touch;
                     go rest
-                | Some log ->
-                    let k = shard_of_path r.path in
-                    if r.seq <= Shardlog.shard_floor log k then begin
-                      (* A targeted resync sealed this segment past
-                         [r.seq]: the record is already embodied in the
-                         installed shard snapshot.  Skip it (the cursor
-                         still advances — other shards' records in this
-                         range apply normally). *)
-                      Atomic.set t.applied_next (r.seq + 1);
-                      go rest
-                    end
-                    else (
-                      match
-                        Shardlog.append_at log ~shard:k ~seq:r.seq
-                          ~path:r.path ~body:r.body
-                      with
-                      | Error e ->
-                          Atomic.set t.journal_ok false;
-                          if Journal.is_disk_full_error e then
-                            Atomic.set t.disk_full true;
-                          Error (`Fail e)
-                      | Ok _ ->
-                          Atomic.set t.journal_ok true;
-                          apply_one r;
-                          go rest)
-              end
+                | Some log when r.seq <= Shardlog.shard_floor log (shard_of touch) ->
+                    (* A targeted resync sealed this segment past
+                       [r.seq]: the record is already embodied in the
+                       installed shard snapshot.  Skip it (the cursor
+                       still advances — other shards' records in this
+                       range apply normally). *)
+                    Atomic.set t.applied_next (r.seq + 1);
+                    go rest
+                | Some log -> (
+                    let appended =
+                      Shardlog.append_at log ~shard:(shard_of touch) ~seq:r.seq
+                        ~path:r.path ~body:r.body
+                    in
+                    note_append t appended;
+                    match appended with
+                    | Error e -> Error (`Fail e)
+                    | Ok _ ->
+                        apply_one r touch;
+                        go rest))
         in
         go records)
   with Bx_fault.Fault.Injected m -> Error (`Fail m)
@@ -1775,11 +1691,11 @@ let handle_query ?deadline t ~query ~meth ~path ~body =
      metrics scrapes, debug admin and the replication plane must answer
      even (especially) when the node is struggling.  The stream route
      honours the deadline its own way — by clamping its long-poll hold. *)
+  let route = route_of t path in
   let ops_route =
-    path = "/metrics" || path = "/healthz" || path = "/readyz"
-    || path = "/debug/failpoints" || path = "/debug/chaos"
-    || path = "/replication/stream" || path = "/replication/snapshot"
-    || path = "/replication/digest" || path = "/admin/promote"
+    match route with
+    | "metrics" | "health" | "debug" | "replication" | "admin" -> true
+    | _ -> false
   in
   let response =
     (* An injected fault at a lock or lens seam is answered like any
@@ -1815,27 +1731,25 @@ let handle_query ?deadline t ~query ~meth ~path ~body =
       | "GET" when path = "/replication/snapshot" -> handle_snapshot t query
       | "GET" when path = "/replication/digest" -> handle_digest t
       | "POST" when path = "/admin/promote" -> handle_promote t
-      | "GET" when is_slens_path path -> handle_docstore_get t ~query path
+      | "GET" when route = "slens" -> handle_docstore_get t ~query path
       | "GET" ->
           with_quarantine_warning t path (handle_get ?deadline t ~query path)
-      | "POST" when is_slens_path path ->
-          if Docstore.is_doc_path path then
-            handle_docstore_post ?deadline t path body
-          else handle_slens t path body
-      | "POST" -> handle_post ?deadline t path body
+      | "POST" when route = "slens" && not (Docstore.is_doc_path path) ->
+          handle_slens t path body
+      | "POST" -> handle_write ?deadline t path body
       | _ ->
           respond_html 405 "Method not allowed" "<p>Use GET or POST.</p>"
     with Bx_fault.Fault.Injected m ->
       respond_text 503 ("injected fault: " ^ m ^ "\n")
   in
-  Metrics.observe_request t.metrics ~route:(route_of t path) ~meth
+  Metrics.observe_request t.metrics ~route ~meth
     ~status:response.Bx_repo.Webui.status
     ~seconds:(Bx_obs.Clock.now () -. started);
   response
 
 let handle t ~meth ~path ~body = handle_query t ~query:"" ~meth ~path ~body
 
-let checkpoint t = write_all t (fun () -> checkpoint_all_locked t)
+let checkpoint t = write_all t (fun () -> checkpoint_locked t `All)
 
 let close t = Option.iter Shardlog.close t.log
 

@@ -1,5 +1,5 @@
 (* The robustness story: the failpoint subsystem itself, the CRC-framed
-   v2 journal (torn tails, bit flips, v1 migration), crash-recovery
+   v2 journal (torn tails, bit flips, damaged headers), crash-recovery
    torture at every journal failpoint seam (fork + simulated kill -9 +
    restart), QCheck random corruption of the log tail, and the service's
    overload behaviour — health/readiness probes, the failpoint admin
@@ -126,7 +126,7 @@ let fault_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Journal v2 framing, recovery and v1 migration *)
+(* Journal v2 framing and recovery *)
 
 let with_log dir f =
   match Journal.open_ ~dir ~next_seq:1 with
@@ -155,6 +155,11 @@ let clobber_byte file pos byte =
   ignore (Unix.lseek fd pos Unix.SEEK_SET);
   ignore (Unix.write fd (Bytes.make 1 byte) 0 1);
   Unix.close fd
+
+(* Flip bit 0 of the byte at [pos]. *)
+let flip_bit file pos =
+  let data = Bx_repo.Fsio.read_file file in
+  clobber_byte file pos (Char.chr (Char.code data.[pos] lxor 1))
 
 let journal_tests =
   [
@@ -220,26 +225,6 @@ let journal_tests =
           Alcotest.(list string)
           "paths" [ "/a"; "/c" ]
           (List.map (fun e -> e.Journal.path) r.Journal.entries));
-    tc "a v1 log is read and migrated to v2 in place" (fun () ->
-        let dir = fresh_dir "bxv1" in
-        let oc = open_out_bin (Journal.log_file dir) in
-        output_string oc (Journal.encode_v1 ~seq:1 ~path:"/a" ~body:"one");
-        output_string oc (Journal.encode_v1 ~seq:2 ~path:"/b" ~body:"two");
-        close_out oc;
-        check Alcotest.int "reads as v1" 1 (read_exn dir).Journal.version;
-        with_log dir (fun j ->
-            (* open_ migrated before appending, so this append is v2. *)
-            ignore (append_exn j ~path:"/c" ~body:"three"));
-        let r = read_exn dir in
-        check Alcotest.int "now v2" 2 r.Journal.version;
-        check
-          Alcotest.(list string)
-          "all three records" [ "/a"; "/b"; "/c" ]
-          (List.map (fun e -> e.Journal.path) r.Journal.entries);
-        let ic = open_in_bin (Journal.log_file dir) in
-        let head = really_input_string ic (String.length Journal.magic) in
-        close_in ic;
-        check Alcotest.string "magic on disk" Journal.magic head);
     tc "an empty log file is adopted as a fresh v2 segment" (fun () ->
         (* A crash can leave journal.log created but zero bytes long —
            before even the magic was written.  That is a fresh log, not
@@ -258,39 +243,89 @@ let journal_tests =
         let head = really_input_string ic (String.length Journal.magic) in
         close_in ic;
         check Alcotest.string "magic on disk" Journal.magic head);
-    tc "a v1 log ending exactly on a record boundary migrates whole"
-      (fun () ->
-        let dir = fresh_dir "bxv1edge" in
+    tc "a log shorter than the header opens as an empty log" (fun () ->
+        (* A crash inside the header write, or inside a rewind, can
+           leave any prefix of the header behind: no record fits in it,
+           so nothing is lost by stamping the header afresh. *)
+        let dir = fresh_dir "bxshort" in
         let oc = open_out_bin (Journal.log_file dir) in
-        output_string oc (Journal.encode_v1 ~seq:1 ~path:"/a" ~body:"one");
+        output_string oc (String.sub Journal.magic 0 5);
         close_out oc;
         let r = read_exn dir in
-        check Alcotest.int "v1" 1 r.Journal.version;
-        check Alcotest.bool "clean boundary is not torn" false r.Journal.torn;
-        (* Open purely for the side effect: migrate, append nothing. *)
-        with_log dir (fun _ -> ());
-        let r = read_exn dir in
-        check Alcotest.int "v2 after open" 2 r.Journal.version;
-        check (Alcotest.list entry) "the record survived intact"
+        check Alcotest.int "no records" 0 (List.length r.Journal.entries);
+        check Alcotest.bool "reported as a torn tail" true r.Journal.torn;
+        with_log dir (fun j -> ignore (append_exn j ~path:"/a" ~body:"one"));
+        check (Alcotest.list entry) "appends land after a fresh header"
           [ { Journal.seq = 1; path = "/a"; body = "one" } ]
-          r.Journal.entries);
-    tc "reopening a migrated log is idempotent" (fun () ->
-        let dir = fresh_dir "bxv1twice" in
-        let oc = open_out_bin (Journal.log_file dir) in
-        output_string oc (Journal.encode_v1 ~seq:1 ~path:"/a" ~body:"one");
-        output_string oc (Journal.encode_v1 ~seq:2 ~path:"/b" ~body:"two");
-        close_out oc;
-        with_log dir (fun _ -> ());
-        let migrated = log_size dir in
-        (* The second open must neither re-migrate nor truncate. *)
-        with_log dir (fun _ -> ());
-        check Alcotest.int "size unchanged" migrated (log_size dir);
-        let r = read_exn dir in
-        check Alcotest.int "still v2" 2 r.Journal.version;
-        check
-          Alcotest.(list string)
-          "both records, once each" [ "/a"; "/b" ]
-          (List.map (fun e -> e.Journal.path) r.Journal.entries));
+          (read_exn dir).Journal.entries;
+        let ic = open_in_bin (Journal.log_file dir) in
+        let head = really_input_string ic (String.length Journal.magic) in
+        close_in ic;
+        check Alcotest.string "magic on disk" Journal.magic head);
+    tc "a flipped header bit refuses the log and leaves its bytes alone"
+      (fun () ->
+        let dir = fresh_dir "bxhdr" in
+        with_log dir (fun j ->
+            for i = 1 to 5 do
+              ignore (append_exn j ~path:"/a" ~body:(string_of_int i))
+            done);
+        let file = Journal.log_file dir in
+        flip_bit file 3;
+        let damaged = Bx_repo.Fsio.read_file file in
+        (match Journal.read ~dir with
+        | Ok r ->
+            Alcotest.failf "read a damaged header as %d record(s)"
+              (List.length r.Journal.entries)
+        | Error e ->
+            check Alcotest.bool "names the file" true
+              (contains ~needle:"journal.log" e);
+            check Alcotest.bool "names the header" true
+              (contains ~needle:"bxjournal 2" e));
+        (match Journal.open_ ~dir ~next_seq:1 with
+        | Ok j ->
+            Journal.close j;
+            Alcotest.fail "opened a log with a damaged header"
+        | Error _ -> ());
+        check Alcotest.string "bytes unchanged" damaged
+          (Bx_repo.Fsio.read_file file));
+    tc "a flipped header bit refuses boot; the acked document survives"
+      (fun () ->
+        let dir = fresh_dir "bxhdrboot" in
+        let config = journal_config dir in
+        let boot () =
+          Service.create ~config
+            ~lenses:[ ("composers", Bx_catalogue.Composers_string.lens) ]
+            ~seed ()
+        in
+        let booted () =
+          match boot () with
+          | Ok t -> t
+          | Error e -> Alcotest.failf "boot: %s" e
+        in
+        let t = booted () in
+        check Alcotest.int "doc put acked" 200
+          (post t "/slens/composers/doc/d1"
+             (Bx_catalogue.Composers_string.synthetic_source 3))
+            .Bx_repo.Webui.status;
+        Service.close t;
+        let file = Journal.log_file dir in
+        flip_bit file 3;
+        let damaged = Bx_repo.Fsio.read_file file in
+        (match boot () with
+        | Ok t ->
+            Service.close t;
+            Alcotest.fail "booted over a damaged journal header"
+        | Error e ->
+            check Alcotest.bool "boot error names the header" true
+              (contains ~needle:"segment header" e));
+        check Alcotest.string "bytes unchanged" damaged
+          (Bx_repo.Fsio.read_file file);
+        (* Repairing the header recovers the acknowledged write. *)
+        flip_bit file 3;
+        let t = booted () in
+        check Alcotest.int "doc still served" 200
+          (get t "/slens/composers/doc/d1").Bx_repo.Webui.status;
+        Service.close t);
     tc "checkpoint resets the log to a bare segment header" (fun () ->
         let dir = fresh_dir "bxck" in
         let t = service ~config:(journal_config dir) () in

@@ -344,6 +344,27 @@ let scrub_tests =
         check Alcotest.int "a checkpoint rewrites it" 0 (List.length findings);
         check Alcotest.int "and acquits it" 0 (Q.size (Service.quarantine t));
         Service.close t);
+    tc "a flipped journal header bit is a finding, not a clean log"
+      (fun () ->
+        let dir = fresh_dir "bxscrubhdr" in
+        let t = service ~config:(journal_config dir) () in
+        let path = List.hd (wiki_paths t) in
+        let page = (get t (path ^ ".wiki")).Bx_repo.Webui.body in
+        check Alcotest.int "edit" 200
+          (post t path (inject page "Header probe.")).Bx_repo.Webui.status;
+        let log = Journal.log_file dir in
+        let data = Bytes.of_string (Bx_repo.Fsio.read_file log) in
+        Bytes.set data 3 (Char.chr (Char.code (Bytes.get data 3) lxor 1));
+        let oc = open_out_bin log in
+        output_bytes oc data;
+        close_out oc;
+        let _, findings = Service.scrub_once t in
+        check
+          Alcotest.(list string)
+          "the segment is flagged" [ "file journal.log" ] (List.map fst findings);
+        check Alcotest.bool "quarantined" true
+          (Option.is_some (Q.find (Service.quarantine t) (Q.File "journal.log")));
+        Service.close t);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -489,6 +510,160 @@ let torture_tests =
          torture_trial);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The write path as a property.  A random mix of entry edits, rejected
+   writes, document puts (some ill-typed) and patches at current and
+   stale generations runs against a journaled 3-shard primary that
+   compacts every few records.  Each accepted write journals exactly one
+   record; a rejected one moves no generation, digest or record.  A
+   fresh boot from the journal, and a replica fed the accepted records,
+   must both land on the primary's digests. *)
+
+type write_op =
+  | Edit of int * int (* entry index, revision *)
+  | Rejected of int (* 0 unknown entry, 1 unroutable, 2 unparsable page *)
+  | Doc_put of int * int option (* docid, records (None: ill-typed) *)
+  | Patch of int * bool * bool * int
+      (* docid, source side, stale generation, target records *)
+
+let print_write_op = function
+  | Edit (e, r) -> Printf.sprintf "Edit(%d,%d)" e r
+  | Rejected k -> Printf.sprintf "Rejected %d" k
+  | Doc_put (d, n) ->
+      Printf.sprintf "Doc_put(%d,%s)" d
+        (Option.fold ~none:"ill-typed" ~some:string_of_int n)
+  | Patch (d, src, stale, n) ->
+      Printf.sprintf "Patch(%d,%s,%s,%d)" d
+        (if src then "source" else "view")
+        (if stale then "stale" else "current")
+        n
+
+let write_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (3, map2 (fun e r -> Edit (e, r)) (0 -- 7) (0 -- 999));
+        (2, map (fun k -> Rejected k) (0 -- 2));
+        (3, map2 (fun d n -> Doc_put (d, n)) (0 -- 1) (opt (1 -- 6)));
+        ( 4,
+          map
+            (fun (d, src, stale, n) -> Patch (d, src, stale, n))
+            (tup4 (0 -- 1) bool bool (1 -- 6)) );
+      ])
+
+let composers = Bx_catalogue.Composers_string.lens
+
+(* The request an op sends, read against the primary's current state. *)
+let write_request t = function
+  | Edit (e, r) ->
+      let paths = wiki_paths t in
+      let path = List.nth paths (e mod List.length paths) in
+      let page = (get t (path ^ ".wiki")).Bx_repo.Webui.body in
+      (path, inject page (Printf.sprintf "Revision %d." r))
+  | Rejected 0 -> ("/examples:no-such-entry", "== Nothing ==\n")
+  | Rejected 1 -> ("/", "unroutable\n")
+  | Rejected _ -> (List.hd (wiki_paths t), "no title heading\n")
+  | Doc_put (d, n) ->
+      ( Printf.sprintf "/slens/composers/doc/d%d" d,
+        match n with
+        | Some n -> Bx_catalogue.Composers_string.synthetic_source n
+        | None -> "not a composers document\n" )
+  | Patch (d, src, stale, n) ->
+      let docid = Printf.sprintf "d%d" d in
+      let path = "/slens/composers/doc/" ^ docid in
+      let r =
+        Service.handle_query t
+          ~query:(if src then "" else "as=view")
+          ~meth:"GET" ~path ~body:""
+      in
+      let gen, doc =
+        match String.index_opt r.Bx_repo.Webui.body '\x1e' with
+        | Some i when r.Bx_repo.Webui.status = 200 ->
+            let body = r.Bx_repo.Webui.body in
+            ( int_of_string (String.sub body 0 i),
+              String.sub body (i + 1) (String.length body - i - 1) )
+        | _ -> (1, "")
+      in
+      let source = Bx_catalogue.Composers_string.synthetic_source n in
+      let target = if src then source else composers.Bx_strlens.Slens.get source in
+      let edit = Bx_strlens.Sdiff.diff doc target in
+      ( (if src then "/slens/composers/patch_source" else "/slens/composers/patch"),
+        String.concat "\x1e"
+          [
+            docid;
+            string_of_int (if stale then gen - 1 else gen);
+            Bx_strlens.Sdiff.encode edit;
+          ] )
+
+let write_path_trial ops =
+  let dir = fresh_dir "bxwritepath" in
+  let config = { (journal_config ~shards:3 dir) with compact_every = 3 } in
+  let t = service ~config () in
+  let next_seq t = (Service.replication_sink t).Replication.next_seq () in
+  let accepted = ref [] in
+  List.iter
+    (fun op ->
+      let path, body = write_request t op in
+      let gen0 = Service.generation t in
+      let digests0 = Service.shard_digests t in
+      let seq0 = next_seq t in
+      match (post t path body).Bx_repo.Webui.status with
+      | 200 ->
+          accepted := { Journal.seq = seq0; path; body } :: !accepted;
+          if next_seq t <> seq0 + 1 then
+            QCheck2.Test.fail_reportf "%s: journaled %d records"
+              (print_write_op op) (next_seq t - seq0)
+      | s when s >= 400 && s < 500 ->
+          if Service.generation t <> gen0 then
+            QCheck2.Test.fail_reportf "%s (%d) moved the generation"
+              (print_write_op op) s;
+          if Service.shard_digests t <> digests0 then
+            QCheck2.Test.fail_reportf "%s (%d) moved a digest"
+              (print_write_op op) s;
+          if next_seq t <> seq0 then
+            QCheck2.Test.fail_reportf "%s (%d) journaled a record"
+              (print_write_op op) s
+      | s -> QCheck2.Test.fail_reportf "%s: status %d" (print_write_op op) s)
+    ops;
+  let live = Service.shard_digests t in
+  Service.close t;
+  let booted = service ~config () in
+  let rebooted = Service.shard_digests booted in
+  Service.close booted;
+  if rebooted <> live then
+    QCheck2.Test.fail_reportf "a fresh boot's digests differ from the live ones";
+  let replica =
+    service
+      ~config:{ config with journal_dir = Some (fresh_dir "bxwritepathr"); replica = true }
+      ()
+  in
+  (* In stream-sized batches, as the follower would receive them. *)
+  let rec feed = function
+    | [] -> ()
+    | records ->
+        let batch = List.filteri (fun i _ -> i < 4) records in
+        (match (Service.replication_sink replica).Replication.apply batch with
+        | Ok () -> ()
+        | Error _ -> QCheck2.Test.fail_reportf "replica refused a batch");
+        feed (List.filteri (fun i _ -> i >= 4) records)
+  in
+  feed (List.rev !accepted);
+  let replicated = Service.shard_digests replica in
+  Service.close replica;
+  if replicated <> live then
+    QCheck2.Test.fail_reportf "the replica's digests differ from the primary's";
+  true
+
+let write_path_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:30
+         ~name:"every write path lands on the same digests"
+         ~print:(fun ops -> String.concat "; " (List.map print_write_op ops))
+         QCheck2.Gen.(list_size (10 -- 30) write_op_gen)
+         write_path_trial);
+  ]
+
 let () =
   Alcotest.run "integrity"
     [
@@ -497,4 +672,5 @@ let () =
       ("quarantine", quarantine_tests);
       ("scrub", scrub_tests);
       ("torture", torture_tests);
+      ("write path", write_path_tests);
     ]

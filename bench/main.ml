@@ -1099,9 +1099,8 @@ let p6_engine () =
 (* ------------------------------------------------------------------ *)
 (* P7: the zero-copy slice engine against the copying reference engine,
    end to end on the Composers lens.  Wall-clock per-run times for get
-   and put at several document sizes, plus the batched API's scaling
-   across domains.  Recorded in the --json-strlens dump
-   (BENCH_strlens.json in the repo). *)
+   and put at several document sizes.  Recorded in the --json-strlens
+   dump (BENCH_strlens.json in the repo). *)
 
 (* Words one run allocates on this domain: minor, promoted, and direct
    in the major heap. *)
@@ -1148,15 +1147,6 @@ let gc_words_per_run f =
       })
     (once ()) [ once (); once () ]
 
-type p7_batch = {
-  batch_docs : int;
-  batch_doc_lines : int;
-  batch_workers : int;
-  batch_seq_ns : float;
-  batch_par_ns : float;
-  batch_scaling : float;
-}
-
 (* A put row for an alignment variant the gated workloads never send:
    there, every view chunk equals its source chunk's view and is
    spliced; here chunks are re-put (every record edited, or positional
@@ -1171,14 +1161,13 @@ type p7_put_row = {
 
 type p7_summary = {
   rows7 : p7_row list;
-  batch7 : p7_batch;
   puts7 : p7_put_row list;
   lead7 : p7_row;
 }
 
 (* One get/put row of lens [l] against its copy [r] on the copying
    engine, over a [k]-record source and view. *)
-let p7_row ~k (l : Bx_strlens.Slens.t) (r : Bx_strlens.Slens_ref.t) src view =
+let p7_row ~k (l : Bx_strlens.Slens.t) (r : Bx_strlens_ref.Slens_ref.t) src view =
   let bytes = String.length src in
   (* The engines must agree before their times mean anything. *)
   assert (String.equal (l.get src) (r.get src));
@@ -1225,7 +1214,9 @@ let p7_strlens () =
   rule "P7: zero-copy slice engine vs copying engine (Composers end-to-end)";
   let open Bx_catalogue.Composers_string in
   let module S = Bx_strlens.Slens in
-  let module R = Bx_strlens.Slens_ref in
+  let module R = Bx_strlens_ref.Slens_ref in
+  let ref_lens = Bx_strlens_ref.Composers_ref.lens
+  and ref_line = Bx_strlens_ref.Composers_ref.line in
   let rows7 =
     List.map
       (fun k -> p7_row ~k lens ref_lens (csv_source_of_size k) (csv_view_of_size k))
@@ -1287,34 +1278,7 @@ let p7_strlens () =
         ("diff_lens", diff_lens, R.star_diff ~key:Fun.id ref_line, view);
       ]
   in
-  (* Size the fan-out to the machine: spawning domains a single-core
-     container cannot run in parallel only adds stop-the-world cost. *)
-  let batch_docs = 256 and batch_doc_lines = 200 in
-  let batch_workers = max 1 (min 4 (Domain.recommended_domain_count ())) in
-  let docs = List.init batch_docs (fun _ -> csv_source_of_size batch_doc_lines) in
-  let seq = time_per_run (fun () -> S.get_all ~workers:1 lens docs) in
-  let par = time_per_run (fun () -> S.get_all ~workers:batch_workers lens docs) in
-  let batch_scaling = seq /. par in
-  Fmt.pr
-    "batch get_all %d docs x %d lines: %8.1f us sequential %8.1f us on %d \
-     domain(s) (%.1fx; %d core(s) available)@."
-    batch_docs batch_doc_lines (seq *. 1e6) (par *. 1e6) batch_workers
-    batch_scaling
-    (Domain.recommended_domain_count ());
-  {
-    rows7;
-    puts7;
-    lead7;
-    batch7 =
-      {
-        batch_docs;
-        batch_doc_lines;
-        batch_workers;
-        batch_seq_ns = seq *. 1e9;
-        batch_par_ns = par *. 1e9;
-        batch_scaling;
-      };
-  }
+  { rows7; puts7; lead7 }
 
 (* ------------------------------------------------------------------ *)
 (* P11: the sharded registry at catalogue scale.  The claim under test
@@ -1706,7 +1670,7 @@ let write_strlens_json path ~p7 =
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "{\n";
   add "  \"suite\": \"bx strlens engine\",\n";
-  add "%s" (host_meta ~domains_used:p7.batch7.batch_workers);
+  add "%s" (host_meta ~domains_used:1);
   add "  \"baseline\": \"copying engine (Slens_ref)\",\n";
   add "  \"speedup_target\": 3.0,\n";
   add "  \"rows\": [\n";
@@ -1744,19 +1708,9 @@ let write_strlens_json path ~p7 =
   add
     "  \"separator_led_row\": { \"lines\": %d, \"bytes\": %d, \"prefix_free\": false, \
      \"sliced_get_ns\": %.1f, \"copying_get_ns\": %.1f, \"get_speedup\": %.2f, \
-     \"sliced_put_ns\": %.1f, \"copying_put_ns\": %.1f, \"put_speedup\": %.2f },\n"
+     \"sliced_put_ns\": %.1f, \"copying_put_ns\": %.1f, \"put_speedup\": %.2f }\n"
     r.p7_lines r.p7_bytes r.sliced_get_ns r.ref_get_ns r.get_speedup r.sliced_put_ns
     r.ref_put_ns r.put_speedup;
-  let b = p7.batch7 in
-  add "  \"batch_get_all\": {\n";
-  add "    \"documents\": %d,\n" b.batch_docs;
-  add "    \"lines_per_document\": %d,\n" b.batch_doc_lines;
-  add "    \"workers\": %d,\n" b.batch_workers;
-  add "    \"cores_available\": %d,\n" (Domain.recommended_domain_count ());
-  add "    \"sequential_ns\": %.1f,\n" b.batch_seq_ns;
-  add "    \"parallel_ns\": %.1f,\n" b.batch_par_ns;
-  add "    \"scaling\": %.2f\n" b.batch_scaling;
-  add "  }\n";
   add "}\n";
   Out_channel.with_open_text path (fun oc ->
       Out_channel.output_string oc (Buffer.contents buf))
@@ -1999,6 +1953,7 @@ type p13_summary = {
   p13_detected : int;
   p13_quarantined : int;
   p13_repaired_at_boot : int;
+  p13_refused_at_boot : int;
   p13_tax_rate : float;
   p13_tax_scrub_rate : int;
   p13_tax_off : p13_tax;
@@ -2015,7 +1970,7 @@ let p13_integrity ~entries () =
   Unix.mkdir dir 0o755;
   let lenses = [ ("composers", Bx_catalogue.Composers_string.lens) ] in
   let seed () = Bx_load.Corpus.seed_registry ~shards ~entries ~seed:1 () in
-  let create ?(scrub_rate = 0) () =
+  let boot ?(scrub_rate = 0) () =
     let config =
       {
         Bx_server.Service.default_config with
@@ -2025,7 +1980,10 @@ let p13_integrity ~entries () =
         scrub_rate;
       }
     in
-    match Bx_server.Service.create ~config ~lenses ~seed () with
+    Bx_server.Service.create ~config ~lenses ~seed ()
+  in
+  let create ?scrub_rate () =
+    match boot ?scrub_rate () with
     | Ok t -> t
     | Error e -> failwith ("P13 service: " ^ e)
   in
@@ -2261,6 +2219,7 @@ let p13_integrity ~entries () =
           In_channel.with_open_bin path (fun ic ->
               Bytes.of_string (In_channel.input_all ic))
         in
+        let original = Bytes.to_string bytes in
         let len = Bytes.length bytes in
         let byte = Random.State.int rng len in
         let bit = Random.State.int rng 8 in
@@ -2268,24 +2227,54 @@ let p13_integrity ~entries () =
           (Char.chr (Char.code (Bytes.get bytes byte) lxor (1 lsl bit)));
         Out_channel.with_open_bin path (fun oc ->
             Out_channel.output_bytes oc bytes);
-        (path, key, surface, len))
+        (path, key, surface, original))
       chosen
   in
   let injected = List.length victims in
   (* Boot recovers what it can (dirty journal tails truncate to the
      clean prefix, corrupt snapshot files are skipped and flagged); one
-     scrub pass must quarantine everything else.  A flip is detected
-     iff its file is quarantined or boot rewrote it. *)
-  let svc = create () in
+     scrub pass must quarantine everything else.  A flip inside a
+     segment header makes boot refuse the store with an error naming
+     the segment: that flip is detected ("refused at boot"), its file
+     gets its pre-flip bytes back, and boot runs again.  Any other boot
+     error fails the run.  A flip is detected iff boot refused it, its
+     file is quarantined, or boot rewrote it. *)
+  let mentions e path =
+    let n = String.length path in
+    let rec at i =
+      i + n <= String.length e && (String.sub e i n = path || at (i + 1))
+    in
+    at 0
+  in
+  let rec boot_after_refusals refused =
+    match boot () with
+    | Ok svc -> (svc, refused)
+    | Error e -> (
+        match
+          List.find_opt
+            (fun (path, _, _, _) ->
+              mentions e path && not (List.mem path refused))
+            victims
+        with
+        | None -> failwith ("P13 service: " ^ e)
+        | Some (path, _, _, original) ->
+            Out_channel.with_open_bin path (fun oc ->
+                Out_channel.output_string oc original);
+            boot_after_refusals (path :: refused))
+  in
+  let svc, refused_paths = boot_after_refusals [] in
   let _, _ = Bx_server.Service.scrub_once svc in
   let q = Bx_server.Service.quarantine svc in
+  let refused = List.length refused_paths in
   let quarantined, repaired =
     List.fold_left
-      (fun (quarantined, repaired) (path, key, _surface, pre_len) ->
+      (fun (quarantined, repaired) (path, key, _surface, original) ->
         let module Q = Bx_server.Integrity.Quarantine in
-        if Q.find q (Q.File key) <> None then (quarantined + 1, repaired)
+        if List.mem path refused_paths then (quarantined, repaired)
+        else if Q.find q (Q.File key) <> None then (quarantined + 1, repaired)
         else if
-          (not (Sys.file_exists path)) || file_size path <> pre_len
+          (not (Sys.file_exists path))
+          || file_size path <> String.length original
         then (quarantined, repaired + 1)
         else begin
           Fmt.pr "P13 UNDETECTED: flip of %s (key %s) survived@." path key;
@@ -2294,12 +2283,14 @@ let p13_integrity ~entries () =
       (0, 0) victims
   in
   Bx_server.Service.close svc;
-  let detected = quarantined + repaired in
+  let detected = quarantined + repaired + refused in
   Fmt.pr
     "inject: %d single-bit flips (%d journal, %d manifest, %d docstore, %d \
-     pages) — %d detected (%d quarantined, %d repaired at boot)%s@."
+     pages) — %d detected (%d quarantined, %d repaired at boot, %d refused \
+     at boot)%s@."
     injected (List.length journals) (List.length manifests)
     (List.length docs) (List.length pages) detected quarantined repaired
+    refused
     (if detected < injected then "  *** CORRUPTION MISSED ***" else "");
   {
     p13_entries = entries;
@@ -2314,6 +2305,7 @@ let p13_integrity ~entries () =
     p13_detected = detected;
     p13_quarantined = quarantined;
     p13_repaired_at_boot = repaired;
+    p13_refused_at_boot = refused;
     p13_tax_rate = tax_rate;
     p13_tax_scrub_rate = tax_scrub_rate;
     p13_tax_off = tax_off;
@@ -2343,6 +2335,7 @@ let write_integrity_json path s =
   add "    \"detected\": %d,\n" s.p13_detected;
   add "    \"quarantined\": %d,\n" s.p13_quarantined;
   add "    \"repaired_at_boot\": %d,\n" s.p13_repaired_at_boot;
+  add "    \"refused_at_boot\": %d,\n" s.p13_refused_at_boot;
   add "    \"detection_pct\": %.1f\n"
     (100.
     *. float_of_int s.p13_detected

@@ -36,8 +36,9 @@ let usage () =
      --shards N partitions the registry into N identifier-hashed shards,\n\
      each with its own lock, journal segment and snapshot; the count is\n\
      part of the on-disk layout, so reopen a journal directory with the\n\
-     same --shards (a legacy single-segment directory is migrated in\n\
-     place), and give replicas the same --shards as their primary.\n\
+     same --shards (a single-segment directory is laid out for 1; any\n\
+     other count is refused), and give replicas the same --shards as\n\
+     their primary.\n\
      --failpoints arms the fault-injection subsystem (site=ACTION;...)\n\
      and mounts the PUT /debug/failpoints admin route, as does setting\n\
      BXWIKI_FAILPOINTS in the environment.\n\

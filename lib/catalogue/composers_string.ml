@@ -45,20 +45,6 @@ let name_keyed_lens = Slens.star_key ~key:name_of_view_line line
 let diff_lens = Slens.star_diff ~key:Fun.id line
 let positional_lens = Slens.star line
 
-(* The same lens on the copying reference engine — the baseline the
-   benchmarks compare against and the oracle of the equivalence tests. *)
-let ref_line =
-  Slens_ref.concat_list
-    [
-      Slens_ref.copy word;
-      Slens_ref.copy comma;
-      Slens_ref.del (Regex.seq dates comma) ~default:"????-????, ";
-      Slens_ref.copy word;
-      Slens_ref.copy (Regex.chr '\n');
-    ]
-
-let ref_lens = Slens_ref.star_key ~key:Fun.id ref_line
-
 (* ------------------------------------------------------------------ *)
 (* Deterministic synthetic documents, shared by benchmarks and tests.
    [token i] is a letters-only word (the lens's types demand letters). *)

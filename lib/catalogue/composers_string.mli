@@ -9,6 +9,12 @@
     reordered — the behaviour state-based restoration cannot provide, and
     the reason the paper's Discussion says undoability fails there. *)
 
+val word : Bx_regex.Regex.t
+(** A name or nationality field: words over [A-Za-z ?]. *)
+
+val dates : Bx_regex.Regex.t
+(** A dates field, [dddd-dddd] with ['?'] for an unknown digit. *)
+
 val lens : Bx_strlens.Slens.t
 (** The dictionary lens.  Source type:
     [(name, dddd-dddd, nationality\n)*]; view type: [(name, nationality\n)*]
@@ -36,15 +42,6 @@ val positional_lens : Bx_strlens.Slens.t
 (** The same lens with {e positional} chunk alignment — the ablation
     showing what resourcefulness buys: under view reordering, dates stay
     at their positions instead of following their composers. *)
-
-val ref_line : Bx_strlens.Slens_ref.t
-(** One record's lens on the copying reference engine, for rebuilding
-    the other alignment variants there. *)
-
-val ref_lens : Bx_strlens.Slens_ref.t
-(** {!lens} rebuilt on the copying reference engine
-    ({!Bx_strlens.Slens_ref}): the baseline for the P7 benchmark series
-    and the oracle of the engine-equivalence tests. *)
 
 val token : int -> string
 (** A deterministic letters-only word for index [i] — the vocabulary of

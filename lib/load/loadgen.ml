@@ -217,6 +217,15 @@ let run_domain ~spec ~start ~offsets ~dseed () =
 (* ------------------------------------------------------------------ *)
 (* The run: schedule, fan out, merge, diff the server's lock counters *)
 
+let per_domain f xs =
+  let spawn x =
+    Domain.spawn (fun () ->
+        match f x with
+        | v -> Ok v
+        | exception e -> Error (Printexc.to_string e))
+  in
+  List.map Domain.join (List.map spawn xs)
+
 let run spec =
   if Array.length spec.targets = 0 then Error "no target entries"
   else if spec.domains < 1 then Error "need at least one client domain"
@@ -255,10 +264,9 @@ let run spec =
               before := scrape_locks ~port:spec.port)
         in
         (* A crashed client domain becomes an Error row, not an aborted
-           run — [Slens.parallel_map_results] keeps the other domains'
-           work. *)
+           run: the other domains' work is kept. *)
         let outcomes =
-          Bx_strlens.Slens.parallel_map_results ~workers:spec.domains
+          per_domain
             (fun (dseed, offsets) -> run_domain ~spec ~start ~offsets ~dseed ())
             slices
         in

@@ -57,6 +57,12 @@ type result = {
 val scrape_locks : port:int -> (lock_row list, string) Stdlib.result
 (** GET /metrics and parse the [bxwiki_lock_*] series. *)
 
+val per_domain : ('a -> 'b) -> 'a list -> ('b, string) Stdlib.result list
+(** [per_domain f slices] runs [f] on each slice in a domain of its own
+    and joins them all before returning, in slice order.  An exception
+    in one slice becomes that slice's [Error msg] row; the others run to
+    completion.  This is how {!run} fans its client domains. *)
+
 val run : spec -> (result, string) Stdlib.result
 (** Execute warmup then measurement against a live server.  [Error] only
     when the run cannot start (no targets, unreachable server, every

@@ -140,7 +140,6 @@ let cache_clear () =
 (* Running *)
 
 let size d = Array.length d.state_labels
-let regex_of_state d i = d.state_labels.(i)
 let states d = d.state_labels
 let transitions d i = d.class_trans.(i)
 let sink d = d.sink

@@ -31,9 +31,6 @@ val size : t -> int
 val initial : int
 (** The initial state index (always [0]). *)
 
-val regex_of_state : t -> int -> Regex.t
-(** The canonical derivative labelling a state (its residual language). *)
-
 val states : t -> Regex.t array
 (** All state labels, indexed by state. *)
 

@@ -153,7 +153,6 @@ let str s =
   go 0
 
 let concat_list rs = List.fold_right seq rs epsilon
-let alt_list = function [] -> empty | r :: rest -> List.fold_left alt r rest
 let rec repeat n r = if n <= 0 then epsilon else seq r (repeat (n - 1) r)
 
 (* ------------------------------------------------------------------ *)

@@ -56,7 +56,6 @@ val opt : t -> t
 (** Zero or one occurrence. *)
 
 val concat_list : t list -> t
-val alt_list : t list -> t
 val repeat : int -> t -> t
 (** Exactly [n] copies in sequence. *)
 

@@ -14,7 +14,6 @@ type replayed = {
   valid_bytes : int;
   torn : bool;
   crc_errors : int;
-  version : int;
 }
 
 let log_file dir = Filename.concat dir "journal.log"
@@ -117,8 +116,7 @@ let scan data start =
   let len = String.length data in
   let rec go acc off crc_errors =
     if off >= len then
-      { entries = List.rev acc; valid_bytes = off; torn = false; crc_errors;
-        version = 0 }
+      { entries = List.rev acc; valid_bytes = off; torn = false; crc_errors }
     else
       match parse_record_v2 data off with
       | Stdlib.Ok (r, next) -> go (r :: acc) next crc_errors
@@ -128,7 +126,6 @@ let scan data start =
             valid_bytes = off;
             torn = true;
             crc_errors = (crc_errors + match fault with `Corrupt -> 1 | `Torn -> 0);
-            version = 0;
           }
   in
   go [] start 0
@@ -136,13 +133,13 @@ let scan data start =
 let read ~dir =
   let file = log_file dir in
   let empty =
-    { entries = []; valid_bytes = 0; torn = false; crc_errors = 0; version = 2 }
+    { entries = []; valid_bytes = 0; torn = false; crc_errors = 0 }
   in
   if not (Sys.file_exists file) then Ok empty
   else
     try
       let data = Fsio.read_file file in
-      if is_v2 data then Ok { (scan data magic_len) with version = 2 }
+      if is_v2 data then Ok (scan data magic_len)
       else if String.length data <= magic_len then
         (* Too short to hold a record, whatever its bytes: what a crash
            before the header was stamped, or inside [rewind], leaves.

@@ -59,7 +59,6 @@ type replayed = {
   crc_errors : int;
       (** complete-looking records rejected by checksum — corruption,
           as opposed to a benign crash tail *)
-  version : int;  (** always 2, the only format read *)
 }
 
 val log_file : string -> string

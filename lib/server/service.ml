@@ -722,19 +722,7 @@ let create ?(config = default_config) ?(pages = []) ?(lenses = []) ~seed () =
                     (Integrity.Quarantine.File name)
                     ~surface:"snapshot" ~why)
                 recovery.corrupt;
-              if not recovery.migrated then Ok t
-              else
-                (* A legacy layout was absorbed: capture the rebuilt
-                   state into the segments, and only then delete the
-                   legacy files and stamp the directory — a crash before
-                   the stamp redoes the migration from the still-intact
-                   legacy state. *)
-                match checkpoint_locked t `All with
-                | Error e -> Error ("migration checkpoint: " ^ e)
-                | Ok _ -> (
-                    match Shardlog.seal_migration log with
-                    | Error e -> Error ("migration seal: " ^ e)
-                    | Ok () -> Ok t))))
+              Ok t)))
 
 (* ------------------------------------------------------------------ *)
 (* Request handling *)
@@ -901,10 +889,9 @@ let each_doc body f =
   if n > 0 then go 0
 
 (* [f out pos len] on every document of a batch, RS between outputs.
-   As in {!Bx_strlens.Slens.get_all}, each passes the
-   [slens.batch.worker] failpoint and runs even after one failed; the
-   first failure is re-raised at the end, after [counted] has the
-   number of documents. *)
+   Each passes the [slens.batch.worker] failpoint and runs even after
+   one failed; the first failure is re-raised at the end, after
+   [counted] has the number of documents. *)
 let run_batch ~counted out body f =
   let first = ref None and docs = ref 0 in
   each_doc body (fun pos len ->
@@ -1784,8 +1771,11 @@ let scrub_once ?(rate = 0.) ?(stop = fun () -> false) t =
   let seg_name = Shardlog.file_name ~shards in
   (try
      (* Journal segments: re-read every record, re-checking framing and
-        CRCs.  A dirty tail at rest is corruption (boot would truncate
-        it); mid-append torn reads are benign and not flagged. *)
+        CRCs.  Every append holds its shard's write lock, so under the
+        read lock the segment is at rest, and a torn tail there is
+        corruption (boot would truncate it).  A damaged header on a
+        record-less segment reads as an empty torn log, and is flagged
+        the same way. *)
      (match (t.log, t.config.journal_dir) with
      | Some log, Some dir ->
          for k = 0 to shards - 1 do
@@ -1802,6 +1792,11 @@ let scrub_once ?(rate = 0.) ?(stop = fun () -> false) t =
                      found key ~surface:"journal"
                        (Printf.sprintf "%d record(s) failed CRC"
                           r.Journal.crc_errors)
+                   else if r.Journal.torn then
+                     found key ~surface:"journal"
+                       (Printf.sprintf
+                          "torn tail at rest: bytes past offset %d do not parse"
+                          r.Journal.valid_bytes)
                    else Q.clear t.quarantine key)
          done
      | _ -> ());

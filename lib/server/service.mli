@@ -32,8 +32,9 @@ type config = {
           compactions of) different shards never serialise against each
           other.  The shard count is part of the on-disk layout: opening
           an existing journal directory with a different count is an
-          error, except that a legacy single-segment directory opened
-          with [shards > 1] is migrated in place *)
+          error that leaves the directory untouched, and an unstamped
+          directory with a top-level [journal.log] or [snapshot/] counts
+          as laid out for 1 *)
   cache_shards : int;
       (** rendered-page cache shards; set to the worker-domain count so
           domains never contend on a cache mutex (default 4) *)
@@ -150,8 +151,9 @@ val handle :
     - [get_batch]: body is RS-separated sources, answered in order;
     - [put_batch]: RS-separated records of [view US source] (US = 0x1f).
     Batch operations run in order on the worker domain that received
-    the request ({!Bx_strlens.Slens.get_all}/[put_all] at width 1); no
-    request spawns a domain.  Fanning out loses: every OCaml 5 minor
+    the request, each document passing the [slens.batch.worker]
+    failpoint; no request spawns a domain, so lens concurrency comes
+    from the HTTP worker pool alone.  Fanning out loses: every OCaml 5 minor
     collection stops all domains and a domain costs ~0.67 ms to spawn
     and join.  On two cores, eight ~20 kB Composers documents took about
     5 ms (get) / 16 ms (put) inline and 7 / 20 ms over four domains.  One

@@ -18,7 +18,6 @@ type recovery = {
   replay : Journal.record list;
   torn : bool;
   crc_errors : int;
-  migrated : bool;
   corrupt : (int * string * string) list;
       (* (shard, file, named error): cold files that failed checksum
          verification at boot and were excluded from the load — the
@@ -82,9 +81,9 @@ let sealed_pages seg_dir corrupt =
   | Ok pages -> pages
   | Error _ -> []
 
-(* A legacy (pre-sharding) directory is one that has served as a plain
-   single-segment journal: its log or snapshot exists at the top level. *)
-let legacy_present dir =
+(* An unstamped directory whose log or snapshot sits at the top level
+   has served as a single segment: it is laid out for one shard. *)
+let one_shard_layout dir =
   Sys.file_exists (Journal.log_file dir)
   || Sys.file_exists (Journal.snapshot_dir dir)
 
@@ -163,124 +162,74 @@ let merge_sorted replays =
     (fun (a : Journal.record) (b : Journal.record) -> compare a.seq b.seq)
     (List.concat replays)
 
-let open_segments ~dir ~shards ~migrated ~legacy =
+let open_segments ~dir ~shards =
   let rec go k acc =
     if k = shards then Ok (List.rev acc)
     else
       match open_segment (segment_dir ~dir ~shards k) with
-      | Error e -> Error e
+      | Error e ->
+          List.iter (fun s -> Journal.close s.seg_j) acc;
+          Error e
       | Ok seg -> go (k + 1) (seg :: acc)
   in
   match go 0 [] with
   | Error e -> Error e
   | Ok segs ->
-      let js = Array.of_list (List.map (fun s -> s.seg_j) segs) in
-      let pages = List.concat_map (fun s -> s.seg_pages) segs in
-      let complete = List.for_all (fun s -> s.seg_sealed) segs in
-      let replay = merge_sorted (List.map (fun s -> s.seg_replay) segs) in
-      let torn = List.exists (fun s -> s.seg_torn) segs in
-      let crc_errors =
-        List.fold_left (fun acc s -> acc + s.seg_crc_errors) 0 segs
-      in
       let max_seq = List.fold_left (fun acc s -> max acc s.seg_max) 0 segs in
-      let corrupt =
-        List.concat
-          (List.mapi
-             (fun k s ->
-               List.map (fun (file, why) -> (k, file, why)) s.seg_corrupt)
-             segs)
-      in
-      let legacy_pages, legacy_replay, legacy_complete, next =
-        match legacy with
-        | None -> ([], [], true, max_seq + 1)
-        | Some (p, r, c, n) -> (p, r, c, max n (max_seq + 1))
-      in
       let t =
         {
           dir;
           shards;
           seg_dirs = Array.init shards (fun k -> segment_dir ~dir ~shards k);
-          segments = js;
+          segments = Array.of_list (List.map (fun s -> s.seg_j) segs);
           mu = Mutex.create ();
-          next;
+          next = max_seq + 1;
         }
       in
       Ok
         ( t,
           {
-            pages = legacy_pages @ pages;
-            complete = complete && legacy_complete;
-            replay = merge_sorted [ legacy_replay; replay ];
-            torn;
-            crc_errors;
-            migrated;
-            corrupt;
+            pages = List.concat_map (fun s -> s.seg_pages) segs;
+            complete = List.for_all (fun s -> s.seg_sealed) segs;
+            replay = merge_sorted (List.map (fun s -> s.seg_replay) segs);
+            torn = List.exists (fun s -> s.seg_torn) segs;
+            crc_errors =
+              List.fold_left (fun acc s -> acc + s.seg_crc_errors) 0 segs;
+            corrupt =
+              List.concat
+                (List.mapi
+                   (fun k s ->
+                     List.map (fun (file, why) -> (k, file, why)) s.seg_corrupt)
+                   segs);
           } )
 
+(* A shard count that disagrees with the directory's layout is refused
+   before a byte of it is touched: re-sharding, including out of the
+   one-shard layout, is an explicit export/import. *)
 let open_ ~dir ~shards =
+  let mismatch n =
+    Error
+      (Printf.sprintf
+         "journal directory %s is laid out for %d shards, not %d; pass \
+          --shards %d (re-sharding requires an explicit export/import)"
+         dir n shards n)
+  in
   if shards < 1 then Error "shards must be >= 1"
   else
     Fsio.guard (fun () ->
       Fsio.ensure_dir dir;
       match read_stamp dir with
-      | Some n when n <> shards ->
-          Error
-            (Printf.sprintf
-               "journal directory %s is laid out for %d shards, not %d; pass \
-                --shards %d (re-sharding requires an explicit export/import)"
-               dir n shards n)
+      | Some n when n <> shards -> mismatch n
       | Some _ ->
           finish_install ~dir ~shards;
-          open_segments ~dir ~shards ~migrated:false ~legacy:None
-      | None when shards = 1 ->
-          open_segments ~dir ~shards ~migrated:false ~legacy:None
-      | None when not (legacy_present dir) ->
+          open_segments ~dir ~shards
+      | None when shards > 1 && one_shard_layout dir -> mismatch 1
+      | None ->
           (* Fresh directory: stamp it and lay out empty segments.  A
              crash right after the stamp is just a stamped empty
              layout. *)
-          write_stamp dir shards;
-          open_segments ~dir ~shards ~migrated:false ~legacy:None
-      | None -> (
-          (* Absorb a legacy single-segment layout.  The legacy files
-             stay authoritative (and untouched) until [seal_migration]
-             writes the stamp, so a crash anywhere in between redoes
-             this from scratch — including wiping any half-built
-             segments. *)
-          Journal.recover_snapshot ~dir;
-          let sealed, floor, lcorrupt = verify_snapshot dir in
-          match Journal.read ~dir with
-          | Error e -> Error ("journal read: " ^ e)
-          | Ok { Journal.entries; torn; crc_errors; _ } ->
-              let pages = if sealed then sealed_pages dir lcorrupt else [] in
-              let replay =
-                List.filter (fun (r : Journal.record) -> r.seq > floor) entries
-              in
-              let max_seq =
-                List.fold_left
-                  (fun acc (r : Journal.record) -> max acc r.seq)
-                  floor entries
-              in
-              for k = 0 to shards - 1 do
-                Fsio.remove_tree (segment_dir ~dir ~shards k)
-              done;
-              let lt = (torn, crc_errors) in
-              (match
-                 open_segments ~dir ~shards ~migrated:true
-                   ~legacy:(Some (pages, replay, sealed, max_seq + 1))
-               with
-              | Error e -> Error e
-              | Ok (t, recovery) ->
-                  let torn0, crc0 = lt in
-                  Ok
-                    ( t,
-                      {
-                        recovery with
-                        torn = recovery.torn || torn0;
-                        crc_errors = recovery.crc_errors + crc0;
-                        corrupt =
-                          List.map (fun (f, w) -> (0, f, w)) lcorrupt
-                          @ recovery.corrupt;
-                      } ))))
+          if shards > 1 then write_stamp dir shards;
+          open_segments ~dir ~shards)
 
 let next_seq t =
   Mutex.lock t.mu;
@@ -343,15 +292,6 @@ let checkpoint_all t ~save =
       | Ok n -> go (k + 1) (files + n)
   in
   go 0 0
-
-let seal_migration t =
-  Fsio.guard (fun () ->
-      Fsio.remove_tree (Journal.log_file t.dir);
-      Fsio.remove_tree (Journal.snapshot_dir t.dir);
-      Fsio.remove_tree (Journal.snapshot_dir t.dir ^ ".tmp");
-      Fsio.remove_tree (Journal.snapshot_dir t.dir ^ ".old");
-      write_stamp t.dir t.shards;
-      Ok ())
 
 (* Targeted anti-entropy repair ships and installs one shard's snapshot
    without touching the others.  Its names are uniformly prefixed

@@ -3,7 +3,7 @@
 
     Layout under the journal directory [dir]:
     - 1 shard: the segment {e is} [dir] itself — bit-compatible with the
-      plain {!Journal} layout (and with every pre-sharding on-disk state);
+      plain {!Journal} layout;
     - N > 1 shards: [dir/SHARDS] stamps the shard count, and segment [k]
       lives under [dir/shard-00k/] with its own [journal.log] and
       [snapshot/].  The replication epoch stays at the top level.
@@ -26,16 +26,13 @@
     must re-bootstrap is the {e maximum} over segment manifests
     ({!floor}).
 
-    {b Migration.}  Opening a legacy single-segment directory with
-    [shards > 1] absorbs it: the old snapshot pages and records are
-    returned for the caller to replay, and {!seal_migration} (called
-    after the caller has checkpointed the rebuilt state into the
-    segments) deletes the legacy files and writes the [SHARDS] stamp.
-    Until the stamp exists the legacy files remain authoritative, so a
-    crash anywhere mid-migration simply redoes it.  Opening a stamped
-    directory with a different shard count is an error — re-sharding an
-    existing catalogue is an explicit operation, not a boot flag
-    surprise. *)
+    {b Layout is fixed at creation.}  An unstamped directory whose
+    [journal.log] or [snapshot/] sits at the top level is the 1-shard
+    layout.  Opening a directory with a shard count other than the one it
+    is laid out for — stamped, or 1-shard opened with [shards > 1] — is
+    refused with an error naming the directory and the count to pass,
+    and no byte of the directory is touched: re-sharding an existing
+    catalogue is an explicit export/import, not a boot flag surprise. *)
 
 type t
 
@@ -50,9 +47,6 @@ type recovery = {
           sorted by global sequence number *)
   torn : bool;  (** at least one segment had a truncated tail *)
   crc_errors : int;  (** summed over segments *)
-  migrated : bool;
-      (** a legacy layout was absorbed: the caller must replay, then
-          {!checkpoint_all}, then {!seal_migration} *)
   corrupt : (int * string * string) list;
       (** (shard, file, named error): cold files that failed checksum
           verification against the snapshot's [DIGESTS] (or a damaged
@@ -72,9 +66,10 @@ val file_name : shards:int -> int -> string -> string
     names and the quarantine's file keys. *)
 
 val open_ : dir:string -> shards:int -> (t * recovery, string) result
-(** Open (creating and, if needed, migrating) the segmented journal.
-    Torn tails are truncated per segment; an unfinished snapshot install
-    is rolled forward. *)
+(** Open (creating if needed) the segmented journal.  Torn tails are
+    truncated per segment; an unfinished snapshot install is rolled
+    forward.  A shard count the directory is not laid out for is an
+    [Error] that leaves the directory untouched. *)
 
 val shards : t -> int
 val next_seq : t -> int
@@ -126,11 +121,6 @@ val checkpoint_all :
     [save k ~dir] dumps shard [k].  After this, {!snapshot_files} ships
     a consistent catalogue.  The caller holds all write locks.  Returns
     total files written. *)
-
-val seal_migration : t -> (unit, string) result
-(** Finish absorbing a legacy layout: delete the legacy log and
-    snapshot, then write the [SHARDS] stamp.  Call only after
-    {!checkpoint_all} has captured the migrated state. *)
 
 val snapshot_dir : t -> int -> string
 (** Segment [k]'s sealed snapshot directory.  Shard 0's also holds the

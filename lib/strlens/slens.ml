@@ -827,77 +827,6 @@ let separated ~sep l =
   union (copy Regex.epsilon) (concat l (star (concat sep l)))
 
 (* ------------------------------------------------------------------ *)
-(* Batched execution: fan a list of independent documents across
-   domains.  Work is claimed from a shared atomic counter, so uneven
-   document sizes balance themselves; each domain reuses its own
-   execution context for its whole share. *)
-
-(* The shared core: run [f] over every item, never losing a sibling's
-   result to one item's exception.  Each item's outcome is recorded
-   individually, every domain drains normally, and the caller decides
-   what a failure means — the batched lens API re-raises the first one
-   (one ill-typed document fails the whole batch), while callers that
-   fan long-lived loops across domains (the load generator's client
-   domains) keep the survivors and report the crash per item. *)
-let parallel_map_outcomes ~workers f xs =
-  let arr = Array.of_list xs in
-  let n = Array.length arr in
-  let w = max 1 (min workers n) in
-  let out = Array.make n None in
-  let run i =
-    match
-      Bx_fault.Fault.point "slens.batch.worker";
-      f arr.(i)
-    with
-    | result -> out.(i) <- Some (Ok result)
-    | exception exn ->
-        out.(i) <- Some (Error (exn, Printexc.get_raw_backtrace ()))
-  in
-  if w = 1 then
-    for i = 0 to n - 1 do
-      run i
-    done
-  else begin
-    let next = Atomic.make 0 in
-    let worker () =
-      let rec go () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          run i;
-          go ()
-        end
-      in
-      go ()
-    in
-    let helpers = List.init (w - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    List.iter Domain.join helpers
-  end;
-  Array.to_list
-    (Array.map (function Some r -> r | None -> assert false) out)
-
-let parallel_map ~workers f xs =
-  List.map
-    (function
-      | Ok r -> r
-      | Error (exn, bt) -> Printexc.raise_with_backtrace exn bt)
-    (parallel_map_outcomes ~workers f xs)
-
-let parallel_map_results ~workers f xs =
-  List.map
-    (function
-      | Ok r -> Ok r
-      | Error (exn, _) -> Error (Printexc.to_string exn))
-    (parallel_map_outcomes ~workers f xs)
-
-let get_all ?(workers = 1) l sources = parallel_map ~workers l.get sources
-
-let put_all ?(workers = 1) l pairs =
-  parallel_map ~workers (fun (v, s) -> l.put v s) pairs
-
-let create_all ?(workers = 1) l views = parallel_map ~workers l.create views
-
-(* ------------------------------------------------------------------ *)
 (* Inspection and checking *)
 
 let in_source l s = Regex.matches l.stype s

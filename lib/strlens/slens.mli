@@ -169,41 +169,6 @@ val permute : order:int list -> t list -> t
     {!Type_error} if [order] is not a permutation of [0 .. length-1], or
     on ambiguous concatenations on either side. *)
 
-(** {1 Batched execution} *)
-
-val get_all : ?workers:int -> t -> string list -> string list
-(** [get_all ~workers l sources] maps [l.get] over independent documents,
-    fanning the work across [workers] domains (default [1] = sequential).
-    Documents are claimed from a shared counter, so uneven sizes balance;
-    order is preserved.  Each domain reuses its own execution context. *)
-
-val put_all : ?workers:int -> t -> (string * string) list -> string list
-(** [put_all ~workers l pairs] maps [l.put view source] over [(view,
-    source)] pairs, in parallel like {!get_all}. *)
-
-val create_all : ?workers:int -> t -> string list -> string list
-(** [create_all ~workers l views] maps [l.create] in parallel. *)
-
-val parallel_map : workers:int -> ('a -> 'b) -> 'a list -> 'b list
-(** The domain fan-out underneath {!get_all}: items are claimed from a
-    shared counter by [workers] domains, order is preserved, and every
-    domain is joined before the call returns.  If any item's function
-    raised, the exception of the {e first such item in list order} is
-    re-raised (with its backtrace) after the whole batch has drained —
-    so one bad document fails the batch deterministically without
-    leaving domains running. *)
-
-val parallel_map_results :
-  workers:int -> ('a -> 'b) -> 'a list -> ('b, string) result list
-(** The domain fan-out underneath {!get_all} with per-item failure
-    accounting instead of fail-the-batch semantics: each item's outcome
-    is returned in order, an exception in one item becoming [Error msg]
-    for that item while every sibling still runs to completion and every
-    domain is joined.  This is what callers fanning whole client loops
-    across domains want — the load generator reports a crashed client
-    domain in its run summary instead of aborting the run.  The
-    [slens.batch.worker] failpoint fires once per item here too. *)
-
 (** {1 Engine statistics} *)
 
 type stats = {

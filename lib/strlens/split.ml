@@ -4,10 +4,6 @@ exception Split_error of string
 
 let split_error fmt = Format.kasprintf (fun m -> raise (Split_error m)) fmt
 
-let rev_string s =
-  let n = String.length s in
-  String.init n (fun i -> s.[n - 1 - i])
-
 (* ------------------------------------------------------------------ *)
 (* The workspace: the suffix-mark scratch of the non-prefix-free star
    chunker (one byte per position, allocated on first use, grown
@@ -131,27 +127,6 @@ let descend parts s pos len =
   bounds.(Array.length parts) <- stop;
   if multi_parse parts bounds s stop 0 pos then bounds else [||]
 
-type concat_pos = ws -> string -> int -> int -> int
-
-let make_concat_pos r1 r2 : concat_pos =
-  let parts = parts_of [| r1; r2 |] in
-  fun ws s pos len ->
-    ws.n_splits <- ws.n_splits + 1;
-    let bounds = descend parts s pos len in
-    if Array.length bounds = 0 then
-      split_error "no split of %S against %a . %a" (sub_for_error s pos len)
-        Regex.pp r1 Regex.pp r2;
-    bounds.(1)
-
-type concat_splitter = string -> string * string
-
-let make_concat_splitter r1 r2 : concat_splitter =
-  let split = make_concat_pos r1 r2 in
-  fun s ->
-    let n = String.length s in
-    let i = split (make_ws ()) s 0 n in
-    (String.sub s 0 i, String.sub s i (n - i))
-
 type multi_bounds = ws -> string -> int -> int -> int array
 
 let make_multi_bounds regexes : multi_bounds =
@@ -209,7 +184,7 @@ type star_bounds = ws -> string -> int -> int -> int array
 
 let make_star_bounds r : star_bounds =
   if Regex.nullable r then
-    invalid_arg "make_star_splitter: body accepts the empty string";
+    invalid_arg "make_star_bounds: body accepts the empty string";
   let d = Dfa.compile r in
   let table = Dfa.raw_table d in
   let accept = Dfa.raw_accept d in
@@ -260,13 +235,3 @@ let make_star_bounds r : star_bounds =
       done;
       Array.sub !bounds 0 !nb
     end
-
-type star_splitter = string -> string list
-
-let make_star_splitter r : star_splitter =
-  let bounds = make_star_bounds r in
-  fun s ->
-    let bs = bounds (make_ws ()) s 0 (String.length s) in
-    List.init
-      (Array.length bs - 1)
-      (fun i -> String.sub s bs.(i) (bs.(i + 1) - bs.(i)))

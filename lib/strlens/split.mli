@@ -6,13 +6,12 @@
     of {!Bx_regex.Ambig} have been established; if an input nevertheless
     splits zero or several ways, {!Split_error} is raised.
 
-    The engine is {e zero-copy}: the position-returning entry points
-    ({!make_concat_pos}, {!make_star_bounds}, {!make_multi_bounds}) work on
-    [(string, pos, len)] slices and return split {e offsets}, never
-    substrings.  Because the unambiguity side conditions are established
-    statically, a well-typed slice has exactly one decomposition, and
-    the splitters use {e first-match} parsing at about one DFA table
-    step per byte:
+    The engine is {e zero-copy}: the splitters ({!make_star_bounds},
+    {!make_multi_bounds}) work on [(string, pos, len)] slices and return
+    split {e offsets}, never substrings.  Because the unambiguity side
+    conditions are established statically, a well-typed slice has
+    exactly one decomposition, and the splitters use {e first-match}
+    parsing at about one DFA table step per byte:
     - A concatenation chain is split by a backtracking descent.  Each
       part scans forward with its DFA and treats a position as a
       candidate boundary only where it accepts and the next byte can
@@ -29,15 +28,10 @@
       its first accepting position whose suffix is still in the star.
       Either way the chunk scan decides membership in the star exactly.
 
-    The string-returning splitters ({!make_concat_splitter},
-    {!make_star_splitter}) are thin compatibility wrappers over the
-    slice engine that make a fresh workspace per call, so one splitter
-    may be called from several domains at once. *)
+    A splitter holds no mutable state of its own, so one splitter may be
+    called from several domains at once, each with its own {!ws}. *)
 
 exception Split_error of string
-
-val rev_string : string -> string
-(** Reverse a string (exposed for tests). *)
 
 (** {1 Workspace} *)
 
@@ -63,15 +57,7 @@ val chunk_counts : ws -> chunk_counts
 val reset_splits : ws -> unit
 (** Zero the split counter and the chunk counts. *)
 
-(** {1 Slice splitters (zero-copy)} *)
-
-type concat_pos = ws -> string -> int -> int -> int
-(** [split ws s pos len] returns the absolute offset of the unique
-    boundary of [s[pos .. pos+len)] against [r1 . r2]. *)
-
-val make_concat_pos : Bx_regex.Regex.t -> Bx_regex.Regex.t -> concat_pos
-(** Build a boundary finder for the (unambiguous) concatenation
-    [r1 . r2]: the two-part case of {!make_multi_bounds}. *)
+(** {1 Splitters} *)
 
 type star_bounds = ws -> string -> int -> int -> int array
 (** [bounds ws s pos len] returns the chunk boundaries of
@@ -92,17 +78,3 @@ val make_multi_bounds : Bx_regex.Regex.t list -> multi_bounds
 (** Build a k-way splitter for an (unambiguous) concatenation chain:
     one backtracking descent over the parts' DFAs, guarded by each
     part's follow bytes, with no intermediate strings at all. *)
-
-(** {1 String splitters (compatibility wrappers)} *)
-
-type concat_splitter = string -> string * string
-(** Split a string of [L(r1)·L(r2)] into its unique [r1]-prefix and
-    [r2]-suffix. *)
-
-val make_concat_splitter : Bx_regex.Regex.t -> Bx_regex.Regex.t -> concat_splitter
-
-type star_splitter = string -> string list
-(** Split a string of the iteration of [r] into its unique sequence of
-    [r]-chunks. *)
-
-val make_star_splitter : Bx_regex.Regex.t -> star_splitter

@@ -3,8 +3,8 @@
    substrings it works on and concatenates its children's results.
    The QCheck equivalence suite asserts that the zero-copy engine in
    [Slens] computes exactly the same functions, and the P7 benchmark
-   series measures the sliced engine against this one.  Not exported
-   for application use. *)
+   series measures the sliced engine against this one.  Only the tests
+   and the bench link it. *)
 
 open Bx_regex
 
@@ -19,7 +19,7 @@ let type_error fmt = Format.kasprintf (fun m -> raise (Type_error m)) fmt
    baseline must not. *)
 
 let split_error fmt =
-  Format.kasprintf (fun m -> raise (Split.Split_error m)) fmt
+  Format.kasprintf (fun m -> raise (Bx_strlens.Split.Split_error m)) fmt
 
 let rev_string s =
   let n = String.length s in

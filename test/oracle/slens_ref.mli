@@ -1,9 +1,10 @@
 (** The pre-slice {e copying} string-lens engine, kept as a reference
-    implementation.  Same combinators and side conditions as {!Slens},
-    but execution materialises every intermediate substring.  It exists
-    for two purposes: the property suite checks the zero-copy engine
-    extensionally equal to this one, and the benchmarks measure the
-    speedup against it.  Applications should use {!Slens}. *)
+    implementation.  Same combinators and side conditions as
+    {!Bx_strlens.Slens}, but execution materialises every intermediate
+    substring.  It exists for two purposes: the property suite checks
+    the zero-copy engine extensionally equal to this one, and the
+    benchmarks measure the speedup against it.  Only the tests and the
+    bench link this library; applications use {!Bx_strlens.Slens}. *)
 
 exception Type_error of string
 

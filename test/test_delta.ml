@@ -14,7 +14,7 @@
 open Bx_regex
 open Bx_strlens
 module S = Slens
-module R = Slens_ref
+module R = Bx_strlens_ref.Slens_ref
 module D = Slens_delta
 
 (* ------------------------------------------------------------------ *)

@@ -173,7 +173,6 @@ let journal_tests =
             check Alcotest.int "seq 2" 2
               (append_exn j ~path:"/b" ~body:"two\nlines"));
         let r = read_exn dir in
-        check Alcotest.int "version" 2 r.Journal.version;
         check Alcotest.bool "not torn" false r.Journal.torn;
         check Alcotest.int "no crc errors" 0 r.Journal.crc_errors;
         check (Alcotest.list entry) "entries"
@@ -233,7 +232,6 @@ let journal_tests =
         close_out (open_out_bin (Journal.log_file dir));
         check Alcotest.int "zero bytes" 0 (log_size dir);
         let r = read_exn dir in
-        check Alcotest.int "reads as v2" 2 r.Journal.version;
         check Alcotest.bool "not torn" false r.Journal.torn;
         with_log dir (fun j -> ignore (append_exn j ~path:"/a" ~body:"one"));
         let r = read_exn dir in
@@ -611,20 +609,6 @@ let service_tests =
              (post t page_path page).Bx_repo.Webui.status;
            check Alcotest.int "healed POST" 200
              (post t page_path page).Bx_repo.Webui.status));
-    tc "slens batch workers propagate injection without leaking domains"
-      (isolated (fun () ->
-           let lens = Bx_catalogue.Composers_string.lens in
-           let sources =
-             List.init 6 Bx_catalogue.Composers_string.synthetic_source
-           in
-           Fault.set "slens.batch.worker" (Fault.Times (1, Fault.Error "injected"));
-           (match Bx_strlens.Slens.get_all ~workers:3 lens sources with
-           | _ -> Alcotest.fail "expected Injected"
-           | exception Fault.Injected _ -> ());
-           (* The table healed; the same fan-out now succeeds, which also
-              means every helper domain from the failed run was joined. *)
-           check Alcotest.int "batch answers after healing" 6
-             (List.length (Bx_strlens.Slens.get_all ~workers:3 lens sources))));
     tc "failpoint admin route configures, reports and clears"
       (isolated (fun () ->
            let config =

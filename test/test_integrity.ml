@@ -365,6 +365,44 @@ let scrub_tests =
         check Alcotest.bool "quarantined" true
           (Option.is_some (Q.find (Service.quarantine t) (Q.File "journal.log")));
         Service.close t);
+    tc "a torn journal tail at rest is a finding, on a full or empty segment"
+      (fun () ->
+        let rewrite file f =
+          let data = Bx_repo.Fsio.read_file file in
+          let oc = open_out_bin file in
+          output_string oc (f data);
+          close_out oc
+        in
+        let flagged t =
+          let _, findings = Service.scrub_once t in
+          List.map fst findings
+        in
+        (* Records, then half a record: what a crash mid-append leaves,
+           but found while the segment is at rest. *)
+        let dir = fresh_dir "bxscrubtorn" in
+        let t = service ~config:(journal_config dir) () in
+        let path = List.hd (wiki_paths t) in
+        let page = (get t (path ^ ".wiki")).Bx_repo.Webui.body in
+        check Alcotest.int "edit" 200
+          (post t path (inject page "Tail probe.")).Bx_repo.Webui.status;
+        rewrite (Journal.log_file dir) (fun data -> data ^ "\x00\x00\x00\x40oops");
+        check
+          Alcotest.(list string)
+          "the torn segment is flagged" [ "file journal.log" ] (flagged t);
+        Service.close t;
+        (* A record-less segment is its 12-byte header alone; a damaged
+           one reads as an empty torn log. *)
+        let dir = fresh_dir "bxscrubempty" in
+        let t = service ~config:(journal_config dir) () in
+        let log = Journal.log_file dir in
+        check Alcotest.int "header only" 12
+          (String.length (Bx_repo.Fsio.read_file log));
+        rewrite log (fun data ->
+            String.mapi (fun i c -> if i = 3 then Char.chr (Char.code c lxor 1) else c) data);
+        check
+          Alcotest.(list string)
+          "the damaged empty segment is flagged" [ "file journal.log" ] (flagged t);
+        Service.close t);
   ]
 
 (* ------------------------------------------------------------------ *)

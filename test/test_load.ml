@@ -1,6 +1,6 @@
 (* The load subsystem (bx_load): histogram quantiles against exact
    sorted-array quantiles, merge laws, open-loop schedules, the
-   generated corpus, per-domain failure accounting in parallel_map,
+   generated corpus, failure accounting of the client domains,
    response-cache sharding, and one in-process end-to-end loadgen run
    against a live socket server. *)
 
@@ -194,16 +194,16 @@ let corpus_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* parallel_map failure accounting (the loadgen client domains ride on
-   this: one crashed domain must not abort the others) *)
+(* Client-domain failure accounting: one crashed domain must not abort
+   the others *)
 
 exception Boom of int
 
 let parallel_tests =
   [
-    tc "parallel_map_results isolates per-item failures" (fun () ->
+    tc "one crashed domain leaves the others' rows" (fun () ->
         let out =
-          Bx_strlens.Slens.parallel_map_results ~workers:4
+          Loadgen.per_domain
             (fun i -> if i mod 3 = 0 then raise (Boom i) else i * 10)
             [ 1; 2; 3; 4; 5; 6 ]
         in
@@ -221,24 +221,30 @@ let parallel_tests =
             | Ok _ -> Alcotest.failf "item %d should have failed" i
             | Error e -> Alcotest.failf "item %d failed: %s" i e)
           out);
-    tc "parallel_map re-raises the first failure in item order" (fun () ->
-        match
-          Bx_strlens.Slens.parallel_map ~workers:4
-            (fun i -> if i >= 3 then raise (Boom i) else i)
-            [ 1; 2; 3; 4; 5 ]
-        with
-        | _ -> Alcotest.fail "expected Boom"
-        | exception Boom i -> check Alcotest.int "first in order" 3 i);
-    tc "workers=1 still reports outcomes" (fun () ->
-        let out =
-          Bx_strlens.Slens.parallel_map_results ~workers:1
-            (fun i -> if i = 2 then failwith "two" else i)
-            [ 1; 2; 3 ]
-        in
-        check Alcotest.int "three outcomes" 3 (List.length out);
+    tc "each failure stays on its own slice's row" (fun () ->
+        check
+          Alcotest.(list (result int string))
+          "rows in slice order"
+          [
+            Ok 1;
+            Ok 2;
+            Error (Printexc.to_string (Boom 3));
+            Error (Printexc.to_string (Boom 4));
+            Error (Printexc.to_string (Boom 5));
+          ]
+          (Loadgen.per_domain
+             (fun i -> if i >= 3 then raise (Boom i) else i)
+             [ 1; 2; 3; 4; 5 ]));
+    tc "a lone slice still reports its outcome" (fun () ->
         Alcotest.(check bool)
-          "middle failed" true
-          (match out with [ Ok 1; Error _; Ok 3 ] -> true | _ -> false));
+          "failed" true
+          (match Loadgen.per_domain (fun _ -> failwith "two") [ 2 ] with
+          | [ Error _ ] -> true
+          | _ -> false);
+        check
+          Alcotest.(list (result int string))
+          "succeeded" [ Ok 3 ]
+          (Loadgen.per_domain Fun.id [ 3 ]));
   ]
 
 (* ------------------------------------------------------------------ *)

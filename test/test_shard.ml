@@ -1,7 +1,7 @@
 (* The sharded registry: extensional N-shard ≡ 1-shard equivalence
    (QCheck over random workflow interleavings), index-vs-scan search
    equivalence against a naive oracle, pagination, per-shard response
-   cache invalidation, the segmented Shardlog (stamp, migration,
+   cache invalidation, the segmented Shardlog (stamp, refused re-shard,
    per-shard and global checkpoints), and fork-based kill -9 torture at
    the per-shard journal seams — the same acked-prefix invariant as the
    single-segment torture, now across segments sharing one global
@@ -49,6 +49,17 @@ let journal_config ?(shards = 1) dir =
 let get t path = Service.handle t ~meth:"GET" ~path ~body:""
 let post t path body = Service.handle t ~meth:"POST" ~path ~body
 let ok_exn what = function Ok v -> v | Error e -> Alcotest.failf "%s: %s" what e
+
+(* Every file under [dir] with its bytes, directories as empty rows,
+   sorted: two equal trees are byte-identical directories. *)
+let rec tree dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.concat_map (fun name ->
+         let file = Filename.concat dir name in
+         if Sys.is_directory file then
+           (name ^ "/", "")
+           :: List.map (fun (n, c) -> (name ^ "/" ^ n, c)) (tree file)
+         else [ (name, In_channel.with_open_bin file In_channel.input_all) ])
 
 (* ------------------------------------------------------------------ *)
 (* The extensional view of a registry: everything observable through
@@ -293,7 +304,8 @@ let registry_tests =
 
 (* ------------------------------------------------------------------ *)
 (* The service over a sharded registry: pagination and search routes,
-   per-shard cache generations, durability across restart, migration *)
+   per-shard cache generations, durability across restart, a refused
+   re-shard *)
 
 (* Two catalogue entries that live in different shards of a 4-shard
    registry — the cache-invalidation test needs a pair whose writes
@@ -391,42 +403,47 @@ let service_tests =
           (contains ~needle:"Shard durability probe."
              (get t' (path ^ ".wiki")).Bx_repo.Webui.body);
         Service.close t');
-    tc "a legacy journal directory is migrated in place" (fun () ->
-        let dir = fresh_dir "bxmigrate" in
+    tc "a 1-shard journal directory opened with --shards 4 is refused and \
+        left byte-identical" (fun () ->
+        let dir = fresh_dir "bxoneshard" in
         let t = service ~config:(journal_config dir) () in
         let path =
           Service.with_registry t (fun reg ->
               "/" ^ Bx_repo.Identifier.wiki_path (List.hd (Registry.ids reg)))
         in
         let page = (get t (path ^ ".wiki")).Bx_repo.Webui.body in
-        let edited = inject page "Pre-migration edit." in
-        check Alcotest.int "legacy edit" 200 (post t path edited).Bx_repo.Webui.status;
+        let edited = inject page "One-shard edit." in
+        check Alcotest.int "edit" 200 (post t path edited).Bx_repo.Webui.status;
         Service.close t;
-        check Alcotest.bool "legacy log present" true
+        check Alcotest.bool "top-level log present" true
           (Sys.file_exists (Filename.concat dir "journal.log"));
-        let t' = service ~config:(journal_config ~shards:4 dir) () in
-        check Alcotest.bool "edit survived migration" true
-          (contains ~needle:"Pre-migration edit."
+        let before = tree dir in
+        let refused shards =
+          match Service.create ~config:(journal_config ~shards dir) ~seed () with
+          | Ok t ->
+              Service.close t;
+              Alcotest.failf "--shards %d accepted on a 1-shard directory" shards
+          | Error e -> e
+        in
+        let e = refused 4 in
+        check Alcotest.bool "error names the directory" true
+          (contains ~needle:dir e);
+        check Alcotest.bool "error names the remedy" true
+          (contains ~needle:"pass --shards 1" e);
+        check
+          Alcotest.(list (pair string string))
+          "directory byte-identical" before (tree dir);
+        check Alcotest.bool "no SHARDS stamp" false
+          (Sys.file_exists (Filename.concat dir "SHARDS"));
+        (* Reopening with the layout's count works; any other count is a
+           configuration error, not a silent re-shard. *)
+        let t' = service ~config:(journal_config dir) () in
+        check Alcotest.bool "reopen with matching count" true
+          (contains ~needle:"One-shard edit."
              (get t' (path ^ ".wiki")).Bx_repo.Webui.body);
         Service.close t';
-        check Alcotest.bool "SHARDS stamp written" true
-          (Sys.file_exists (Filename.concat dir "SHARDS"));
-        check Alcotest.bool "legacy log absorbed" true
-          (not (Sys.file_exists (Filename.concat dir "journal.log")));
-        (* Reopening with the stamped count works; any other count is a
-           configuration error, not a silent re-shard. *)
-        let t'' = service ~config:(journal_config ~shards:4 dir) () in
-        check Alcotest.bool "reopen with matching count" true
-          (contains ~needle:"Pre-migration edit."
-             (get t'' (path ^ ".wiki")).Bx_repo.Webui.body);
-        Service.close t'';
-        (match
-           Service.create ~config:(journal_config ~shards:2 dir) ~seed ()
-         with
-        | Ok t -> Service.close t; Alcotest.fail "mismatched count accepted"
-        | Error e ->
-            check Alcotest.bool "error names the remedy" true
-              (contains ~needle:"--shards" e)));
+        check Alcotest.bool "--shards 2 names the remedy too" true
+          (contains ~needle:"pass --shards 1" (refused 2)));
     tc "checkpoint seals every segment and reopen needs no seed" (fun () ->
         let dir = fresh_dir "bxckall" in
         let t = service ~config:(journal_config ~shards:3 dir) () in

@@ -13,24 +13,34 @@ let digits = Regex.plus (Regex.cset (Cset.range '0' '9'))
 (* ------------------------------------------------------------------ *)
 (* Split machinery *)
 
+(* The engine splits slices into offsets; these read them back as the
+   substrings they stand for, over a fresh workspace per call. *)
+let chunks bounds ws s =
+  let b = bounds ws s 0 (String.length s) in
+  List.init (Array.length b - 1) (fun i -> String.sub s b.(i) (b.(i + 1) - b.(i)))
+
+let concat_split r1 r2 =
+  let bounds = Split.make_multi_bounds [ r1; r2 ] in
+  fun s ->
+    match chunks bounds (Split.make_ws ()) s with
+    | [ a; b ] -> (a, b)
+    | _ -> Alcotest.fail "a two-part split yields two parts"
+
+let star_split r =
+  let bounds = Split.make_star_bounds r in
+  fun s -> chunks bounds (Split.make_ws ()) s
+
 let split_tests =
   [
-    tc "rev_string" (fun () ->
-        check Alcotest.string "abc" "cba" (Split.rev_string "abc");
-        check Alcotest.string "empty" "" (Split.rev_string ""));
     tc "concat splitter finds the unique point" (fun () ->
-        let split = Split.make_concat_splitter word digits in
+        let split = concat_split word digits in
         check Alcotest.(pair string string) "ab12" ("ab", "12")
           (split "ab12"));
     tc "concat splitter with boundary marker" (fun () ->
-        let split =
-          Split.make_concat_splitter
-            (Regex.seq word (Regex.chr ','))
-            word
-        in
+        let split = concat_split (Regex.seq word (Regex.chr ',')) word in
         check Alcotest.(pair string string) "a,b" ("a,", "b") (split "a,b"));
     tc "concat splitter raises on non-members" (fun () ->
-        let split = Split.make_concat_splitter word digits in
+        let split = concat_split word digits in
         check Alcotest.bool "raises" true
           (try
              ignore (split "123abc");
@@ -38,23 +48,23 @@ let split_tests =
            with Split.Split_error _ -> true));
     tc "star splitter chunks lines" (fun () ->
         let line = Regex.(seq (star letters) (chr '\n')) in
-        let split = Split.make_star_splitter line in
+        let split = star_split line in
         check Alcotest.(list string) "chunks" [ "ab\n"; "\n"; "c\n" ]
           (split "ab\n\nc\n"));
     tc "star splitter on empty string yields no chunks" (fun () ->
-        let split = Split.make_star_splitter word in
+        let split = star_split word in
         check Alcotest.(list string) "empty" [] (split ""));
     tc "star splitter rejects nullable bodies" (fun () ->
         check Alcotest.bool "invalid" true
           (try
-             let (_ : Split.star_splitter) =
-               Split.make_star_splitter (Regex.star letters)
+             let (_ : Split.star_bounds) =
+               Split.make_star_bounds (Regex.star letters)
              in
              false
            with Invalid_argument _ -> true));
     tc "star splitter raises on stray suffix" (fun () ->
         let line = Regex.(seq (plus letters) (chr ';')) in
-        let split = Split.make_star_splitter line in
+        let split = star_split line in
         check Alcotest.bool "raises" true
           (try
              ignore (split "ab;cd");
@@ -62,19 +72,21 @@ let split_tests =
            with Split.Split_error _ -> true));
     tc "two domains share one star splitter on a non-prefix-free body" (fun () ->
         (* ",ab" is a prefix of ",abc", so every call runs the suffix
-           pass; each call must use scratch of its own. *)
-        let split = Split.make_star_splitter (Regex.seq (Regex.chr ',') word) in
+           pass; the domains share the bounds closure, and each brings a
+           workspace of its own. *)
+        let bounds = Split.make_star_bounds (Regex.seq (Regex.chr ',') word) in
         let doc seed n =
           String.concat "" (List.init n (fun i -> "," ^ String.make (1 + ((seed + i) mod 7)) 'a'))
         in
         let docs = Array.init 8 (fun d -> doc d (200 + (d * 37))) in
-        let expected = Array.map split docs in
+        let expected = Array.map (chunks bounds (Split.make_ws ())) docs in
         let run d () =
+          let ws = Split.make_ws () in
           let ok = ref true in
           for r = 1 to 300 do
             let i = (d + r) mod Array.length docs in
-            match split docs.(i) with
-            | chunks -> if chunks <> expected.(i) then ok := false
+            match chunks bounds ws docs.(i) with
+            | got -> if got <> expected.(i) then ok := false
             | exception _ -> ok := false
           done;
           !ok
@@ -642,36 +654,6 @@ let engine_tests =
         if per_line > 200. then
           Alcotest.failf "put allocates %.1f minor words/line (budget 200)"
             per_line);
-    tc "get_all matches get document-wise" (fun () ->
-        let docs = List.init 5 (fun i -> CS.synthetic_source (10 + i)) in
-        check
-          Alcotest.(list string)
-          "batch = map" (List.map CS.lens.Slens.get docs)
-          (Slens.get_all CS.lens docs));
-    tc "get_all with several workers agrees with one" (fun () ->
-        let docs = List.init 12 (fun i -> CS.synthetic_source (5 + i)) in
-        check
-          Alcotest.(list string)
-          "workers irrelevant to results"
-          (Slens.get_all ~workers:1 CS.lens docs)
-          (Slens.get_all ~workers:4 CS.lens docs));
-    tc "put_all matches put pair-wise" (fun () ->
-        let pairs =
-          List.init 6 (fun i ->
-              (CS.synthetic_view (4 + i), CS.synthetic_source (4 + i)))
-        in
-        check
-          Alcotest.(list string)
-          "batch = map"
-          (List.map (fun (v, s) -> CS.lens.Slens.put v s) pairs)
-          (Slens.put_all ~workers:3 CS.lens pairs));
-    tc "create_all matches create" (fun () ->
-        let views = List.init 4 (fun i -> CS.synthetic_view (3 + i)) in
-        check
-          Alcotest.(list string)
-          "batch = map"
-          (List.map CS.lens.Slens.create views)
-          (Slens.create_all ~workers:2 CS.lens views));
     tc "stats count bytes and splits" (fun () ->
         Slens.reset_stats ();
         let src = CS.synthetic_source 20 in

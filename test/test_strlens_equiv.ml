@@ -14,7 +14,7 @@
 open Bx_regex
 open Bx_strlens
 module S = Slens
-module R = Slens_ref
+module R = Bx_strlens_ref.Slens_ref
 
 (* ------------------------------------------------------------------ *)
 (* Lens descriptions *)
@@ -394,7 +394,8 @@ let equiv_tests =
       (fun (v, s) -> Format.asprintf "put %S %S" v s)
       (fun (v, s) ->
         let module CS = Bx_catalogue.Composers_string in
-        agree CS.name_keyed_lens (R.star_key ~key:CS.name_of_view_line CS.ref_line) v s);
+        let ref_line = Bx_strlens_ref.Composers_ref.line in
+        agree CS.name_keyed_lens (R.star_key ~key:CS.name_of_view_line ref_line) v s);
     prop "star_diff agrees with the copying engine" with_chunk_edit print_triple
       (fun (d, v, s) ->
         match d with

@@ -609,6 +609,26 @@ let service_tests =
              (post t page_path page).Bx_repo.Webui.status;
            check Alcotest.int "healed POST" 200
              (post t page_path page).Bx_repo.Webui.status));
+    tc "the batch failpoint fires on the serving worker's inline path"
+      (isolated (fun () ->
+           let module CS = Bx_catalogue.Composers_string in
+           let t =
+             match
+               Service.create ~lenses:[ ("composers", CS.lens) ] ~seed ()
+             with
+             | Ok t -> t
+             | Error e -> Alcotest.fail e
+           in
+           let body =
+             String.concat "\x1e" (List.init 4 (fun i -> CS.synthetic_source (i + 1)))
+           in
+           let batch () = post t "/slens/composers/get_batch" body in
+           Fault.set "slens.batch.worker" (Fault.Times (1, Fault.Error "injected"));
+           let r = batch () in
+           check Alcotest.int "injected batch" 503 r.Bx_repo.Webui.status;
+           check Alcotest.bool "names the site" true
+             (contains ~needle:"slens.batch.worker" r.Bx_repo.Webui.body);
+           check Alcotest.int "healed batch" 200 (batch ()).Bx_repo.Webui.status));
     tc "failpoint admin route configures, reports and clears"
       (isolated (fun () ->
            let config =
@@ -696,26 +716,6 @@ let service_tests =
            check Alcotest.bool "fired" true
              (contains
                 ~needle:"bxwiki_fault_fired_total{site=\"service.lock.read\"} 1" m)));
-    tc "the batch failpoint fires on the serving worker's inline path"
-      (isolated (fun () ->
-           let module CS = Bx_catalogue.Composers_string in
-           let t =
-             match
-               Service.create ~lenses:[ ("composers", CS.lens) ] ~seed ()
-             with
-             | Ok t -> t
-             | Error e -> Alcotest.fail e
-           in
-           let body =
-             String.concat "\x1e" (List.init 4 (fun i -> CS.synthetic_source (i + 1)))
-           in
-           let batch () = post t "/slens/composers/get_batch" body in
-           Fault.set "slens.batch.worker" (Fault.Times (1, Fault.Error "injected"));
-           let r = batch () in
-           check Alcotest.int "injected batch" 503 r.Bx_repo.Webui.status;
-           check Alcotest.bool "names the site" true
-             (contains ~needle:"slens.batch.worker" r.Bx_repo.Webui.body);
-           check Alcotest.int "healed batch" 200 (batch ()).Bx_repo.Webui.status));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -654,6 +654,84 @@ let engine_tests =
         if per_line > 200. then
           Alcotest.failf "put allocates %.1f minor words/line (budget 200)"
             per_line);
+    tc "get_into appends the get of a slice" (fun () ->
+        List.iter
+          (fun k ->
+            let src = CS.synthetic_source k in
+            let padded = "##" ^ src ^ "\x1e##" in
+            let out = Buffer.create 16 in
+            Buffer.add_string out "head|";
+            Slens.get_into CS.lens out padded 2 (String.length src);
+            check Alcotest.string
+              (Printf.sprintf "%d records" k)
+              ("head|" ^ CS.lens.Slens.get src)
+              (Buffer.contents out))
+          [ 0; 1; 7; 200 ]);
+    tc "put_into appends the put of a view slice and a source slice" (fun () ->
+        (* The view and source sit in one string, as in a put_batch
+           record; views longer and shorter than the source exercise
+           create and delete alongside the keyed splice. *)
+        List.iter
+          (fun (nv, ns) ->
+            let v = CS.synthetic_view nv and s = CS.synthetic_source ns in
+            let record = v ^ "\x1f" ^ s in
+            let out = Buffer.create 16 in
+            Buffer.add_string out "head|";
+            Slens.put_into CS.lens out record 0 (String.length v) record
+              (String.length v + 1) (String.length s);
+            check Alcotest.string
+              (Printf.sprintf "view %d, source %d" nv ns)
+              ("head|" ^ CS.lens.Slens.put v s)
+              (Buffer.contents out))
+          [ (0, 0); (3, 3); (5, 2); (2, 5); (100, 100) ]);
+    tc "an ill-typed slice raises the error its copy would" (fun () ->
+        (* The slice is well inside a well-typed string: only its own
+           bytes are checked, and only they appear in the message. *)
+        let src = CS.synthetic_source 3 and view = CS.synthetic_view 3 in
+        let error f =
+          match f () with
+          | () -> Alcotest.fail "ill-typed slice accepted"
+          | exception Slens.Type_error m -> m
+        in
+        let expected f =
+          match f () with
+          | _ -> Alcotest.fail "ill-typed copy accepted"
+          | exception Slens.Type_error m -> m
+        in
+        let out = Buffer.create 16 in
+        check Alcotest.string "get"
+          (expected (fun () -> CS.lens.Slens.get (String.sub src 1 10)))
+          (error (fun () -> Slens.get_into CS.lens out src 1 10));
+        let vl = String.length view and sl = String.length src in
+        check Alcotest.string "put, ill-typed view"
+          (expected (fun () -> CS.lens.Slens.put (String.sub view 0 (vl - 1)) src))
+          (error (fun () -> Slens.put_into CS.lens out view 0 (vl - 1) src 0 sl));
+        check Alcotest.string "put, ill-typed source"
+          (expected (fun () -> CS.lens.Slens.put view (String.sub src 0 (sl - 1))))
+          (error (fun () -> Slens.put_into CS.lens out view 0 vl src 0 (sl - 1))));
+    tc "replaced and of_funs string functions run on copies of the slice" (fun () ->
+        let shout = { CS.lens with Slens.get = (fun s -> String.uppercase_ascii (CS.lens.Slens.get s)) } in
+        let src = CS.synthetic_source 4 and view = CS.synthetic_view 4 in
+        let into l =
+          let out = Buffer.create 16 in
+          Slens.get_into l out ("<" ^ src ^ ">") 1 (String.length src);
+          Buffer.contents out
+        in
+        check Alcotest.string "a replaced get is honoured"
+          (String.uppercase_ascii (CS.lens.Slens.get src))
+          (into shout);
+        let out = Buffer.create 16 in
+        Slens.put_into shout out view 0 (String.length view) src 0 (String.length src);
+        check Alcotest.string "the sealed put still serves" (CS.lens.Slens.put view src)
+          (Buffer.contents out);
+        let opaque =
+          Slens.of_funs ~stype:CS.lens.Slens.stype ~vtype:CS.lens.Slens.vtype
+            ~get:CS.lens.Slens.get ~put:CS.lens.Slens.put ~create:CS.lens.Slens.create
+        in
+        check Alcotest.string "of_funs get" (CS.lens.Slens.get src) (into opaque);
+        let out = Buffer.create 16 in
+        Slens.put_into opaque out ("|" ^ view) 1 (String.length view) src 0 (String.length src);
+        check Alcotest.string "of_funs put" (CS.lens.Slens.put view src) (Buffer.contents out));
     tc "stats count bytes and splits" (fun () ->
         Slens.reset_stats ();
         let src = CS.synthetic_source 20 in

@@ -608,8 +608,9 @@ let p5_journal_replay () =
    into 200s (served) and 503s (shed).  The acceptance shape: below
    queue capacity nothing is shed, while at 2x capacity and beyond the
    excess is answered with a fast 503 + Retry-After (and /readyz flips)
-   instead of piling onto latency.  --json-shed dumps the curve
-   (committed as BENCH_shed.json). *)
+   instead of piling onto latency.  Brownout is off: it would answer the
+   excess GETs stale instead (P14 measures that).  --json-shed dumps the
+   curve (committed as BENCH_shed.json). *)
 
 type shed_row = {
   sr_multiple : float;  (* offered / queue_capacity *)
@@ -625,7 +626,9 @@ let p8_load_shedding () =
   rule "P8: load shedding — offered burst vs served/shed split";
   let queue_capacity = 16 and workers = 2 and delay_ms = 5.0 in
   Bx_fault.Fault.set "httpd.read" (Bx_fault.Fault.Delay (delay_ms /. 1000.));
-  let config = { Bx_server.Service.default_config with queue_capacity } in
+  let config =
+    { Bx_server.Service.default_config with queue_capacity; brownout = false }
+  in
   let service =
     match
       Bx_server.Service.create ~config ~seed:Bx_catalogue.Catalogue.seed ()
@@ -2490,7 +2493,6 @@ let p14_storm ~brownout ~offered ~queue_capacity =
       Bx_server.Service.default_config with
       queue_capacity;
       brownout;
-      min_concurrency = 4;
     }
   in
   let service =

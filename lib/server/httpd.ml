@@ -304,15 +304,12 @@ let write_response fd ~keep_alive (r : Bx_repo.Webui.response) =
     ~finally:(fun () -> if Bytes.length b <= default_max_body then slot := Some b)
     (fun () -> write_all fd b n)
 
-let shed_response ?retry_after ~reason () =
+let shed_response ~retry_after ~reason =
   {
     Bx_repo.Webui.status = 503;
     content_type = "text/plain; charset=utf-8";
     body = Printf.sprintf "overloaded: %s, retry later\n" reason;
-    headers =
-      (match retry_after with
-      | None -> []
-      | Some seconds -> [ ("Retry-After", string_of_int seconds) ]);
+    headers = [ ("Retry-After", string_of_int retry_after) ];
   }
 
 let error_response { status; reason } =

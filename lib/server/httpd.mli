@@ -80,12 +80,10 @@ val write_response :
     {!Bx_fault.Fault.Injected}, which the service treats as a dropped
     connection. *)
 
-val shed_response :
-  ?retry_after:int -> reason:string -> unit -> Bx_repo.Webui.response
+val shed_response : retry_after:int -> reason:string -> Bx_repo.Webui.response
 (** The 503 body written when overload protection rejects a connection
-    ([reason] is [queue_full] or [deadline]).  [retry_after] ships a
-    queue-depth-scaled [Retry-After] header; without it the writer falls
-    back to a flat 1s. *)
+    ([reason] is [queue_full] or [deadline]), with a [Retry-After] of
+    [retry_after] seconds. *)
 
 val error_response : error -> Bx_repo.Webui.response
 (** A minimal HTML error body for a wire-level failure. *)

@@ -318,9 +318,12 @@ module Bucket = struct
     mutable last : float;
   }
 
+  (* A tenth of a second of burst: the scrubber builds a full bucket
+     every pass, so a burst of a whole second of rate would leave any
+     pass of at most [rate] items unpaced. *)
   let create ~rate =
     let rate = if rate <= 0. then 0. else rate in
-    let burst = Float.max 1. rate in
+    let burst = Float.max 1. (0.1 *. rate) in
     { rate; burst; tokens = burst; last = Bx_obs.Clock.now () }
 
   let refill t =

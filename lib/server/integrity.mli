@@ -97,8 +97,9 @@ val check_entry :
 (** {!check_template} over every stored version of the entry; the error
     names the first failing version. *)
 
-(** Token bucket pacing for the scrubber: [rate] items/second with one
-    second of burst.  Rate 0 means unmetered (offline scrub). *)
+(** Token bucket pacing for the scrubber: [rate] items/second with a
+    tenth of a second of burst (at least one item).  Rate 0 means
+    unmetered (offline scrub). *)
 module Bucket : sig
   type t
 

@@ -14,7 +14,6 @@ type config = {
   scrub_rate : int;
   entry_law : (Bx_repo.Template.t -> (unit, string) result) option;
   brownout : bool;
-  min_concurrency : int;
   chaos_admin : bool;
 }
 
@@ -35,7 +34,6 @@ let default_config =
     scrub_rate = 0;
     entry_law = None;
     brownout = true;
-    min_concurrency = 8;
     chaos_admin = Bx_fault.Netchaos.env_configured || Bx_fault.Fault.env_configured;
   }
 
@@ -176,26 +174,10 @@ type t = {
          an operator frees space, so writes stay refused (503) and
          /readyz stays down while reads keep serving *)
   mutable bound_port : int option;
-  (* connection queue between the accept loop and the workers; each
-     entry remembers when it was enqueued so workers can shed
-     connections that waited past their deadline budget *)
-  qm : Mutex.t;
-  qc : Condition.t;
-  queue : (Unix.file_descr * float) Queue.t;
-  mutable accepting : bool;
-  (* AIMD adaptive admission: [limit] replaces the static queue capacity
-     as the admission bound — halved (at most once per window) when
-     admission overflows, grown by one per timely completion, kept in
-     [min_concurrency, queue_capacity].  [last_md] is guarded by qm. *)
-  limit : int Atomic.t;
-  mutable last_md : float;
-  (* the brownout lane: connections the admission controller refused are
-     parked here and answered from the respcache (stale, labelled) by a
-     dedicated degraded worker instead of being shed outright *)
-  dqm : Mutex.t;
-  dqc : Condition.t;
-  dqueue : (Unix.file_descr * float) Queue.t;
-  mutable daccepting : bool;
+  admission : Unix.file_descr Admission.t;
+      (* connections between the accept loop and the workers; under
+         brownout, the front lane's overflow waits on the stale lane
+         for the degraded worker *)
   (* Replication.  [replica] flips to false on promotion; [epoch] is the
      highest epoch this node has observed (persisted when journaled);
      [fenced_by] is the epoch that deposed this primary (0 = none);
@@ -444,12 +426,6 @@ let replication_lag t =
     lag
   end
 
-let queue_depth t =
-  Mutex.lock t.qm;
-  let n = Queue.length t.queue in
-  Mutex.unlock t.qm;
-  n
-
 let register_sampled t =
   let gauge ?kind ?labels name help read =
     Metrics.sample t.metrics ?kind ?labels name ~help read
@@ -458,10 +434,10 @@ let register_sampled t =
   let one v = [ ([], float_of_int v) ] in
   gauge "bxwiki_queue_depth"
     "Pending connections queued for a worker (sampled at scrape)."
-    (fun () -> one (queue_depth t));
+    (fun () -> one (Admission.depth t.admission));
   gauge "bxwiki_concurrency_limit"
     "AIMD adaptive admission limit (sampled at scrape)."
-    (fun () -> one (Atomic.get t.limit));
+    (fun () -> one (Admission.limit t.admission));
   gauge "bxwiki_journal_disk_full"
     "1 while the journal has hit ENOSPC and writes are refused."
     (fun () -> one (Bool.to_int (Atomic.get t.disk_full)));
@@ -628,16 +604,9 @@ let create ?(config = default_config) ?(pages = []) ?(lenses = []) ~seed () =
       journal_ok = Atomic.make true;
       disk_full = Atomic.make false;
       bound_port = None;
-      qm = Mutex.create ();
-      qc = Condition.create ();
-      queue = Queue.create ();
-      accepting = false;
-      limit = Atomic.make config.queue_capacity;
-      last_md = 0.;
-      dqm = Mutex.create ();
-      dqc = Condition.create ();
-      dqueue = Queue.create ();
-      daccepting = false;
+      admission =
+        Admission.create ~capacity:config.queue_capacity
+          ~budget:config.queue_deadline ~stale:config.brownout;
       replica = Atomic.make config.replica;
       epoch = Atomic.make epoch0;
       fenced_by = Atomic.make 0;
@@ -811,7 +780,7 @@ let try_stale t ~query path =
         }
   | _ -> None
 
-let handle_get ?deadline t ~query path =
+let handle_get t ~query path =
   let key = cache_key ~path ~query in
   let render () =
     Bx_fault.Fault.point "service.lock.read";
@@ -849,13 +818,6 @@ let handle_get ?deadline t ~query path =
      under. *)
   match Respcache.find t.cache ~path:key ~generation:(gen_for_key t key) with
   | Some response -> response
-  | None when deadline_expired deadline -> (
-      (* The budget ran out before the expensive part (lock + render).  A
-         stale copy is still worth shipping — it costs nothing — but a
-         fresh render would finish after the client has given up. *)
-      match try_stale t ~query path with
-      | Some response -> response
-      | None -> shed_deadline t)
   | None ->
       let generation, response = render () in
       if response.Bx_repo.Webui.status = 200 then
@@ -1116,7 +1078,6 @@ let observe_doc_write t path body =
 let handle_write ?deadline t path body =
   match write_barrier t with
   | Some refusal -> refusal
-  | None when deadline_expired deadline -> shed_deadline t
   | None ->
       Bx_fault.Fault.point "service.lock.write";
       let touch = touch_of t ~path ~body in
@@ -1573,8 +1534,7 @@ let handle_promote t =
 (* ------------------------------------------------------------------ *)
 (* Health, readiness and the failpoint admin route *)
 
-let queue_high_water t = max 1 (t.config.queue_capacity * 3 / 4)
-let concurrency_limit t = Atomic.get t.limit
+let concurrency_limit t = Admission.limit t.admission
 
 (* Readiness = this process can usefully take traffic right now: the
    journal accepted its last write (replay completed inside [create], so
@@ -1592,7 +1552,8 @@ let readiness t =
          nothing about the next write). *)
       (not (Atomic.get t.disk_full), "journal_disk_full");
       (not (Atomic.get t.stop), "draining");
-      (queue_depth t < queue_high_water t, "queue_high_water");
+      ( Admission.depth t.admission < Admission.high_water t.admission,
+        "queue_high_water" );
       (* A replica is ready only once it has caught up and is staying
          caught up; a fenced (deposed) primary is never ready. *)
       (synced, "replica_syncing");
@@ -1720,7 +1681,7 @@ let handle_query ?deadline t ~query ~meth ~path ~body =
       | "POST" when path = "/admin/promote" -> handle_promote t
       | "GET" when route = "slens" -> handle_docstore_get t ~query path
       | "GET" ->
-          with_quarantine_warning t path (handle_get ?deadline t ~query path)
+          with_quarantine_warning t path (handle_get t ~query path)
       | "POST" when route = "slens" && not (Docstore.is_doc_path path) ->
           handle_slens t path body
       | "POST" -> handle_write ?deadline t path body
@@ -1884,28 +1845,7 @@ let scrub_once ?(rate = 0.) ?(stop = fun () -> false) t =
 (* ------------------------------------------------------------------ *)
 (* The socket server: accept loop + worker pool *)
 
-let shutdown t =
-  Atomic.set t.stop true;
-  (* Wake idle workers so they can notice. *)
-  Mutex.lock t.qm;
-  Condition.broadcast t.qc;
-  Mutex.unlock t.qm;
-  Mutex.lock t.dqm;
-  Condition.broadcast t.dqc;
-  Mutex.unlock t.dqm
-
-(* How long a shed client should stay away: 1s while the queue is under
-   its high-water mark, then 2..8s scaling with how far past it the
-   depth has climbed.  A storm of simultaneous sheds then spreads its
-   retries over several seconds instead of reconverging after exactly
-   one — the server-side half of the decorrelation the client's jittered
-   backoff provides. *)
-let retry_after_for_depth t ~depth =
-  let hw = queue_high_water t in
-  if depth < hw then 1
-  else
-    let span = max 1 (t.config.queue_capacity - hw) in
-    min 8 (2 + (6 * (depth - hw) / span))
+let shutdown t = Atomic.set t.stop true
 
 (* Shed one connection: a tiny 503 + Retry-After written straight from
    whichever loop is rejecting it (the write goes to a socket buffer
@@ -1913,54 +1853,22 @@ let retry_after_for_depth t ~depth =
    close. *)
 let shed_connection t fd ~reason =
   Metrics.shed t.metrics ~reason;
-  let retry_after = retry_after_for_depth t ~depth:(queue_depth t) in
+  let retry_after = Admission.retry_after t.admission in
   (try
      Httpd.write_response fd ~keep_alive:false
-       (Httpd.shed_response ~retry_after ~reason ())
+       (Httpd.shed_response ~retry_after ~reason)
    with Unix.Unix_error _ | Bx_fault.Fault.Injected _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Brownout: the degraded read lane.  When admission overflows, GETs are
-   not shed outright — they land in a small second queue served by one
+   not shed outright — they land on the stale lane, served by one
    dedicated domain that answers from the response cache at whatever
    generation it still holds, marked [X-Bxwiki-Stale].  Anything the
    cache cannot answer (a miss, a write) is shed exactly as the full
    queue used to shed everything, so the worst case is unchanged and the
    common case (a hot read during an overload spike) degrades instead of
    erroring. *)
-
-let degraded_enqueue t fd =
-  Mutex.lock t.dqm;
-  (* The lane's queue is several times the front queue: a stale cache
-     hit costs microseconds, and this queue exists precisely to absorb
-     the burst spike the admission limit just refused. *)
-  if (not t.daccepting) || Queue.length t.dqueue >= 4 * t.config.queue_capacity
-  then begin
-    Mutex.unlock t.dqm;
-    shed_connection t fd ~reason:"queue_full"
-  end
-  else begin
-    Queue.push (fd, Bx_obs.Clock.now ()) t.dqueue;
-    Condition.signal t.dqc;
-    Mutex.unlock t.dqm
-  end
-
-let ddequeue t =
-  Mutex.lock t.dqm;
-  let rec wait () =
-    match Queue.take_opt t.dqueue with
-    | Some entry -> Some entry
-    | None ->
-        if not t.daccepting then None
-        else begin
-          Condition.wait t.dqc t.dqm;
-          wait ()
-        end
-  in
-  let r = wait () in
-  Mutex.unlock t.dqm;
-  r
 
 (* Serve one overflow connection from cache only — no locks, no
    rendering, no keep-alive.  The read budget is short: this lane exists
@@ -1992,76 +1900,6 @@ let serve_degraded t fd =
           (try Unix.close fd with Unix.Unix_error _ -> ())
       | None -> shed_connection t fd ~reason:"queue_full")
 
-let degraded_loop t =
-  let rec go () =
-    match ddequeue t with
-    | None -> ()
-    | Some (fd, enqueued_at) ->
-        if Bx_obs.Clock.now () -. enqueued_at > t.config.queue_deadline then
-          shed_connection t fd ~reason:"deadline"
-        else (
-          try serve_degraded t fd
-          with exn ->
-            Metrics.protocol_error t.metrics ~route:"wire"
-              ~reason:"worker_exn";
-            Printf.eprintf "bxwiki: degraded lane: %s\n%!"
-              (Printexc.to_string exn);
-            (try Unix.close fd with Unix.Unix_error _ -> ()));
-        go ()
-  in
-  go ()
-
-(* ------------------------------------------------------------------ *)
-(* Bounded, adaptive admission.  The static [queue_capacity] is now a
-   ceiling; the operative limit is AIMD: each overflow halves it (at
-   most once per 100ms window — a burst that overflows fifty times is
-   one congestion signal, not fifty), each promptly-served connection
-   adds one back.  Under sustained overload the backlog a client waits
-   behind shrinks toward [min_concurrency], keeping queueing delay — and
-   with it the deadline-miss rate — bounded. *)
-
-let aimd_increase t =
-  let cur = Atomic.get t.limit in
-  if cur < t.config.queue_capacity then
-    ignore (Atomic.compare_and_set t.limit cur (cur + 1))
-
-let enqueue t fd =
-  Mutex.lock t.qm;
-  let cap = min t.config.queue_capacity (Atomic.get t.limit) in
-  if Queue.length t.queue >= cap then begin
-    let now = Bx_obs.Clock.now () in
-    if now -. t.last_md >= 0.1 then begin
-      t.last_md <- now;
-      Atomic.set t.limit
-        (max t.config.min_concurrency (Atomic.get t.limit / 2))
-    end;
-    Mutex.unlock t.qm;
-    if t.config.brownout then degraded_enqueue t fd
-    else shed_connection t fd ~reason:"queue_full"
-  end
-  else begin
-    Queue.push (fd, Bx_obs.Clock.now ()) t.queue;
-    Condition.signal t.qc;
-    Mutex.unlock t.qm
-  end
-
-(* None once the accept loop has stopped and the queue is drained. *)
-let dequeue t =
-  Mutex.lock t.qm;
-  let rec wait () =
-    match Queue.take_opt t.queue with
-    | Some entry -> Some entry
-    | None ->
-        if not t.accepting then None
-        else begin
-          Condition.wait t.qc t.qm;
-          wait ()
-        end
-  in
-  let r = wait () in
-  Mutex.unlock t.qm;
-  r
-
 let handle_connection t fd =
   let reader = Httpd.reader_of_fd fd in
   let bad route reason status =
@@ -2083,7 +1921,7 @@ let handle_connection t fd =
         Metrics.shed t.metrics ~reason:"deadline";
         (try
            Httpd.write_response fd ~keep_alive:false
-             (Httpd.shed_response ~retry_after:1 ~reason:"deadline" ())
+             (Httpd.shed_response ~retry_after:1 ~reason:"deadline")
          with Unix.Unix_error _ | Bx_fault.Fault.Injected _ -> ())
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         bad "wire" "read_timeout" { Httpd.status = 408; reason = "read timeout" }
@@ -2108,30 +1946,32 @@ let handle_connection t fd =
   loop ();
   try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
 
-let worker_loop t =
+(* A front-lane connection served promptly earns one admission slot
+   back, whatever it threw. *)
+let serve_front t fd =
+  let began = Bx_obs.Clock.now () in
+  Fun.protect
+    ~finally:(fun () -> Admission.served t.admission ~began)
+    (fun () -> handle_connection t fd)
+
+(* One worker's life on a lane, until the lane is closed and empty.  A
+   connection that waited past [queue_deadline] is answered with a fast
+   503 — by now the client has likely timed out or retried, and burning
+   a worker on stale work only deepens the overload. *)
+let drain t lane serve =
   let rec go () =
-    match dequeue t with
+    match Admission.take lane with
     | None -> ()
-    | Some (fd, enqueued_at) ->
-        (* The deadline budget: a connection that sat queued longer than
-           [queue_deadline] is answered with a fast 503 — by now the
-           client has likely timed out or retried, and burning a worker
-           on stale work only deepens the overload. *)
-        if Bx_obs.Clock.now () -. enqueued_at > t.config.queue_deadline then
-          shed_connection t fd ~reason:"deadline"
-        else begin
-          let began = Bx_obs.Clock.now () in
-          (try handle_connection t fd
-           with exn ->
-             (* A worker must survive anything one connection throws. *)
-             Metrics.protocol_error t.metrics ~route:"wire" ~reason:"worker_exn";
-             Printf.eprintf "bxwiki: worker: %s\n%!" (Printexc.to_string exn);
-             (try Unix.close fd with Unix.Unix_error (_, _, _) -> ()));
-          (* Additive increase: a connection served promptly earns one
-             admission slot back. *)
-          if Bx_obs.Clock.now () -. began <= t.config.queue_deadline then
-            aimd_increase t
-        end;
+    | Some (Admission.Expired fd) ->
+        shed_connection t fd ~reason:"deadline";
+        go ()
+    | Some (Admission.Live fd) ->
+        (try serve fd
+         with exn ->
+           (* A worker must survive anything one connection throws. *)
+           Metrics.protocol_error t.metrics ~route:"wire" ~reason:"worker_exn";
+           Printf.eprintf "bxwiki: worker: %s\n%!" (Printexc.to_string exn);
+           (try Unix.close fd with Unix.Unix_error (_, _, _) -> ()));
         go ()
   in
   go ()
@@ -2164,18 +2004,17 @@ let serve t ?(port = 8008) ?(workers = 4) ?port_file ?(quiet = false) () =
         (match t.config.journal_dir with
         | Some dir -> ", journal " ^ dir
         | None -> ", no journal");
-    t.accepting <- true;
-    if t.config.brownout then begin
-      Mutex.lock t.dqm;
-      t.daccepting <- true;
-      Mutex.unlock t.dqm
-    end;
-    let pool = List.init workers (fun _ -> Domain.spawn (fun () -> worker_loop t)) in
-    (* The degraded lane rides one extra domain so brownout answers keep
+    let front = Admission.front t.admission
+    and stale = Admission.stale t.admission in
+    let pool =
+      List.init workers (fun _ -> Domain.spawn (fun () -> drain t front (serve_front t)))
+    in
+    (* The stale lane rides one extra domain so brownout answers keep
        flowing even when every pool worker is wedged on slow requests. *)
     let degraded =
-      if not t.config.brownout then None
-      else Some (Domain.spawn (fun () -> degraded_loop t))
+      Option.map
+        (fun lane -> Domain.spawn (fun () -> drain t lane (serve_degraded t)))
+        stale
     in
     (* The scrubber rides its own domain, paced by the token bucket so
        the worker pool's latency is unaffected; it re-walks everything
@@ -2218,7 +2057,8 @@ let serve t ?(port = 8008) ?(workers = 4) ?port_file ?(quiet = false) () =
                        time out too, and the connection is dropped. *)
                     Unix.setsockopt_float client Unix.SO_SNDTIMEO
                       write_timeout;
-                    enqueue t client
+                    if Admission.admit t.admission client = `Shed then
+                      shed_connection t client ~reason:"queue_full"
                 | exception Bx_fault.Fault.Injected _ -> (
                     Metrics.protocol_error t.metrics ~route:"wire"
                       ~reason:"fault_injected";
@@ -2236,18 +2076,11 @@ let serve t ?(port = 8008) ?(workers = 4) ?port_file ?(quiet = false) () =
     accept_loop ();
     (try Unix.close sock with Unix.Unix_error (_, _, _) -> ());
     (* Drain: no more connections will arrive; workers finish the queue
-       and their in-flight requests, then exit. *)
-    Mutex.lock t.qm;
-    t.accepting <- false;
-    Condition.broadcast t.qc;
-    Mutex.unlock t.qm;
+       and their in-flight requests, then exit.  The stale lane closes
+       only after the pool has joined. *)
+    Admission.close front;
     List.iter Domain.join pool;
-    (* Only after the pool has drained: workers may still be routing
-       overflow into the degraded queue. *)
-    Mutex.lock t.dqm;
-    t.daccepting <- false;
-    Condition.broadcast t.dqc;
-    Mutex.unlock t.dqm;
+    Option.iter Admission.close stale;
     Option.iter Domain.join degraded;
     Option.iter Domain.join scrubber;
     t.bound_port <- None;

@@ -43,8 +43,10 @@ type config = {
           [0] disables automatic compaction *)
   read_timeout : float;  (** per-socket receive timeout, seconds *)
   queue_capacity : int;
-      (** pending-connection bound: beyond it the accept loop sheds with
-          a fast 503 + [Retry-After] instead of queueing *)
+      (** ceiling of the AIMD admission limit that bounds pending
+          connections (see {!Admission}); beyond the limit a connection
+          goes to the stale lane under [brownout] and is shed with a
+          fast 503 + [Retry-After] otherwise *)
   queue_deadline : float;
       (** seconds a connection may wait queued before a worker sheds it
           unprocessed (the per-request deadline budget) *)
@@ -76,9 +78,6 @@ type config = {
           routes GETs to a dedicated lane that answers from the response
           cache at whatever generation it holds, marked with an
           [X-Bxwiki-Stale: <generation lag>] header (default true) *)
-  min_concurrency : int;
-      (** the floor the AIMD admission limit may decrease to (default
-          8); the ceiling is [queue_capacity] *)
   chaos_admin : bool;
       (** mount [GET/PUT /debug/chaos] (see {!Bx_fault.Netchaos});
           defaults to whether [BXWIKI_CHAOS] or [BXWIKI_FAILPOINTS] was
@@ -86,13 +85,12 @@ type config = {
 }
 
 val default_config : config
-(** No journal, 256 cached pages, compact every 64 edits, 1 MiB bodies,
-    10 s read timeout, 4 lens workers, 256 queued connections, 5 s queue
-    deadline, 10 s write timeout, failpoint admin iff
-    [BXWIKI_FAILPOINTS] is set; primary role, 5 s lag threshold, 5 s
-    stream hold, 512 records per stream response; scrubber off, no
-    injected entry law; brownout on with an AIMD floor of 8, chaos admin
-    iff [BXWIKI_CHAOS] or [BXWIKI_FAILPOINTS] is set. *)
+(** No journal, 1 registry shard, 4 cache shards, compact every 64
+    edits, 10 s read timeout, 256 queued connections, 5 s queue
+    deadline, failpoint admin iff [BXWIKI_FAILPOINTS] is set; primary
+    role, 5 s lag threshold, 5 s stream hold, 512 records per stream
+    response; scrubber off, no injected entry law; brownout on; chaos
+    admin iff [BXWIKI_CHAOS] or [BXWIKI_FAILPOINTS] is set. *)
 
 type t
 
@@ -234,7 +232,8 @@ val ready : t -> bool
 
 val readiness : t -> string list
 (** Why the service is not ready ([[]] when it is): any of
-    [journal_unwritable], [draining], [queue_high_water],
+    [journal_unwritable], [draining], [queue_high_water] (pending
+    connections at 3/4 of the {!concurrency_limit}),
     [replica_syncing] (a replica that has not yet caught up),
     [replication_lag] (a replica whose lag exceeds
     [replica_lag_threshold]), [fenced] (a deposed primary),
@@ -244,14 +243,13 @@ val readiness : t -> string list
     the node is read-only until an operator frees space and
     restarts). *)
 
-val queue_depth : t -> int
-(** Pending connections currently queued for a worker. *)
-
 val concurrency_limit : t -> int
 (** The AIMD adaptive admission limit right now: halved (at most once
     per 100ms) whenever admission overflows, bumped by one per promptly
-    served connection, kept within
-    [[min_concurrency, queue_capacity]]. *)
+    served connection, kept within [[floor, queue_capacity]], where the
+    floor is [max 1 (min 8 (queue_capacity / 2))] (see {!Admission}).
+    The front queue holds at most this many connections, and
+    [queue_high_water] and [Retry-After] are measured against it. *)
 
 val with_registry : t -> (Bx_repo.Registry.t -> 'a) -> 'a
 (** Run [f] under the read lock — for invariant checks in tests. *)

@@ -398,7 +398,7 @@ let deadline_tests =
            parse "GET / HTTP/1.1\r\nX-Bxwiki-Deadline: 500\r\n\r\n"
          with
         | Some d ->
-            let budget = d -. Unix.gettimeofday () in
+            let budget = d -. Bx_obs.Clock.now () in
             check bool "≈ 500ms out" true (budget > 0.2 && budget < 0.8)
         | None -> Alcotest.fail "deadline not parsed");
         check bool "malformed budgets are ignored" true
@@ -406,7 +406,7 @@ let deadline_tests =
         match parse "GET / HTTP/1.1\r\nX-Bxwiki-Deadline: 999999999999\r\n\r\n" with
         | Some d ->
             check bool "absurd budgets are capped" true
-              (d -. Unix.gettimeofday () <= 3600.5)
+              (d -. Bx_obs.Clock.now () <= 3600.5)
         | None -> Alcotest.fail "capped deadline not parsed");
     tc "an exhausted deadline sheds writes with 504 before the lock" (fun () ->
         let t = service () in
@@ -414,7 +414,7 @@ let deadline_tests =
         let before = Metrics.shed_by_reason m "deadline_propagated" in
         let body = edited_body (page_body t) 1 in
         let r =
-          Service.handle_query ~deadline:(Unix.gettimeofday () -. 1.) t
+          Service.handle_query ~deadline:(Bx_obs.Clock.now () -. 1.) t
             ~query:"" ~meth:"POST" ~path:page_path ~body
         in
         check int "504" 504 r.Bx_repo.Webui.status;
@@ -425,7 +425,7 @@ let deadline_tests =
     tc "expired GETs fall back to the stale cache under brownout" (fun () ->
         let t = service () in
         check int "warm" 200 (get t page_path).Bx_repo.Webui.status;
-        let past = Unix.gettimeofday () -. 1. in
+        let past = Bx_obs.Clock.now () -. 1. in
         let r =
           Service.handle_query ~deadline:past t ~query:"" ~meth:"GET"
             ~path:page_path ~body:""
@@ -443,7 +443,7 @@ let deadline_tests =
         check int "a cold path still sheds" 504 cold.Bx_repo.Webui.status);
     tc "operational routes never shed on a deadline" (fun () ->
         let t = service () in
-        let past = Unix.gettimeofday () -. 1. in
+        let past = Bx_obs.Clock.now () -. 1. in
         List.iter
           (fun path ->
             let r =
@@ -461,13 +461,13 @@ let deadline_tests =
         Fun.protect
           ~finally:(fun () -> Service.close t)
           (fun () ->
-            let t0 = Unix.gettimeofday () in
+            let t0 = Bx_obs.Clock.now () in
             let r =
               Service.handle_query ~deadline:(t0 +. 0.3) t
                 ~query:"from=1&epoch=0&wait=5" ~meth:"GET"
                 ~path:"/replication/stream" ~body:""
             in
-            let elapsed = Unix.gettimeofday () -. t0 in
+            let elapsed = Bx_obs.Clock.now () -. t0 in
             check bool "empty poll returned on the budget, not the hold" true
               (elapsed < 2.0);
             check bool "still a success" true (r.Bx_repo.Webui.status < 500)));
@@ -524,11 +524,7 @@ let brownout_tests =
     tc "overflow GETs are served stale by the degraded lane"
       (isolated (fun () ->
            let config =
-             {
-               Service.default_config with
-               queue_capacity = 2;
-               min_concurrency = 1;
-             }
+             { Service.default_config with queue_capacity = 2 }
            in
            let t = service ~config () in
            let th, port = serve_thread ~workers:1 t in

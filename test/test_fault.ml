@@ -719,6 +719,109 @@ let service_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Admission on plain values: the lanes, the AIMD limit, the ladder and
+   the values a shed client is told, without sockets. *)
+
+let admit_all a xs = List.map (fun x -> Admission.admit a x) xs
+let range n = List.init n (fun i -> i + 1)
+
+let rec take_all lane =
+  match Admission.take lane with
+  | None -> []
+  | Some ticket -> ticket :: take_all lane
+
+let admission_tests =
+  [
+    tc "a lane is FIFO and drains what it holds after close" (fun () ->
+        let a = Admission.create ~capacity:4 ~budget:5. ~stale:false in
+        check Alcotest.bool "all four admitted to the front" true
+          (admit_all a (range 4) = [ `Front; `Front; `Front; `Front ]);
+        check Alcotest.int "depth" 4 (Admission.depth a);
+        let front = Admission.front a in
+        Admission.close front;
+        check Alcotest.bool "a closed lane refuses" true (Admission.admit a 5 = `Shed);
+        check Alcotest.bool "queued items still come out, in order" true
+          (take_all front = Admission.[ Live 1; Live 2; Live 3; Live 4 ]);
+        check Alcotest.bool "then None" true (Admission.take front = None));
+    tc "take reports an item whose deadline passed" (fun () ->
+        let a = Admission.create ~capacity:4 ~budget:0.2 ~stale:false in
+        ignore (Admission.admit a "late");
+        Unix.sleepf 0.3;
+        ignore (Admission.admit a "fresh");
+        Admission.close (Admission.front a);
+        match take_all (Admission.front a) with
+        | Admission.[ Expired "late"; Live "fresh" ] -> ()
+        | _ -> Alcotest.fail "expected the first item expired, the second live");
+    tc "a blocked take wakes on push and on close" (fun () ->
+        let a = Admission.create ~capacity:4 ~budget:5. ~stale:false in
+        let front = Admission.front a in
+        let got = ref [] in
+        let th = Thread.create (fun () -> got := take_all front) () in
+        Thread.delay 0.05;
+        ignore (Admission.admit a 7);
+        Thread.delay 0.05;
+        Admission.close front;
+        Thread.join th;
+        check Alcotest.bool "the waiter saw the item, then the close" true
+          (!got = [ Admission.Live 7 ]));
+    tc "overflow halves the limit once per window, down to the floor" (fun () ->
+        let a = Admission.create ~capacity:16 ~budget:5. ~stale:false in
+        ignore (admit_all a (range 16));
+        check Alcotest.bool "the 17th is shed" true (Admission.admit a 17 = `Shed);
+        check Alcotest.int "halved" 8 (Admission.limit a);
+        ignore (admit_all a (range 5));
+        check Alcotest.int "one halving per 100 ms window" 8 (Admission.limit a);
+        Thread.delay 0.12;
+        ignore (Admission.admit a 0);
+        check Alcotest.int "the floor of a 16-slot queue is 8" 8 (Admission.limit a);
+        Admission.served a ~began:(Bx_obs.Clock.now ());
+        check Alcotest.int "a prompt completion adds one" 9 (Admission.limit a);
+        Admission.served a ~began:(Bx_obs.Clock.now () -. 10.);
+        check Alcotest.int "a slow one does not" 9 (Admission.limit a);
+        List.iter
+          (fun (capacity, floor) ->
+            let a = Admission.create ~capacity ~budget:5. ~stale:false in
+            ignore (admit_all a (range capacity));
+            ignore (Admission.admit a 0);
+            check Alcotest.int
+              (Printf.sprintf "one halving at capacity %d" capacity)
+              (max floor (capacity / 2)) (Admission.limit a))
+          [ (1, 1); (2, 1); (256, 8) ]);
+    tc "the ladder: front, then the stale lane at 4x capacity, then shed" (fun () ->
+        let a = Admission.create ~capacity:2 ~budget:5. ~stale:true in
+        let verdicts = admit_all a (range 11) in
+        check Alcotest.bool "2 front, 8 stale, 1 shed" true
+          (verdicts = [ `Front; `Front ] @ List.init 8 (fun _ -> `Stale) @ [ `Shed ]);
+        match Admission.stale a with
+        | Some lane -> check Alcotest.int "stale depth" 8 (Admission.length lane)
+        | None -> Alcotest.fail "no stale lane");
+    tc "high water and Retry-After follow the operative limit" (fun () ->
+        (* At the default capacity one overflow halves the limit to 128,
+           so the front lane can never again reach 3/4 of 256: measured
+           against the static capacity, /readyz would never report
+           queue_high_water and Retry-After would stay at 1 s while the
+           node sheds. *)
+        let a = Admission.create ~capacity:256 ~budget:5. ~stale:false in
+        ignore (admit_all a (range 256));
+        ignore (Admission.admit a 0);
+        check Alcotest.int "halved" 128 (Admission.limit a);
+        let front = Admission.front a in
+        for _ = 1 to 128 do
+          ignore (Admission.take front)
+        done;
+        check Alcotest.int "a full front lane" 128 (Admission.depth a);
+        check Alcotest.bool "the front lane refuses more" true
+          (Admission.admit a 0 = `Shed);
+        check Alcotest.bool "at or past the high-water mark" true
+          (Admission.depth a >= Admission.high_water a);
+        check Alcotest.int "Retry-After at the bound" 8 (Admission.retry_after a);
+        for _ = 1 to 128 do
+          ignore (Admission.take front)
+        done;
+        check Alcotest.int "an empty lane says 1 s" 1 (Admission.retry_after a));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Load shedding over real sockets: a slow worker (injected read delay),
    a tiny queue, and a burst of twice the queue capacity.  The excess
    must be answered immediately with 503 + Retry-After, and /readyz must
@@ -820,5 +923,6 @@ let () =
       ("crash torture", torture_tests);
       ("corruption", [ corruption_test ]);
       ("service faults", service_tests);
+      ("admission", admission_tests);
       ("shedding", shedding_tests);
     ]

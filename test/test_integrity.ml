@@ -403,6 +403,18 @@ let scrub_tests =
           Alcotest.(list string)
           "the damaged empty segment is flagged" [ "file journal.log" ] (flagged t);
         Service.close t);
+    tc "the scrub bucket paces a pass of fewer items than its rate" (fun () ->
+        (* A fresh bucket holds a tenth of a second of rate: of 50 items
+           at 100/s, 10 pass at once and 40 wait for refill. *)
+        let t0 = Bx_obs.Clock.now () in
+        let bucket = Integrity.Bucket.create ~rate:100. in
+        for _ = 1 to 50 do
+          Integrity.Bucket.take bucket 1.
+        done;
+        let elapsed = Bx_obs.Clock.now () -. t0 in
+        check Alcotest.bool
+          (Printf.sprintf "50 tokens at 100/s took %.3f s, want >= 0.4" elapsed)
+          true (elapsed >= 0.4));
   ]
 
 (* ------------------------------------------------------------------ *)

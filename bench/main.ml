@@ -434,6 +434,21 @@ let connect port =
   Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
   sock
 
+(* The port [Service.serve] bound for [service], once it has; fails
+   naming [what] after 10 s. *)
+let wait_bound what service =
+  let rec go n =
+    match Bx_server.Service.port service with
+    | Some p -> p
+    | None ->
+        if n > 1000 then failwith (what ^ " never bound")
+        else begin
+          Thread.delay 0.01;
+          go (n + 1)
+        end
+  in
+  go 0
+
 (* A faithful replica of the seed bxwiki loop: one thread, one
    connection per request, a fresh render every time, Connection:
    close. *)
@@ -521,17 +536,7 @@ let p5_server_throughput () =
           | Error e -> Fmt.epr "pooled service: %s@." e)
         ()
     in
-    let rec wait_port n =
-      match Bx_server.Service.port service with
-      | Some p -> p
-      | None ->
-          if n > 500 then failwith "pooled service never bound"
-          else begin
-            Thread.delay 0.01;
-            wait_port (n + 1)
-          end
-    in
-    let port = wait_port 0 in
+    let port = wait_bound "pooled service" service in
     let per_client _ =
       let c = connect port in
       let oc = Unix.out_channel_of_descr c in
@@ -646,17 +651,7 @@ let p8_load_shedding () =
         | Error e -> Fmt.epr "shed service: %s@." e)
       ()
   in
-  let rec wait_port n =
-    match Bx_server.Service.port service with
-    | Some p -> p
-    | None ->
-        if n > 500 then failwith "shed service never bound"
-        else begin
-          Thread.delay 0.01;
-          wait_port (n + 1)
-        end
-  in
-  let port = wait_port 0 in
+  let port = wait_bound "shed service" service in
   let burst offered =
     let served = Atomic.make 0
     and shed = Atomic.make 0
@@ -841,17 +836,7 @@ let p9_replication () =
         | Error e -> Fmt.epr "repl primary: %s@." e)
       ()
   in
-  let rec wait_port n =
-    match Bx_server.Service.port primary with
-    | Some p -> p
-    | None ->
-        if n > 500 then failwith "repl primary never bound"
-        else begin
-          Thread.delay 0.01;
-          wait_port (n + 1)
-        end
-  in
-  let port = wait_port 0 in
+  let port = wait_bound "repl primary" primary in
   let page =
     (Bx_server.Service.handle primary ~meth:"GET"
        ~path:"/examples:celsius.wiki" ~body:"")
@@ -1963,6 +1948,8 @@ type p13_summary = {
   p13_tax_on : p13_tax;
   p13_p50_delta_pct : float;
   p13_p99_delta_pct : float;
+  p13_aa_p50_delta_pct : float;
+  p13_aa_p99_delta_pct : float;
 }
 
 let p13_integrity ~entries () =
@@ -2040,9 +2027,16 @@ let p13_integrity ~entries () =
      positive(s)%s@."
     scrub_items scrub_seconds items_per_s mb_per_s false_positives
     (if false_positives > 0 then "  *** CLEAN STORE FLAGGED ***" else "");
-  (* Phase 2 — scrub tax: the same read-heavy open-loop load with the
-     scrubber off, then on.  Serving re-checkpoints on shutdown, which
-     is why corruption injection waits for phase 3. *)
+  (* Phase 2 — scrub tax: the same read-heavy open-loop load on one
+     server, alternating repetitions with the scrubber off and on.  The
+     server boots with [scrub_rate = 0]; an "on" repetition runs
+     [Service.scrub_loop] — the loop [serve]'s scrubber domain runs — on
+     a domain of its own and stops it after.  The pairs alternate their
+     order (on first in every other pair), so drift over the run lands
+     on both sides alike, and the off repetitions split by pair parity
+     give the A/A spread any off → on delta has to beat.  Serving
+     re-checkpoints on shutdown, which is why corruption injection waits
+     for phase 3. *)
   (* The offered load is calibrated, not fixed: an open-loop driver on
      a saturated server measures backlog, not the scrubber.  A short
      saturating probe through the real socket path measures what this
@@ -2053,35 +2047,6 @@ let p13_integrity ~entries () =
   let cores = Domain.recommended_domain_count () in
   let tax_domains = max 1 (min 4 (cores / 2))
   and tax_scrub_rate = max 100 (min 2000 (500 * (cores - 1))) in
-  let with_server ~scrub_rate f =
-    let svc = create ~scrub_rate () in
-    let server =
-      Thread.create
-        (fun () ->
-          match
-            Bx_server.Service.serve svc ~port:0 ~workers:(tax_domains + 2)
-              ~quiet:true ()
-          with
-          | Ok () -> ()
-          | Error e -> Fmt.epr "P13 serve: %s@." e)
-        ()
-    in
-    let rec wait_port n =
-      match Bx_server.Service.port svc with
-      | Some p -> p
-      | None ->
-          if n > 1000 then failwith "P13 service never bound"
-          else begin
-            Thread.delay 0.01;
-            wait_port (n + 1)
-          end
-    in
-    let port = wait_port 0 in
-    let r = f port in
-    Bx_server.Service.shutdown svc;
-    Thread.join server;
-    r
-  in
   let load ~port ~rate ~warmup ~duration =
     let spec =
       {
@@ -2100,13 +2065,53 @@ let p13_integrity ~entries () =
     | Ok r -> r
     | Error e -> failwith ("P13 loadgen: " ^ e)
   in
-  (* Per mode: three measured repetitions against one server, medians
-     per quantile — a single rep's p99 is one scheduling hiccup away
-     from either sign. *)
-  let measure ~port ~rate =
-    let reps =
-      List.init 5 (fun _ -> load ~port ~rate ~warmup:0.5 ~duration:4.0)
-    in
+  let svc = create () in
+  let server =
+    Thread.create
+      (fun () ->
+        match
+          Bx_server.Service.serve svc ~port:0 ~workers:(tax_domains + 2)
+            ~quiet:true ()
+        with
+        | Ok () -> ()
+        | Error e -> Fmt.epr "P13 serve: %s@." e)
+      ()
+  in
+  let port = wait_bound "P13 service" svc in
+  let probe = load ~port ~rate:5000. ~warmup:0.5 ~duration:2.0 in
+  let tax_rate = Float.max 20. (0.30 *. probe.Bx_load.Loadgen.throughput) in
+  let rep ~scrub =
+    let run () = load ~port ~rate:tax_rate ~warmup:0.5 ~duration:3.0 in
+    if not scrub then run ()
+    else begin
+      let stop = Atomic.make false in
+      let scrubber =
+        Domain.spawn (fun () ->
+            Bx_server.Service.scrub_loop
+              ~rate:(float_of_int tax_scrub_rate)
+              ~stop:(fun () -> Atomic.get stop)
+              svc)
+      in
+      Fun.protect run ~finally:(fun () ->
+          Atomic.set stop true;
+          Domain.join scrubber)
+    end
+  in
+  let pairs = 6 in
+  let runs =
+    List.init pairs (fun i ->
+        if i mod 2 = 0 then
+          let off = rep ~scrub:false in
+          (i, off, rep ~scrub:true)
+        else
+          let on = rep ~scrub:true in
+          (i, rep ~scrub:false, on))
+  in
+  Bx_server.Service.shutdown svc;
+  Thread.join server;
+  (* Medians per quantile over the repetitions — a single rep's p99 is
+     one scheduling hiccup away from either sign. *)
+  let summary reps =
     let median f =
       let sorted = List.sort compare (List.map f reps) in
       List.nth sorted (List.length sorted / 2)
@@ -2120,37 +2125,37 @@ let p13_integrity ~entries () =
       tax_p99_us = median (fun r -> Bx_obs.Hist.quantile r.latency 0.99);
     }
   in
-  let tax_off, tax_rate =
-    with_server ~scrub_rate:0 (fun port ->
-        let probe = load ~port ~rate:5000. ~warmup:0.5 ~duration:2.0 in
-        let rate =
-          Float.max 20. (0.30 *. probe.Bx_load.Loadgen.throughput)
-        in
-        (measure ~port ~rate, rate))
+  let offs parity =
+    List.filter_map
+      (fun (i, off, _) -> if parity i then Some off else None)
+      runs
   in
-  let tax_on =
-    with_server ~scrub_rate:tax_scrub_rate (fun port ->
-        measure ~port ~rate:tax_rate)
-  in
+  let tax_off = summary (offs (fun _ -> true))
+  and tax_on = summary (List.map (fun (_, _, on) -> on) runs)
+  and aa_a = summary (offs (fun i -> i mod 2 = 0))
+  and aa_b = summary (offs (fun i -> i mod 2 = 1)) in
   let delta_pct a b =
     100. *. (float_of_int b -. float_of_int a) /. float_of_int (max 1 a)
   in
   let p50_delta = delta_pct tax_off.tax_p50_us tax_on.tax_p50_us in
   let p99_delta = delta_pct tax_off.tax_p99_us tax_on.tax_p99_us in
+  let aa_p50 = delta_pct aa_a.tax_p50_us aa_b.tax_p50_us in
+  let aa_p99 = delta_pct aa_a.tax_p99_us aa_b.tax_p99_us in
   (* A percentage over sub-millisecond medians is scheduler noise, not
-     scrubber cost: only flag a regression that is both relatively and
-     absolutely real. *)
-  let over q_off q_on delta =
-    delta > 10.0 && q_on - q_off > 1000
+     scrubber cost, and so is one the A/A spread matches: only flag a
+     regression that is relatively, absolutely and resolvably real. *)
+  let over q_off q_on delta aa =
+    delta > 10.0 && q_on - q_off > 1000 && delta > Float.abs aa
   in
   Fmt.pr
-    "tax: read-heavy %.0f req/s — scrub off p50/p99 %d/%d us, on \
-     (rate=%d/s) %d/%d us -> p50 %+.1f%%, p99 %+.1f%%%s@."
-    tax_rate tax_off.tax_p50_us tax_off.tax_p99_us tax_scrub_rate
-    tax_on.tax_p50_us tax_on.tax_p99_us p50_delta p99_delta
+    "tax: read-heavy %.0f req/s, %d off/on pairs — scrub off p50/p99 %d/%d \
+     us, on (rate=%d/s) %d/%d us -> p50 %+.1f%%, p99 %+.1f%% (A/A off vs off: \
+     p50 %+.1f%%, p99 %+.1f%%)%s@."
+    tax_rate pairs tax_off.tax_p50_us tax_off.tax_p99_us tax_scrub_rate
+    tax_on.tax_p50_us tax_on.tax_p99_us p50_delta p99_delta aa_p50 aa_p99
     (if
-       over tax_off.tax_p99_us tax_on.tax_p99_us p99_delta
-       || over tax_off.tax_p50_us tax_on.tax_p50_us p50_delta
+       over tax_off.tax_p99_us tax_on.tax_p99_us p99_delta aa_p99
+       || over tax_off.tax_p50_us tax_on.tax_p50_us p50_delta aa_p50
      then "  *** ABOVE 10% TARGET ***"
      else "");
   (* Phase 3 — corruption detection.  Shutdown's final checkpoint left
@@ -2315,6 +2320,8 @@ let p13_integrity ~entries () =
     p13_tax_on = tax_on;
     p13_p50_delta_pct = p50_delta;
     p13_p99_delta_pct = p99_delta;
+    p13_aa_p50_delta_pct = aa_p50;
+    p13_aa_p99_delta_pct = aa_p99;
   }
 
 let write_integrity_json path s =
@@ -2359,7 +2366,9 @@ let write_integrity_json path s =
   tax "scrubber_off" s.p13_tax_off;
   tax "scrubber_on" s.p13_tax_on;
   add "    \"p50_delta_pct\": %.1f,\n" s.p13_p50_delta_pct;
-  add "    \"p99_delta_pct\": %.1f\n" s.p13_p99_delta_pct;
+  add "    \"p99_delta_pct\": %.1f,\n" s.p13_p99_delta_pct;
+  add "    \"aa_p50_delta_pct\": %.1f,\n" s.p13_aa_p50_delta_pct;
+  add "    \"aa_p99_delta_pct\": %.1f\n" s.p13_aa_p99_delta_pct;
   add "  }\n";
   add "}\n";
   Out_channel.with_open_text path (fun oc ->
@@ -2472,19 +2481,6 @@ let p14_bump_rev body i =
       ^ string_of_int i
       ^ String.sub body !d (bl - !d)
 
-let p14_wait_port service =
-  let rec go n =
-    match Bx_server.Service.port service with
-    | Some p -> p
-    | None ->
-        if n > 500 then failwith "chaos service never bound"
-        else begin
-          Thread.delay 0.01;
-          go (n + 1)
-        end
-  in
-  go 0
-
 (* The 4x-overload storm, once with brownout and once shed-only. *)
 let p14_storm ~brownout ~offered ~queue_capacity =
   let workers = 2 in
@@ -2512,7 +2508,7 @@ let p14_storm ~brownout ~offered ~queue_capacity =
         | Error e -> Fmt.epr "chaos service: %s@." e)
       ()
   in
-  let port = p14_wait_port service in
+  let port = wait_bound "chaos service" service in
   (* Warm the hot page so the degraded lane has a render to serve. *)
   ignore
     (Bx_server.Service.handle service ~meth:"GET" ~path:bench_path ~body:"");
@@ -2601,7 +2597,7 @@ let p14_deadline_storm ~budget_ms ~offered =
         | Error e -> Fmt.epr "deadline service: %s@." e)
       ()
   in
-  let port = p14_wait_port service in
+  let port = wait_bound "chaos service" service in
   Bx_fault.Fault.set "service.lock.read" (Bx_fault.Fault.Delay 0.05);
   let fresh = Atomic.make 0
   and shed = Atomic.make 0
@@ -2689,7 +2685,7 @@ let p14_toxic_tax () =
         | Error e -> Fmt.epr "tax service: %s@." e)
       ()
   in
-  let port = p14_wait_port service in
+  let port = wait_bound "chaos service" service in
   ignore
     (Bx_server.Service.handle service ~meth:"GET" ~path:bench_path ~body:"");
   let proxy =

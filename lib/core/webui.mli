@@ -53,6 +53,9 @@ val page_identifier : string -> Identifier.t option
     server can route a request to its registry shard before taking any
     lock. *)
 
+val not_found : string -> response
+(** The 404 page for a path, as every unknown route answers. *)
+
 val html_page : title:string -> string -> string
 (** Wrap an HTML fragment in the wiki's page chrome (exposed for the
     server's error pages). *)

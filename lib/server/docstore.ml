@@ -46,47 +46,45 @@ let docid_ok id =
   id <> ""
   && String.for_all (fun c -> c > '\x1f' && c <> '\x7f' && c <> '/') id
 
+let ( let* ) = Result.bind
+
 let find_lens t name =
   match List.assoc_opt name t.lenses with
   | Some l -> Ok l
   | None -> Error (Not_found (Printf.sprintf "unknown lens %S" name))
 
+let find_doc t lens docid =
+  match Hashtbl.find_opt t.docs (lens, docid) with
+  | Some e -> Ok e
+  | None -> Error (Not_found (Printf.sprintf "unknown document %S" docid))
+
 let put_doc t ~lens ~docid ~source =
   locked t (fun () ->
-      match find_lens t lens with
-      | Error _ as e -> e
-      | Ok l ->
-          if not (docid_ok docid) then
-            Error (Bad_request (Printf.sprintf "bad document id %S" docid))
-          else begin
-            match l.Slens.get source with
-            | exception (Slens.Type_error m | Bx_strlens.Split.Split_error m)
-              ->
-                Error (Unprocessable m)
-            | view -> (
-                let key = (lens, docid) in
-                match Hashtbl.find_opt t.docs key with
-                | Some e ->
-                    e.source <- source;
-                    e.view <- view;
-                    e.gen <- e.gen + 1;
-                    Delta.invalidate e.cache;
-                    Ok e.gen
-                | None ->
-                    Hashtbl.replace t.docs key
-                      { source; view; gen = 1; cache = Delta.make_cache () };
-                    Ok 1)
-          end)
+      let* l = find_lens t lens in
+      if not (docid_ok docid) then
+        Error (Bad_request (Printf.sprintf "bad document id %S" docid))
+      else
+        match l.Slens.get source with
+        | exception (Slens.Type_error m | Bx_strlens.Split.Split_error m) ->
+            Error (Unprocessable m)
+        | view -> (
+            match Hashtbl.find_opt t.docs (lens, docid) with
+            | Some e ->
+                e.source <- source;
+                e.view <- view;
+                e.gen <- e.gen + 1;
+                Delta.invalidate e.cache;
+                Ok e.gen
+            | None ->
+                Hashtbl.replace t.docs (lens, docid)
+                  { source; view; gen = 1; cache = Delta.make_cache () };
+                Ok 1))
 
 let get_doc t ~lens ~docid ~view =
   locked t (fun () ->
-      match find_lens t lens with
-      | Error _ as e -> e
-      | Ok _ -> (
-          match Hashtbl.find_opt t.docs (lens, docid) with
-          | None ->
-              Error (Not_found (Printf.sprintf "unknown document %S" docid))
-          | Some e -> Ok (e.gen, if view then e.view else e.source)))
+      let* _ = find_lens t lens in
+      let* e = find_doc t lens docid in
+      Ok (e.gen, if view then e.view else e.source))
 
 let split_once sep str =
   match String.index_opt str sep with
@@ -95,105 +93,75 @@ let split_once sep str =
       Some
         (String.sub str 0 i, String.sub str (i + 1) (String.length str - i - 1))
 
+(* [<docid> RS <gen> RS <edit>]. *)
+let patch_frame body =
+  let bad = Error (Bad_request "patch body must be <docid> RS (0x1e) <gen> RS <edit>") in
+  match split_once rs body with
+  | None -> bad
+  | Some (docid, rest) -> (
+      match split_once rs rest with
+      | Some (gen, edit) when int_of_string_opt gen <> None ->
+          Ok (docid, int_of_string gen, edit)
+      | _ -> bad)
+
 let patch t ~lens ~reverse body =
   locked t (fun () ->
-      match find_lens t lens with
-      | Error _ as e -> e
-      | Ok l -> (
-          let frame =
-            match split_once rs body with
-            | None -> None
-            | Some (docid, rest) -> (
-                match split_once rs rest with
-                | None -> None
-                | Some (gen_s, edit_frame) -> (
-                    match int_of_string_opt gen_s with
-                    | None -> None
-                    | Some gen -> Some (docid, gen, edit_frame)))
-          in
-          match frame with
-          | None ->
-              Error
-                (Bad_request
-                   "patch body must be <docid> RS (0x1e) <gen> RS <edit>")
-          | Some (docid, gen, edit_frame) -> (
-              match Hashtbl.find_opt t.docs (lens, docid) with
-              | None ->
-                  Error
-                    (Not_found (Printf.sprintf "unknown document %S" docid))
-              | Some e ->
-                  if gen <> e.gen then
-                    Error (Stale { current = e.gen; got = gen })
-                  else begin
-                    match Sdiff.decode edit_frame with
-                    | Error m -> Error (Unprocessable ("bad edit: " ^ m))
-                    | Ok edit -> (
-                        try
-                          if reverse then begin
-                            (* Source edit, propagated forwards. *)
-                            let new_view, view_edit =
-                              Delta.get_delta l ~cache:e.cache
-                                ~source:e.source ~view:e.view edit
-                            in
-                            e.source <- Sdiff.apply e.source edit;
-                            e.view <- new_view;
-                            e.gen <- e.gen + 1;
-                            Ok (e.gen, view_edit)
-                          end
-                          else begin
-                            (* View edit, propagated backwards. *)
-                            let new_source, source_edit =
-                              Delta.put_delta l ~cache:e.cache
-                                ~source:e.source ~view:e.view edit
-                            in
-                            e.view <- Sdiff.apply e.view edit;
-                            e.source <- new_source;
-                            e.gen <- e.gen + 1;
-                            Ok (e.gen, source_edit)
-                          end
-                        with
-                        | Sdiff.Bad_edit m ->
-                            Error (Unprocessable ("bad edit: " ^ m))
-                        | Slens.Type_error m
-                        | Bx_strlens.Split.Split_error m ->
-                            (* The full-put fallback may have died halfway
-                               through a buffer; the cached decomposition
-                               is not to be trusted. *)
-                            Delta.invalidate e.cache;
-                            Error (Unprocessable m))
-                  end)))
+      let* l = find_lens t lens in
+      let* docid, gen, edit_frame = patch_frame body in
+      let* e = find_doc t lens docid in
+      if gen <> e.gen then Error (Stale { current = e.gen; got = gen })
+      else
+        let* edit =
+          Result.map_error
+            (fun m -> Unprocessable ("bad edit: " ^ m))
+            (Sdiff.decode edit_frame)
+        in
+        try
+          if reverse then begin
+            (* Source edit, propagated forwards. *)
+            let new_view, view_edit =
+              Delta.get_delta l ~cache:e.cache ~source:e.source ~view:e.view edit
+            in
+            e.source <- Sdiff.apply e.source edit;
+            e.view <- new_view;
+            e.gen <- e.gen + 1;
+            Ok (e.gen, view_edit)
+          end
+          else begin
+            (* View edit, propagated backwards. *)
+            let new_source, source_edit =
+              Delta.put_delta l ~cache:e.cache ~source:e.source ~view:e.view edit
+            in
+            e.view <- Sdiff.apply e.view edit;
+            e.source <- new_source;
+            e.gen <- e.gen + 1;
+            Ok (e.gen, source_edit)
+          end
+        with
+        | Sdiff.Bad_edit m -> Error (Unprocessable ("bad edit: " ^ m))
+        | Slens.Type_error m | Bx_strlens.Split.Split_error m ->
+            (* The full-put fallback may have died halfway through a
+               buffer; the cached decomposition is not to be trusted. *)
+            Delta.invalidate e.cache;
+            Error (Unprocessable m))
 
-let is_doc_path path =
-  match String.split_on_char '/' path with
-  | [ ""; "slens"; _; ("patch" | "patch_source") ] -> true
-  | [ ""; "slens"; _; "doc"; _ ] -> true
-  | _ -> false
+type op =
+  | Put of { lens : string; docid : string }
+  | Patch of { lens : string; reverse : bool }
 
 (* The reply body is the wire answer: the new generation, and for a
    patch the complementary edit after an RS. *)
-let mutate t ~path ~body =
-  match String.split_on_char '/' path with
-  | [ ""; "slens"; name; "doc"; docid ] ->
+let mutate t op ~body =
+  match op with
+  | Put { lens; docid } ->
       Result.map
         (fun gen -> string_of_int gen ^ "\n")
-        (put_doc t ~lens:name ~docid ~source:body)
-  | [ ""; "slens"; name; ("patch" | "patch_source" as op) ] ->
+        (put_doc t ~lens ~docid ~source:body)
+  | Patch { lens; reverse } ->
       Result.map
         (fun (gen, edit) ->
           string_of_int gen ^ String.make 1 rs ^ Sdiff.encode edit)
-        (patch t ~lens:name ~reverse:(op = "patch_source") body)
-  | _ ->
-      Error
-        (Not_found
-           "document paths are /slens/<name>/doc/<docid> and \
-            /slens/<name>/patch")
-
-let doc_of ~path ~body =
-  match String.split_on_char '/' path with
-  | [ ""; "slens"; name; "doc"; docid ] -> Some (name, docid)
-  | [ ""; "slens"; name; ("patch" | "patch_source") ] ->
-      Option.map (fun i -> (name, String.sub body 0 i)) (String.index_opt body rs)
-  | _ -> None
+        (patch t ~lens ~reverse body)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot dump: a deterministic, length-prefixed flat file.  Only
@@ -229,79 +197,65 @@ let dump t =
 let parse s =
   let n = String.length s in
   let fail m = Error ("docstore dump: " ^ m) in
+  let line_end pos =
+    match String.index_from_opt s pos '\n' with
+    | Some i -> Ok i
+    | None -> fail "truncated"
+  in
   let mlen = String.length magic in
-  if n < mlen || String.sub s 0 mlen <> magic then fail "bad magic"
+  if not (String.starts_with ~prefix:magic s) then fail "bad magic"
   else
-    let line_end pos =
-      match String.index_from_opt s pos '\n' with
-      | Some i -> Ok i
-      | None -> fail "truncated"
-    in
-    match line_end mlen with
-    | Error _ as e -> e
-    | Ok ce -> (
-        match int_of_string_opt (String.sub s mlen (ce - mlen)) with
-        | None -> fail "bad count"
-        | Some count ->
-            let rec go k pos acc =
-              if k = count then
-                if pos = n then Ok (List.rev acc) else fail "trailing bytes"
-              else
-                match line_end pos with
-                | Error _ as e -> e
-                | Ok he -> (
-                    let header = String.sub s pos (he - pos) in
-                    match
-                      String.split_on_char ' ' header
-                      |> List.map int_of_string_opt
-                    with
-                    | [ Some gen; Some ll; Some dl; Some sl ]
-                      when gen > 0 && ll >= 0 && dl >= 0 && sl >= 0 ->
-                        let start = he + 1 in
-                        if start + ll + dl + sl + 1 > n then fail "truncated"
-                        else
-                          let lens = String.sub s start ll in
-                          let docid = String.sub s (start + ll) dl in
-                          let source = String.sub s (start + ll + dl) sl in
-                          if s.[start + ll + dl + sl] <> '\n' then
-                            fail "bad record terminator"
-                          else
-                            go (k + 1)
-                              (start + ll + dl + sl + 1)
-                              ((lens, docid, gen, source) :: acc)
-                    | _ -> fail "bad record header")
-            in
-            go 0 (ce + 1) [])
+    let* ce = line_end mlen in
+    match int_of_string_opt (String.sub s mlen (ce - mlen)) with
+    | None -> fail "bad count"
+    | Some count ->
+        let rec go k pos acc =
+          if k = count then
+            if pos = n then Ok (List.rev acc) else fail "trailing bytes"
+          else
+            let* he = line_end pos in
+            match
+              String.split_on_char ' ' (String.sub s pos (he - pos))
+              |> List.map int_of_string_opt
+            with
+            | [ Some gen; Some ll; Some dl; Some sl ]
+              when gen > 0 && ll >= 0 && dl >= 0 && sl >= 0 ->
+                let start = he + 1 in
+                let stop = start + ll + dl + sl in
+                if stop + 1 > n then fail "truncated"
+                else if s.[stop] <> '\n' then fail "bad record terminator"
+                else
+                  let field off len = String.sub s (start + off) len in
+                  go (k + 1) (stop + 1)
+                    ((field 0 ll, field ll dl, gen, field (ll + dl) sl) :: acc)
+            | _ -> fail "bad record header"
+        in
+        go 0 (ce + 1) []
 
 let load t s =
-  match parse s with
-  | Error _ as e -> e
-  | Ok records ->
-      locked t (fun () ->
-          Hashtbl.reset t.docs;
-          let rec go = function
-            | [] -> Ok ()
-            | (lens, docid, gen, source) :: rest -> (
-                match List.assoc_opt lens t.lenses with
-                | None ->
-                    Printf.eprintf
-                      "bxwiki: docstore: skipping %S/%S (unknown lens)\n%!"
-                      lens docid;
-                    go rest
-                | Some l -> (
-                    match l.Slens.get source with
-                    | exception
-                        ( Slens.Type_error m
-                        | Bx_strlens.Split.Split_error m ) ->
-                        Error
-                          (Printf.sprintf "docstore dump: %s/%s: %s" lens
-                             docid m)
-                    | view ->
-                        Hashtbl.replace t.docs (lens, docid)
-                          { source; view; gen; cache = Delta.make_cache () };
-                        go rest))
-          in
-          go records)
+  let* records = parse s in
+  locked t (fun () ->
+      Hashtbl.reset t.docs;
+      let rec go = function
+        | [] -> Ok ()
+        | (lens, docid, gen, source) :: rest -> (
+            match List.assoc_opt lens t.lenses with
+            | None ->
+                Printf.eprintf
+                  "bxwiki: docstore: skipping %S/%S (unknown lens)\n%!" lens
+                  docid;
+                go rest
+            | Some l -> (
+                match l.Slens.get source with
+                | exception (Slens.Type_error m | Bx_strlens.Split.Split_error m)
+                  ->
+                    Error (Printf.sprintf "docstore dump: %s/%s: %s" lens docid m)
+                | view ->
+                    Hashtbl.replace t.docs (lens, docid)
+                      { source; view; gen; cache = Delta.make_cache () };
+                    go rest))
+      in
+      go records)
 
 let save_dir t ~dir =
   if doc_count t = 0 then Ok ()

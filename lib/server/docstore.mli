@@ -62,24 +62,19 @@ val patch :
     generation and the complementary edit (to the source, resp. the
     view). *)
 
-val is_doc_path : string -> bool
-(** Whether a request path mutates this store
-    ([/slens/<name>/doc/<docid>], [/slens/<name>/patch] or
-    [/slens/<name>/patch_source]) as opposed to running a stateless
-    lens op. *)
+(** One write to the store, as the route table parses it from
+    [POST /slens/<lens>/doc/<docid>] ({!put_doc}) or
+    [POST /slens/<lens>/patch] and [/patch_source] ({!patch}, with
+    [reverse] for the source side). *)
+type op =
+  | Put of { lens : string; docid : string }
+  | Patch of { lens : string; reverse : bool }
 
-val mutate : t -> path:string -> body:string -> (string, error) result
-(** Apply one write as the request (or the journal record, which stores
-    it verbatim) names it: [POST /slens/<name>/doc/<docid>] is
-    {!put_doc}, [/slens/<name>/patch] and [/patch_source] are {!patch}.
-    Returns the reply body: ["<gen>\n"], or [<gen> RS <edit>] for a
-    patch.  Any other path is [Not_found].  Replay is deterministic, so
-    a replayed patch's generation check passes by construction. *)
-
-val doc_of : path:string -> body:string -> (string * string) option
-(** The (lens, docid) a {!mutate} at [path] with [body] would touch —
-    for a patch, the frame's first RS field; [None] when there is
-    none. *)
+val mutate : t -> op -> body:string -> (string, error) result
+(** Apply one write — a live request or a journal record, which stores
+    the request verbatim.  Returns the reply body: ["<gen>\n"], or
+    [<gen> RS <edit>] for a patch.  Replay is deterministic, so a
+    replayed patch's generation check passes by construction. *)
 
 (** {1 Snapshot persistence}
 

@@ -1,5 +1,7 @@
 module Fsio = Bx_repo.Fsio
 
+let ( let* ) = Result.bind
+
 type t = {
   dir : string;
   mutable fd : Unix.file_descr;
@@ -159,9 +161,8 @@ let read ~dir =
    mid-write parses as a torn tail and is simply not returned yet; the
    next poll sees it whole. *)
 let tail ~dir ~from =
-  match read ~dir with
-  | Error e -> Error e
-  | Ok { entries; _ } -> Ok (List.filter (fun r -> r.seq >= from) entries)
+  let* { entries; _ } = read ~dir in
+  Ok (List.filter (fun r -> r.seq >= from) entries)
 
 (* Strict frame decoding for replication payloads: transport batches are
    never torn, so any malformation is an error, not a truncation. *)
@@ -228,23 +229,19 @@ let open_ ~dir ~next_seq =
   Fsio.guard (fun () ->
       Fsio.ensure_dir dir;
       recover_snapshot ~dir;
-      match read ~dir with
-      | Error e -> Error e
-      | Ok { entries; valid_bytes; torn; _ } ->
-          let fd =
-            Unix.openfile (log_file dir) [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644
-          in
-          if valid_bytes = 0 then begin
-            (* Fresh (or record-less) log: stamp the segment header. *)
-            Unix.ftruncate fd 0;
-            write_all fd magic;
-            Unix.fsync fd
-          end
-          else begin
-            if torn then Unix.ftruncate fd valid_bytes;
-            ignore (Unix.lseek fd valid_bytes Unix.SEEK_SET)
-          end;
-          Ok { dir; fd; next_seq; records = List.length entries })
+      let* { entries; valid_bytes; torn; _ } = read ~dir in
+      let fd = Unix.openfile (log_file dir) [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
+      if valid_bytes = 0 then begin
+        (* Fresh (or record-less) log: stamp the segment header. *)
+        Unix.ftruncate fd 0;
+        write_all fd magic;
+        Unix.fsync fd
+      end
+      else begin
+        if torn then Unix.ftruncate fd valid_bytes;
+        ignore (Unix.lseek fd valid_bytes Unix.SEEK_SET)
+      end;
+      Ok { dir; fd; next_seq; records = List.length entries })
 
 (* Append errors travel as strings (they are operator-facing), so a
    caller that must distinguish "the disk is full" from "the write
@@ -337,19 +334,17 @@ let checkpoint ?seq t ~save =
   Fsio.guard (fun () ->
       Fsio.remove_tree tmp;
       Bx_fault.Fault.point "journal.checkpoint.pre_save";
-      match save ~dir:tmp with
-      | Error e -> Error e
-      | Ok files ->
-          seal ~dir:tmp (Option.value seq ~default:(t.next_seq - 1));
-          Bx_fault.Fault.point "journal.checkpoint.pre_swap";
-          Fsio.swap ~into:snap tmp;
-          (* The snapshot now covers every journaled edit: reset the log
-             to a bare segment header.  A crash before the truncate is
-             harmless — replay skips records at or below the manifest's
-             sequence number. *)
-          Bx_fault.Fault.point "journal.checkpoint.pre_truncate";
-          rewind t;
-          Ok files)
+      let* files = save ~dir:tmp in
+      seal ~dir:tmp (Option.value seq ~default:(t.next_seq - 1));
+      Bx_fault.Fault.point "journal.checkpoint.pre_swap";
+      Fsio.swap ~into:snap tmp;
+      (* The snapshot now covers every journaled edit: reset the log to a
+         bare segment header.  A crash before the truncate is harmless —
+         replay skips records at or below the manifest's sequence
+         number. *)
+      Bx_fault.Fault.point "journal.checkpoint.pre_truncate";
+      rewind t;
+      Ok files)
 
 (* The snapshot as shippable payload: every flat file under
    [dir/snapshot] except the MANIFEST, plus the manifest's sequence
@@ -409,14 +404,12 @@ let stage ~dir ~seq files =
    {!checkpoint} does, and reset the log — every local record is
    superseded. *)
 let install_snapshot t ~seq ~files =
-  match check_payload files with
-  | Error _ as e -> e
-  | Ok () ->
-      let snap = snapshot_dir t.dir in
-      Fsio.guard (fun () ->
-          stage ~dir:(snap ^ ".tmp") ~seq files;
-          Fsio.swap ~into:snap (snap ^ ".tmp");
-          reset t ~next_seq:(seq + 1))
+  let* () = check_payload files in
+  let snap = snapshot_dir t.dir in
+  Fsio.guard (fun () ->
+      stage ~dir:(snap ^ ".tmp") ~seq files;
+      Fsio.swap ~into:snap (snap ^ ".tmp");
+      reset t ~next_seq:(seq + 1))
 
 (* ------------------------------------------------------------------ *)
 (* The replication epoch, persisted beside the log.  Monotonic across

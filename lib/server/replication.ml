@@ -36,59 +36,45 @@ let snapshot_body ~epoch ~seq ~files =
          (fun i (path, body) -> { Journal.seq = i + 1; path; body })
          files)
 
+let ( let* ) = Result.bind
+
+(* The header line's fields, and the offset of the frames after it. *)
 let header_line data =
   match String.index_opt data '\n' with
   | None -> Error "missing header line"
-  | Some nl -> Ok (String.sub data 0 nl, nl + 1)
+  | Some nl -> Ok (String.split_on_char ' ' (String.sub data 0 nl), nl + 1)
+
+let counted_frames data ~off count =
+  let* records = Journal.decode_frames data ~off in
+  if List.length records <> count then Error "frame count mismatch" else Ok records
+
+let ints = List.map int_of_string_opt
 
 let parse_stream_body data =
-  match header_line data with
-  | Error e -> Error e
-  | Ok (header, off) -> (
-      match String.split_on_char ' ' header with
-      | [ "bxrepl"; "1"; epoch_s; next_s; count_s ] -> (
-          match
-            ( int_of_string_opt epoch_s,
-              int_of_string_opt next_s,
-              int_of_string_opt count_s )
-          with
-          | Some epoch, Some next_seq, Some count -> (
-              match Journal.decode_frames data ~off with
-              | Error e -> Error e
-              | Ok records when List.length records <> count ->
-                  Error "frame count mismatch"
-              | Ok records -> Ok (Records { epoch; next_seq; records }))
-          | _ -> Error "malformed bxrepl header")
-      | [ "bxreset"; "1"; epoch_s; floor_s ] -> (
-          match (int_of_string_opt epoch_s, int_of_string_opt floor_s) with
-          | Some epoch, Some floor -> Ok (Bootstrap { epoch; floor })
-          | _ -> Error "malformed bxreset header")
-      | _ -> Error "unrecognised stream header")
+  let* header, off = header_line data in
+  match header with
+  | "bxrepl" :: "1" :: fields -> (
+      match ints fields with
+      | [ Some epoch; Some next_seq; Some count ] ->
+          let* records = counted_frames data ~off count in
+          Ok (Records { epoch; next_seq; records })
+      | _ -> Error "malformed bxrepl header")
+  | "bxreset" :: "1" :: fields -> (
+      match ints fields with
+      | [ Some epoch; Some floor ] -> Ok (Bootstrap { epoch; floor })
+      | _ -> Error "malformed bxreset header")
+  | _ -> Error "unrecognised stream header"
 
 let parse_snapshot_body data =
-  match header_line data with
-  | Error e -> Error e
-  | Ok (header, off) -> (
-      match String.split_on_char ' ' header with
-      | [ "bxsnap"; "1"; epoch_s; seq_s; count_s ] -> (
-          match
-            ( int_of_string_opt epoch_s,
-              int_of_string_opt seq_s,
-              int_of_string_opt count_s )
-          with
-          | Some epoch, Some seq, Some count -> (
-              match Journal.decode_frames data ~off with
-              | Error e -> Error e
-              | Ok records when List.length records <> count ->
-                  Error "frame count mismatch"
-              | Ok records ->
-                  Ok
-                    ( epoch,
-                      seq,
-                      List.map (fun r -> (r.Journal.path, r.Journal.body)) records
-                    ))
-          | _ -> Error "malformed bxsnap header")
-      | _ -> Error "unrecognised snapshot header")
+  let* header, off = header_line data in
+  match header with
+  | "bxsnap" :: "1" :: fields -> (
+      match ints fields with
+      | [ Some epoch; Some seq; Some count ] ->
+          let* records = counted_frames data ~off count in
+          Ok (epoch, seq, List.map (fun r -> (r.Journal.path, r.Journal.body)) records)
+      | _ -> Error "malformed bxsnap header")
+  | _ -> Error "unrecognised snapshot header"
 
 (* ------------------------------------------------------------------ *)
 (* A lean loopback HTTP client.  One request per connection: the poll
@@ -202,8 +188,6 @@ type sink = {
   note_digest : matched:bool -> unit;
   should_stop : unit -> bool;
 }
-
-let ( let* ) = Result.bind
 
 let bootstrap ~host ~port sink =
   let* status, body =

@@ -1,4 +1,4 @@
-type entry = { generation : int; response : Bx_repo.Webui.response }
+type entry = { generation : int; scope : int; response : Bx_repo.Webui.response }
 
 type shard = {
   mutex : Mutex.t;
@@ -76,10 +76,10 @@ let find_stale t ~path =
     t.shards;
   !best
 
-let store ?current t ~path ~generation response =
-  (* Under per-shard generations different paths are valid at different
+let store ?current ?(scope = 0) t ~path ~generation response =
+  (* Under per-shard generations different pages are valid at different
      generations; [current] tells the eviction sweep what "fresh" means
-     for each cached path, so a write to one registry shard does not
+     for each entry's scope, so a write to one registry shard does not
      evict every other shard's still-valid pages. *)
   let current =
     match current with Some f -> f | None -> fun _ -> generation
@@ -92,13 +92,14 @@ let store ?current t ~path ~generation response =
       then begin
         let stale =
           Hashtbl.fold
-            (fun p e acc -> if e.generation <> current p then p :: acc else acc)
+            (fun p e acc ->
+              if e.generation <> current e.scope then p :: acc else acc)
             shard.table []
         in
         if stale = [] then Hashtbl.reset shard.table
         else List.iter (Hashtbl.remove shard.table) stale
       end;
-      Hashtbl.replace shard.table path { generation; response })
+      Hashtbl.replace shard.table path { generation; scope; response })
 
 let size t =
   Array.fold_left

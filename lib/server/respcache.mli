@@ -34,17 +34,19 @@ val find_stale : t -> path:string -> (int * Bx_repo.Webui.response) option
     normal read path. *)
 
 val store :
-  ?current:(string -> int) ->
+  ?current:(int -> int) ->
+  ?scope:int ->
   t -> path:string -> generation:int -> Bx_repo.Webui.response -> unit
 (** Insert (or refresh) the rendering of [path] at [generation] into the
     calling domain's shard.  When the shard is full, entries from older
     generations are evicted first; if every entry is current, the whole
     shard is dropped (rare: it means a shard's capacity of distinct
-    pages was rendered without a write).  [current] maps a cached path to
-    the generation at which it would be considered fresh (default:
-    everything is compared against [generation]) — a service with
-    per-registry-shard generations passes its per-path generation
-    function so the sweep only evicts genuinely stale pages. *)
+    pages was rendered without a write).  [scope] names the generation
+    counter the render was filed under (default 0), and [current] maps a
+    scope to that counter's value now (default: everything is compared
+    against [generation]) — a service with per-registry-shard
+    generations files each page under its shard, or the whole catalogue,
+    so the sweep only evicts genuinely stale pages. *)
 
 val size : t -> int
 (** Total entries across all shards. *)

@@ -306,12 +306,12 @@ let flag_corruption t key ~surface ~why =
 (* ------------------------------------------------------------------ *)
 (* Boot: snapshot, then log replay *)
 
+let ( let* ) = Result.bind
+let tag what = Result.map_error (fun e -> what ^ e)
+
 (* Documents persist in shard 0's snapshot. *)
 let load_docs docstore log =
   Docstore.load_dir docstore ~dir:(Shardlog.snapshot_dir log 0)
-
-let is_slens_path path =
-  String.length path > 7 && String.sub path 0 7 = "/slens/"
 
 let respond_html status title body =
   {
@@ -340,20 +340,29 @@ let docstore_error e =
   respond_text status (Docstore.describe e ^ "\n")
 
 (* The in-memory half of every write — a live POST, a replayed journal
-   record, a streamed replica record: lens-document paths mutate the
-   docstore, everything else goes to the registry.  Nothing here locks,
+   record, a streamed replica record: document writes mutate the
+   docstore, entry edits go to the registry.  Nothing here locks,
    journals or counts; the callers decide that. *)
-let perform registry docstore ~path ~body =
-  if is_slens_path path then
-    match Docstore.mutate docstore ~path ~body with
-    | Ok reply -> respond_text 200 reply
-    | Error e -> docstore_error e
-  else Bx_repo.Webui.handle registry ~meth:"POST" ~path ~body
+let perform registry docstore route ~path ~body =
+  match route with
+  | Route.Doc_write op -> (
+      match Docstore.mutate docstore op ~body with
+      | Ok reply -> respond_text 200 reply
+      | Error e -> docstore_error e)
+  | Edit _ -> Bx_repo.Webui.handle registry ~meth:"POST" ~path ~body
+  | _ -> respond_text 404 ("not a write: " ^ path ^ "\n")
+
+(* A journal record stores the request path verbatim; it parses as the
+   POST it was.  Extra pages never shadow a journaled write: the write
+   path did not consult them when the record was taken. *)
+let journaled (r : Journal.record) = Route.parse ~pages:[] "POST" r.path
 
 let replay_edits registry docstore records =
   List.fold_left
     (fun (ok, failed) (r : Journal.record) ->
-      let response = perform registry docstore ~path:r.path ~body:r.body in
+      let response =
+        perform registry docstore (journaled r) ~path:r.path ~body:r.body
+      in
       if response.Bx_repo.Webui.status = 200 then (ok + 1, failed)
       else begin
         Printf.eprintf
@@ -366,17 +375,12 @@ let replay_edits registry docstore records =
 (* Per-shard snapshot writer: segment [k] dumps only shard [k], so
    compacting one segment costs O(shard), not O(catalogue). *)
 let save_shard_cb t k ~dir =
-  match Bx_repo.Store.save_shard ~dir t.registry k with
-  | Error _ as e -> e
-  | Ok n ->
-      (* Lens-backed documents ride shard 0's snapshot as one extra flat
-         file; every other loader ignores it (page files are recognised
-         by name). *)
-      if k <> 0 || Docstore.doc_count t.docstore = 0 then Ok n
-      else
-        match Docstore.save_dir t.docstore ~dir with
-        | Ok () -> Ok (n + 1)
-        | Error e -> Error e
+  let* n = Bx_repo.Store.save_shard ~dir t.registry k in
+  (* Lens-backed documents ride shard 0's snapshot as one extra flat
+     file; every other loader ignores it (page files are recognised by
+     name). *)
+  if k <> 0 || Docstore.doc_count t.docstore = 0 then Ok n
+  else Result.map (fun () -> n + 1) (Docstore.save_dir t.docstore ~dir)
 
 (* Caller holds shard [k]'s write lock, or for [`All] every write lock
    (or is single-threaded at boot or shutdown): then all segments seal at
@@ -627,124 +631,81 @@ let create ?(config = default_config) ?(pages = []) ?(lenses = []) ~seed () =
     register_sampled t;
     t
   in
+  let seeded () = tag "seed re-shard: " (resharded (seed ())) in
   match config.journal_dir with
-  | None -> (
-      match resharded (seed ()) with
-      | Error e -> Error ("seed re-shard: " ^ e)
-      | Ok registry -> Ok (fresh ~registry ~log:None ~applied:0 ~failed:0))
+  | None ->
+      let* registry = seeded () in
+      Ok (fresh ~registry ~log:None ~applied:0 ~failed:0)
   | Some dir -> (
-      match Shardlog.open_ ~dir ~shards with
-      | Error e -> Error e
-      | Ok (log, recovery) -> (
-          (* What recovery found is an operational signal: torn tails
-             are the benign residue of a crash, checksum failures are
-             corruption worth an operator's attention. *)
-          Metrics.journal_recovery metrics ~torn:recovery.torn
-            ~crc_errors:recovery.crc_errors;
-          let registry0 =
-            if recovery.complete then
-              (* Every segment carries a sealed snapshot: the pages are
-                 the whole catalogue, no seed needed. *)
-              Result.map_error
-                (fun e -> "snapshot load: " ^ e)
-                (Bx_repo.Registry.import ~shards recovery.pages)
-            else
-              (* Partial (or no) snapshots: start from the seed and lay
-                 the sealed shards' pages over it — cheaper than forcing
-                 a full initial checkpoint just to make boot uniform. *)
-              match resharded (seed ()) with
-              | Error e -> Error ("seed re-shard: " ^ e)
-              | Ok registry -> (
-                  match Bx_repo.Registry.overlay registry recovery.pages with
-                  | Error e -> Error ("snapshot overlay: " ^ e)
-                  | Ok () -> Ok registry)
+      let* log, recovery = Shardlog.open_ ~dir ~shards in
+      (* What recovery found is an operational signal: torn tails are the
+         benign residue of a crash, checksum failures are corruption
+         worth an operator's attention. *)
+      Metrics.journal_recovery metrics ~torn:recovery.torn
+        ~crc_errors:recovery.crc_errors;
+      let registry0 =
+        if recovery.complete then
+          (* Every segment carries a sealed snapshot: the pages are the
+             whole catalogue, no seed needed. *)
+          tag "snapshot load: " (Bx_repo.Registry.import ~shards recovery.pages)
+        else
+          (* Partial (or no) snapshots: start from the seed and lay the
+             sealed shards' pages over it — cheaper than forcing a full
+             initial checkpoint just to make boot uniform. *)
+          let* registry = seeded () in
+          let* () =
+            tag "snapshot overlay: "
+              (Bx_repo.Registry.overlay registry recovery.pages)
           in
-          match registry0 with
-          | Error e ->
-              Shardlog.close log;
-              Error e
-          | Ok registry -> (
-              (* Documents persist in shard 0's snapshot; load them
-                 before replay so journalled patches find their
-                 documents at the right generation.  A dump that failed
-                 its checksum is quarantined below, not parsed. *)
-              let docs_corrupt =
-                List.exists
-                  (fun (k, file, _) -> k = 0 && file = Docstore.docs_file)
-                  recovery.corrupt
-              in
-              (if not docs_corrupt then
-                 match load_docs docstore log with
-                 | Ok () -> ()
-                 | Error e -> Printf.eprintf "bxwiki: %s\n%!" e);
-              let applied, failed =
-                replay_edits registry docstore recovery.replay
-              in
-              let t = fresh ~registry ~log:(Some log) ~applied ~failed in
-              (* Checksum casualties found at boot enter the quarantine
-                 like scrub findings would: flagged, counted, kept on
-                 disk for the operator (or an anti-entropy resync). *)
-              List.iter
-                (fun (k, file, why) ->
-                  let name = Shardlog.file_name ~shards k file in
-                  flag_corruption t
-                    (Integrity.Quarantine.File name)
-                    ~surface:"snapshot" ~why)
-                recovery.corrupt;
-              Ok t)))
+          Ok registry
+      in
+      match registry0 with
+      | Error e ->
+          Shardlog.close log;
+          Error e
+      | Ok registry ->
+          (* Documents persist in shard 0's snapshot; load them before
+             replay so journalled patches find their documents at the
+             right generation.  A dump that failed its checksum is
+             quarantined below, not parsed. *)
+          let docs_corrupt =
+            List.exists
+              (fun (k, file, _) -> k = 0 && file = Docstore.docs_file)
+              recovery.corrupt
+          in
+          (if not docs_corrupt then
+             match load_docs docstore log with
+             | Ok () -> ()
+             | Error e -> Printf.eprintf "bxwiki: %s\n%!" e);
+          let applied, failed = replay_edits registry docstore recovery.replay in
+          let t = fresh ~registry ~log:(Some log) ~applied ~failed in
+          (* Checksum casualties found at boot enter the quarantine like
+             scrub findings would: flagged, counted, kept on disk for the
+             operator (or an anti-entropy resync). *)
+          List.iter
+            (fun (k, file, why) ->
+              let name = Shardlog.file_name ~shards k file in
+              flag_corruption t (Integrity.Quarantine.File name)
+                ~surface:"snapshot" ~why)
+            recovery.corrupt;
+          Ok t)
 
 (* ------------------------------------------------------------------ *)
 (* Request handling *)
 
-let route_of t path =
-  let ends_with suffix = Filename.check_suffix path suffix in
-  if path = "/" || path = "" then "index"
-  else if path = "/metrics" then "metrics"
-  else if path = "/healthz" || path = "/readyz" then "health"
-  else if path = "/debug/failpoints" || path = "/debug/chaos" then "debug"
-  else if
-    path = "/replication/stream"
-    || path = "/replication/snapshot"
-    || path = "/replication/digest"
-  then "replication"
-  else if path = "/admin/promote" then "admin"
-  else if is_slens_path path then "slens"
-  else if path = "/search" then "search"
-  else if path = "/glossary" then "glossary"
-  else if path = "/manuscript" then "manuscript"
-  else if List.mem_assoc path t.pages then path
-  else if ends_with ".wiki" then "entry.wiki"
-  else if ends_with ".json" then "entry.json"
-  else "entry"
+(* The generation counter a rendered page is filed under: an entry page
+   is exactly as fresh as its registry shard; every other page reads the
+   whole catalogue (scope -1) and any write invalidates it. *)
+let page_scope t = function
+  | Route.Entry { id; _ } -> Bx_repo.Registry.shard_of_id t.registry id
+  | Index | Search | Glossary | Manuscript | Extra _ -> -1
 
-(* Which registry shard a path's cache validity rides on: an entry route
-   is exactly as fresh as its shard's generation, everything else (the
-   index, search, the manuscript...) reads the whole catalogue and is
-   invalidated by any write.  Purely syntactic, so it can classify both
-   live requests and already-cached keys. *)
-let shard_route t path =
-  match route_of t path with
-  | "entry" | "entry.wiki" | "entry.json" -> (
-      match Bx_repo.Webui.page_identifier path with
-      | Some id -> Some (Bx_repo.Registry.shard_of_id t.registry id)
-      | None -> None)
-  | _ -> None
-
-let cache_key ~path ~query = if query = "" then path else path ^ "?" ^ query
-
-(* The generation a cached key would have to carry to be fresh now.
-   Sampled racily (like the pre-sharding code sampled [t.gen]): a stale
+(* Sampled racily (like the pre-sharding code sampled [t.gen]): a stale
    sample only causes a miss or an eviction, never a stale hit, because
    the store-side generation is sampled under the rendering lock. *)
-let gen_for_key t key =
-  let path =
-    match String.index_opt key '?' with
-    | None -> key
-    | Some i -> String.sub key 0 i
-  in
-  match shard_route t path with
-  | Some k -> t.gens.(k)
-  | None -> total_gen t
+let scope_gen t k = if k < 0 then total_gen t else t.gens.(k)
+
+let cache_key ~path ~query = if query = "" then path else path ^ "?" ^ query
 
 (* ------------------------------------------------------------------ *)
 (* Deadline propagation.  A request carries the client's remaining
@@ -765,11 +726,10 @@ let shed_deadline t =
    generation, labelled with how far behind the live registry it is.
    The brownout bargain: freshness is traded for availability, visibly —
    the client can always tell a stale answer from a fresh one. *)
-let try_stale t ~query path =
-  let key = cache_key ~path ~query in
-  match Respcache.find_stale t.cache ~path:key with
+let try_stale t page ~query path =
+  match Respcache.find_stale t.cache ~path:(cache_key ~path ~query) with
   | Some (gen, response) when response.Bx_repo.Webui.status = 200 ->
-      let lag = max 0 (gen_for_key t key - gen) in
+      let lag = max 0 (scope_gen t (page_scope t page) - gen) in
       Metrics.stale_response t.metrics ~gen_lag:lag;
       Some
         {
@@ -780,49 +740,41 @@ let try_stale t ~query path =
         }
   | _ -> None
 
-let handle_get t ~query path =
+let handle_get t page ~query path =
   let key = cache_key ~path ~query in
+  let scope = page_scope t page in
+  let render ~pages () =
+    ( scope_gen t scope,
+      Bx_repo.Webui.handle ~pages ~query t.registry ~meth:"GET" ~path ~body:"" )
+  in
   let render () =
     Bx_fault.Fault.point "service.lock.read";
-    if List.mem_assoc path t.pages then begin
-      (* Serialise extra-page thunks (they may force lazies, which is
-         not safe to race from parallel domains); the result is cached,
-         so this mutex is cold after the first render. *)
-      Mutex.lock t.pages_mutex;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.pages_mutex)
-        (fun () ->
-          read_all t (fun () ->
-              ( total_gen t,
-                Bx_repo.Webui.handle ~pages:t.pages ~query t.registry
-                  ~meth:"GET" ~path ~body:"" )))
-    end
-    else
-      match shard_route t path with
-      | Some k ->
-          (* An entry page renders under just its shard's read lock: a
-             write to any other shard neither blocks this read nor
-             invalidates its cache entry. *)
-          read_shard t k (fun () ->
-              ( t.gens.(k),
-                Bx_repo.Webui.handle ~query t.registry ~meth:"GET" ~path
-                  ~body:"" ))
-      | None ->
-          read_all t (fun () ->
-              ( total_gen t,
-                Bx_repo.Webui.handle ~query t.registry ~meth:"GET" ~path
-                  ~body:"" ))
+    match page with
+    | Route.Extra _ ->
+        (* Serialise extra-page thunks (they may force lazies, which is
+           not safe to race from parallel domains); the result is cached,
+           so this mutex is cold after the first render. *)
+        Mutex.lock t.pages_mutex;
+        Fun.protect
+          ~finally:(fun () -> Mutex.unlock t.pages_mutex)
+          (fun () -> read_all t (render ~pages:t.pages))
+    | Entry _ ->
+        (* An entry page renders under just its shard's read lock: a
+           write to any other shard neither blocks this read nor
+           invalidates its cache entry. *)
+        read_shard t scope (render ~pages:[])
+    | Index | Search | Glossary | Manuscript -> read_all t (render ~pages:[])
   in
   (* The generation is sampled under the same read lock that renders, so
      a cached page can never be older than the generation it is filed
      under. *)
-  match Respcache.find t.cache ~path:key ~generation:(gen_for_key t key) with
+  match Respcache.find t.cache ~path:key ~generation:(scope_gen t scope) with
   | Some response -> response
   | None ->
       let generation, response = render () in
       if response.Bx_repo.Webui.status = 200 then
-        Respcache.store t.cache ~path:key ~generation response
-          ~current:(gen_for_key t);
+        Respcache.store t.cache ~path:key ~scope ~generation response
+          ~current:(scope_gen t);
       response
 
 (* ------------------------------------------------------------------ *)
@@ -879,56 +831,53 @@ let with_out emit =
     ~finally:(fun () ->
       if Buffer.length out <= Httpd.default_max_body then (Buffer.clear out; slot := Some out))
 
-let handle_slens t path body =
-  match String.split_on_char '/' path with
-  | [ ""; "slens"; name; op ] -> (
-      match List.assoc_opt name t.lenses with
-      | None -> respond_text 404 (Printf.sprintf "unknown lens %S\n" name)
-      | Some lens -> (
-          let observe op docs =
-            Metrics.observe_lens t.metrics ~lens:name ~op ~docs
-              ~bytes:(String.length body)
-          in
-          let n = String.length body in
-          let ok emit = respond_text 200 (with_out emit) in
-          (* Put the record [view sep source] at [body[pos .. pos+len)]. *)
-          let put_record sep out pos len =
-            let u = index_in body sep pos (pos + len) in
-            Bx_strlens.Slens.put_into lens out body pos (u - pos) body (u + 1)
-              (pos + len - u - 1)
-          in
-          try
-            match op with
-            | "get" ->
-                observe "get" 1;
-                respond_text 200 (lens.Bx_strlens.Slens.get body)
-            | "create" ->
-                observe "create" 1;
-                respond_text 200 (lens.Bx_strlens.Slens.create body)
-            | "put" ->
-                if index_in body rs 0 n = n then
-                  respond_text 400 "put body must be <view> RS (0x1e) <source>\n"
-                else (
-                  observe "put" 1;
-                  ok (fun out -> put_record rs out 0 n))
-            | "get_batch" ->
-                ok (fun out ->
-                    run_batch ~counted:(observe "get_batch") out body
-                      (fun out -> Bx_strlens.Slens.get_into lens out body))
-            | "put_batch" ->
-                let malformed = ref false in
-                each_doc body (fun pos len ->
-                    if index_in body us pos (pos + len) = pos + len then malformed := true);
-                if !malformed then
-                  respond_text 400
-                    "put_batch records must be <view> US (0x1f) <source>\n"
-                else
-                  ok (fun out -> run_batch ~counted:(observe "put_batch") out body (put_record us))
-            | _ -> respond_text 404 (Printf.sprintf "unknown lens op %S\n" op)
-          with
-          | Bx_strlens.Slens.Type_error m | Bx_strlens.Split.Split_error m ->
-            respond_text 422 (m ^ "\n")))
-  | _ -> respond_text 404 "lens paths are /slens/<name>/<op>\n"
+let handle_slens t ~lens:name ~op body =
+  match List.assoc_opt name t.lenses with
+  | None -> respond_text 404 (Printf.sprintf "unknown lens %S\n" name)
+  | Some lens -> (
+      let observe op docs =
+        Metrics.observe_lens t.metrics ~lens:name ~op ~docs
+          ~bytes:(String.length body)
+      in
+      let n = String.length body in
+      let ok emit = respond_text 200 (with_out emit) in
+      (* Put the record [view sep source] at [body[pos .. pos+len)]. *)
+      let put_record sep out pos len =
+        let u = index_in body sep pos (pos + len) in
+        Bx_strlens.Slens.put_into lens out body pos (u - pos) body (u + 1)
+          (pos + len - u - 1)
+      in
+      try
+        match op with
+        | "get" ->
+            observe "get" 1;
+            respond_text 200 (lens.Bx_strlens.Slens.get body)
+        | "create" ->
+            observe "create" 1;
+            respond_text 200 (lens.Bx_strlens.Slens.create body)
+        | "put" ->
+            if index_in body rs 0 n = n then
+              respond_text 400 "put body must be <view> RS (0x1e) <source>\n"
+            else (
+              observe "put" 1;
+              ok (fun out -> put_record rs out 0 n))
+        | "get_batch" ->
+            ok (fun out ->
+                run_batch ~counted:(observe "get_batch") out body
+                  (fun out -> Bx_strlens.Slens.get_into lens out body))
+        | "put_batch" ->
+            let malformed = ref false in
+            each_doc body (fun pos len ->
+                if index_in body us pos (pos + len) = pos + len then malformed := true);
+            if !malformed then
+              respond_text 400
+                "put_batch records must be <view> US (0x1f) <source>\n"
+            else
+              ok (fun out -> run_batch ~counted:(observe "put_batch") out body (put_record us))
+        | _ -> respond_text 404 (Printf.sprintf "unknown lens op %S\n" op)
+      with
+      | Bx_strlens.Slens.Type_error m | Bx_strlens.Split.Split_error m ->
+        respond_text 422 (m ^ "\n"))
 
 (* Why this node cannot accept a write right now, if it cannot. *)
 let write_barrier t =
@@ -948,61 +897,37 @@ let write_barrier t =
 
 (* ------------------------------------------------------------------ *)
 (* The write path.  A write at run time — a live POST or a streamed
-   replica record — is first routed by what it touches: the shard whose
-   lock, generation and journal segment it uses, and the item whose hash
-   moves that shard's digest.  An entry edit rides its entry's shard; a
-   lens document rides shard 0 (its snapshot carries the docstore);
-   anything unroutable takes every lock and recomputes every digest.
+   replica record — rides the shard {!Route.touch} names: its lock,
+   generation and journal segment, and the item whose hash moves that
+   shard's digest.  An entry edit rides its entry's shard; a lens
+   document rides shard 0 (its snapshot carries the docstore).
    [apply_write] then runs {!perform} and keeps the digest exact (boot
    replay runs {!perform} alone: the digests are computed whole after
    it).  The two orders around it: a primary applies, then journals (a
    refused edit never reaches the log); a replica journals, then applies
    (a crash in between replays to the same state at the next boot). *)
 
-type touch =
-  | Entry of int * Bx_repo.Identifier.t
-  | Doc of (string * string) option
-  | Unroutable
-
-let touch_of t ~path ~body =
-  if is_slens_path path then Doc (Docstore.doc_of ~path ~body)
-  else
-    match Bx_repo.Webui.page_identifier path with
-    | Some id -> Entry (Bx_repo.Registry.shard_of_id t.registry id, id)
-    | None -> Unroutable
-
-let shard_of = function Entry (k, _) -> k | Doc _ | Unroutable -> 0
-
-let write_locked t touch =
-  match touch with
-  | Unroutable -> write_all t
-  | Entry _ | Doc _ -> write_shard t (shard_of touch)
-
 (* The touched item's contribution to its shard's digest; 0 when absent,
    so the before/after XOR covers creation too.  Caller holds the
    shard's write lock. *)
 let item_hash t = function
-  | Entry (_, id) -> Integrity.entry_hash t.registry id
-  | Doc (Some (lens, docid)) -> (
+  | Route.Entry_item id -> Integrity.entry_hash t.registry id
+  | Doc_item (lens, docid) -> (
       match Docstore.get_doc t.docstore ~lens ~docid ~view:false with
       | Ok (gen, source) -> Integrity.doc_hash ~lens ~docid ~gen ~source
       | Error _ -> 0)
-  | Doc None | Unroutable -> 0
+  | No_item -> 0
 
-(* Caller holds [write_locked t touch].  The pre-image hash is sampled
+(* Caller holds shard [k]'s write lock.  The pre-image hash is sampled
    under the same lock that applies the write: XORing it out and the
    post-image in keeps the shard digest exact without rescanning the
    shard.  A replica's digests track the same XOR, so a digest comparison
    measures content divergence, not bookkeeping drift. *)
-let apply_write t touch ~path ~body =
-  let before = item_hash t touch in
-  let response = perform t.registry t.docstore ~path ~body in
-  (if response.Bx_repo.Webui.status = 200 then
-     match touch with
-     | Unroutable -> recompute_digests t
-     | Entry _ | Doc _ ->
-         let k = shard_of touch in
-         t.digests.(k) <- t.digests.(k) lxor before lxor item_hash t touch);
+let apply_write t (k, item) route ~path ~body =
+  let before = item_hash t item in
+  let response = perform t.registry t.docstore route ~path ~body in
+  if response.Bx_repo.Webui.status = 200 then
+    t.digests.(k) <- t.digests.(k) lxor before lxor item_hash t item;
   response
 
 (* An append's verdict on the journal.  A failure flips /readyz until the
@@ -1061,27 +986,27 @@ let journal_accepted t ~k ~path ~body response =
 
 (* Live document writes count in the lens metrics; replayed and streamed
    records do not. *)
-let observe_doc_write t path body =
+let observe_doc_write t route body =
   let observe lens op =
     Metrics.observe_lens t.metrics ~lens ~op ~docs:1
       ~bytes:(String.length body)
   in
-  match String.split_on_char '/' path with
-  | [ ""; "slens"; name; "doc"; _ ] -> observe name "doc_put"
-  | [ ""; "slens"; name; ("patch" | "patch_source" as op) ] -> observe name op
+  match route with
+  | Route.Doc_write (Put { lens; _ }) -> observe lens "doc_put"
+  | Doc_write (Patch { lens; reverse }) ->
+      observe lens (if reverse then "patch_source" else "patch")
   | _ -> ()
 
 (* A live POST: an entry edit takes only its shard's write lock, so
    edits to entries in other shards proceed in parallel; a document
-   write takes shard 0's; anything unroutable serialises against
-   everything. *)
-let handle_write ?deadline t path body =
+   write takes shard 0's. *)
+let handle_write ?deadline t route ~path ~body =
   match write_barrier t with
   | Some refusal -> refusal
   | None ->
       Bx_fault.Fault.point "service.lock.write";
-      let touch = touch_of t ~path ~body in
-      write_locked t touch (fun () ->
+      let ((k, _) as touch) = Route.touch t.registry route ~body in
+      write_shard t k (fun () ->
           (* Re-checked after the (possibly contended) lock wait, and
              before the edit is applied: this is the last point an
              exhausted budget can abort cleanly — once the in-memory
@@ -1089,10 +1014,10 @@ let handle_write ?deadline t path body =
              memory from disk. *)
           if deadline_expired deadline then shed_deadline t
           else begin
-            observe_doc_write t path body;
-            let response = apply_write t touch ~path ~body in
+            observe_doc_write t route body;
+            let response = apply_write t touch route ~path ~body in
             if response.Bx_repo.Webui.status <> 200 then response
-            else journal_accepted t ~k:(shard_of touch) ~path ~body response
+            else journal_accepted t ~k ~path ~body response
           end)
 
 (* ------------------------------------------------------------------ *)
@@ -1109,32 +1034,24 @@ let handle_write ?deadline t path body =
    request frame: what the log and the replication stream carry for a
    patch is the edit, not the document. *)
 
-let handle_docstore_get t ~query path =
-  match String.split_on_char '/' path with
-  | [ ""; "slens"; name; "doc"; docid ] -> (
-      match
-        Integrity.Quarantine.find t.quarantine
-          (Integrity.Quarantine.Doc (name, docid))
-      with
-      | Some reason ->
-          (* Never serve bytes the scrubber could not vouch for: a
-             quarantined document is Gone until repaired (or resynced),
-             not silently replaced by something plausible. *)
-          respond_text 410 ("quarantined: " ^ reason ^ "\n")
-      | None ->
+let handle_docstore_get t ~query ~lens ~docid =
+  match
+    Integrity.Quarantine.find t.quarantine (Integrity.Quarantine.Doc (lens, docid))
+  with
+  | Some reason ->
+      (* Never serve bytes the scrubber could not vouch for: a
+         quarantined document is Gone until repaired (or resynced), not
+         silently replaced by something plausible. *)
+      respond_text 410 ("quarantined: " ^ reason ^ "\n")
+  | None -> (
       let as_view =
         List.assoc_opt "as" (Httpd.query_params query) = Some "view"
       in
-      Metrics.observe_lens t.metrics ~lens:name ~op:"doc_get" ~docs:1
-        ~bytes:0;
+      Metrics.observe_lens t.metrics ~lens ~op:"doc_get" ~docs:1 ~bytes:0;
       read_shard t 0 (fun () ->
-          match
-            Docstore.get_doc t.docstore ~lens:name ~docid ~view:as_view
-          with
-          | Ok (gen, doc) ->
-              respond_text 200 (string_of_int gen ^ rs_str ^ doc)
+          match Docstore.get_doc t.docstore ~lens ~docid ~view:as_view with
+          | Ok (gen, doc) -> respond_text 200 (string_of_int gen ^ rs_str ^ doc)
           | Error e -> docstore_error e))
-  | _ -> respond_text 404 "document paths are /slens/<name>/doc/<docid>\n"
 
 (* ------------------------------------------------------------------ *)
 (* Replication: the primary side (stream + snapshot endpoints), the
@@ -1158,11 +1075,6 @@ let octet_response body =
     body;
     headers = [];
   }
-
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
 
 let handle_stream ?deadline:client_deadline t query =
   match t.log with
@@ -1241,7 +1153,9 @@ let handle_stream ?deadline:client_deadline t query =
                 octet_response
                   (Replication.reset_body ~epoch:my_epoch ~floor)
             | `Records (records, next_seq) ->
-                let records = take t.config.stream_max_records records in
+                let records =
+                  List.filteri (fun i _ -> i < t.config.stream_max_records) records
+                in
                 Bx_fault.Fault.point "repl.stream.write";
                 let body =
                   Replication.stream_body ~epoch:my_epoch ~next_seq ~records
@@ -1275,9 +1189,8 @@ let handle_snapshot t query =
           | Some k when k >= 0 && k < Shardlog.shards log ->
               snapshot_response t
                 (write_shard t k (fun () ->
-                     match checkpoint_locked t (`Shard k) with
-                     | Error e -> Error e
-                     | Ok _ -> Shardlog.snapshot_files_shard log ~shard:k))
+                     let* _ = checkpoint_locked t (`Shard k) in
+                     Shardlog.snapshot_files_shard log ~shard:k))
           | _ -> respond_text 400 (Printf.sprintf "bad shard %S\n" v))
       | None ->
           let files =
@@ -1291,9 +1204,8 @@ let handle_snapshot t query =
                  at one global cut, so cut one now under all write
                  locks. *)
               write_all t (fun () ->
-                  match checkpoint_locked t `All with
-                  | Error e -> Error e
-                  | Ok _ -> Shardlog.snapshot_files log)
+                  let* _ = checkpoint_locked t `All in
+                  Shardlog.snapshot_files log)
           in
           snapshot_response t files)
 
@@ -1321,8 +1233,8 @@ let replication_apply t records =
            primary's state.  Records fan into the same shard (lock,
            generation and journal segment) a local edit would have used —
            a replica's on-disk layout converges on the primary's. *)
-        let apply_one (r : Journal.record) touch =
-          let response = apply_write t touch ~path:r.path ~body:r.body in
+        let apply_one (r : Journal.record) route ((k, _) as touch) =
+          let response = apply_write t touch route ~path:r.path ~body:r.body in
           if response.Bx_repo.Webui.status <> 200 then begin
             Printf.eprintf
               "bxwiki: streamed record %d (%s) did not apply (status %d)\n%!"
@@ -1330,7 +1242,6 @@ let replication_apply t records =
             Metrics.protocol_error t.metrics ~route:"replication"
               ~reason:"apply_failed"
           end;
-          let k = shard_of touch in
           Atomic.set t.applied_next (r.seq + 1);
           t.gens.(k) <- t.gens.(k) + 1;
           Metrics.replication_applied t.metrics ~records:1;
@@ -1343,12 +1254,13 @@ let replication_apply t records =
               if r.seq < next then go rest
               else if r.seq > next then Error (`Gap (next, r.seq))
               else
-                let touch = touch_of t ~path:r.path ~body:r.body in
+                let route = journaled r in
+                let ((k, _) as touch) = Route.touch t.registry route ~body:r.body in
                 match t.log with
                 | None ->
-                    apply_one r touch;
+                    apply_one r route touch;
                     go rest
-                | Some log when r.seq <= Shardlog.shard_floor log (shard_of touch) ->
+                | Some log when r.seq <= Shardlog.shard_floor log k ->
                     (* A targeted resync sealed this segment past
                        [r.seq]: the record is already embodied in the
                        installed shard snapshot.  Skip it (the cursor
@@ -1358,14 +1270,14 @@ let replication_apply t records =
                     go rest
                 | Some log -> (
                     let appended =
-                      Shardlog.append_at log ~shard:(shard_of touch) ~seq:r.seq
+                      Shardlog.append_at log ~shard:k ~seq:r.seq
                         ~path:r.path ~body:r.body
                     in
                     note_append t appended;
                     match appended with
                     | Error e -> Error (`Fail e)
                     | Ok _ ->
-                        apply_one r touch;
+                        apply_one r route touch;
                         go rest))
         in
         go records)
@@ -1376,32 +1288,23 @@ let replication_install_snapshot t ~seq ~files =
     Bx_fault.Fault.point "repl.apply";
     write_all t (fun () ->
         match t.log with
-        | Some log -> (
-            match Shardlog.install_snapshot log ~seq ~files with
-            | Error e -> Error e
-            | Ok () -> (
-                match Shardlog.snapshot_pages log with
-                | Error e -> Error ("snapshot load: " ^ e)
-                | Ok pages -> (
-                    match
-                      Bx_repo.Registry.import
-                        ~shards:(Shardlog.shards log) pages
-                    with
-                    | Error e -> Error ("snapshot load: " ^ e)
-                    | Ok registry ->
-                        t.registry <- registry;
-                        (* Everything cached is superseded. *)
-                        Array.iteri
-                          (fun i _ -> t.gens.(i) <- t.gens.(i) + 1)
-                          t.gens;
-                        Atomic.set t.applied_next (seq + 1);
-                        (* The shipped snapshot carries the primary's
-                           documents (or none); either way it replaces
-                           ours. *)
-                        let docs = load_docs t.docstore log in
-                        recompute_digests t;
-                        docs)))
-        | None -> Error "snapshot bootstrap requires a journal")
+        | None -> Error "snapshot bootstrap requires a journal"
+        | Some log ->
+            let* () = Shardlog.install_snapshot log ~seq ~files in
+            let* pages = tag "snapshot load: " (Shardlog.snapshot_pages log) in
+            let* registry =
+              tag "snapshot load: "
+                (Bx_repo.Registry.import ~shards:(Shardlog.shards log) pages)
+            in
+            t.registry <- registry;
+            (* Everything cached is superseded. *)
+            Array.iteri (fun i _ -> t.gens.(i) <- t.gens.(i) + 1) t.gens;
+            Atomic.set t.applied_next (seq + 1);
+            (* The shipped snapshot carries the primary's documents (or
+               none); either way it replaces ours. *)
+            let docs = load_docs t.docstore log in
+            recompute_digests t;
+            docs)
   with Bx_fault.Fault.Injected m -> Error m
 
 (* Targeted anti-entropy repair: replace exactly one shard — its segment
@@ -1416,28 +1319,22 @@ let replication_install_shard t ~shard ~seq ~files =
     write_all t (fun () ->
         match t.log with
         | None -> Error "shard resync requires a journal"
+        | Some log when shard < 0 || shard >= Shardlog.shards log ->
+            Error (Printf.sprintf "shard %d out of range" shard)
         | Some log ->
-            if shard < 0 || shard >= Shardlog.shards log then
-              Error (Printf.sprintf "shard %d out of range" shard)
-            else (
-              match Shardlog.install_shard log ~shard ~seq ~files with
-              | Error e -> Error e
-              | Ok () -> (
-                  match Shardlog.snapshot_pages_shard log ~shard with
-                  | Error e -> Error ("snapshot load: " ^ e)
-                  | Ok pages -> (
-                      match
-                        Bx_repo.Registry.replace_shard t.registry shard pages
-                      with
-                      | Error e -> Error ("shard import: " ^ e)
-                      | Ok () ->
-                          t.gens.(shard) <- t.gens.(shard) + 1;
-                          let docs =
-                            if shard <> 0 then Ok () else load_docs t.docstore log
-                          in
-                          recompute_shard_digest t shard;
-                          Metrics.replication_shard_resync t.metrics;
-                          docs))))
+            let* () = Shardlog.install_shard log ~shard ~seq ~files in
+            let* pages =
+              tag "snapshot load: " (Shardlog.snapshot_pages_shard log ~shard)
+            in
+            let* () =
+              tag "shard import: "
+                (Bx_repo.Registry.replace_shard t.registry shard pages)
+            in
+            t.gens.(shard) <- t.gens.(shard) + 1;
+            let docs = if shard <> 0 then Ok () else load_docs t.docstore log in
+            recompute_shard_digest t shard;
+            Metrics.replication_shard_resync t.metrics;
+            docs)
   with Bx_fault.Fault.Injected m -> Error m
 
 let observe_epoch t e =
@@ -1573,124 +1470,120 @@ let handle_readyz t =
   | [] -> respond_text 200 "ready\n"
   | reasons -> respond_text 503 ("not ready: " ^ String.concat ", " reasons ^ "\n")
 
-let handle_failpoints_admin t ~meth ~body =
-  if not t.config.failpoints_admin then
-    respond_text 404 "failpoint admin is not enabled (set BXWIKI_FAILPOINTS)\n"
+(* The failpoint and network-chaos admin routes: GET shows the armed
+   rules (chaos adds live proxy counters), PUT replaces the rule set
+   (chaos pushes it to every live proxy).  Each route exists only when
+   its mechanism was armed at startup. *)
+let handle_admin ~enabled ~unarmed ~describe ~show ~configure ~put ~body =
+  if not enabled then respond_text 404 unarmed
+  else if not put then respond_text 200 (show ())
   else
-    match meth with
-    | "GET" -> respond_text 200 (Bx_fault.Fault.describe () ^ "\n")
-    | "PUT" -> (
-        match Bx_fault.Fault.configure body with
-        | Ok () -> respond_text 200 (Bx_fault.Fault.describe () ^ "\n")
-        | Error e -> respond_text 400 (e ^ "\n"))
-    | _ -> respond_text 405 "use GET or PUT\n"
+    match configure body with
+    | Ok () -> respond_text 200 (describe () ^ "\n")
+    | Error e -> respond_text 400 (e ^ "\n")
 
-(* The network-chaos twin of the failpoint admin route: GET shows the
-   armed toxic rules plus live proxy counters, PUT replaces the rule set
-   (pushed to every live proxy).  Gated exactly like failpoints — the
-   route exists only when chaos was armed at startup. *)
-let handle_chaos_admin t ~meth ~body =
-  if not t.config.chaos_admin then
-    respond_text 404 "chaos admin is not enabled (set BXWIKI_CHAOS)\n"
-  else
-    match meth with
-    | "GET" ->
-        respond_text 200
-          (Bx_fault.Netchaos.describe () ^ "\n" ^ Bx_fault.Netchaos.stats_text ())
-    | "PUT" -> (
-        match Bx_fault.Netchaos.configure body with
-        | Ok () -> respond_text 200 (Bx_fault.Netchaos.describe () ^ "\n")
-        | Error e -> respond_text 400 (e ^ "\n"))
-    | _ -> respond_text 405 "use GET or PUT\n"
+let handle_failpoints_admin t =
+  let describe = Bx_fault.Fault.describe in
+  handle_admin ~enabled:t.config.failpoints_admin
+    ~unarmed:"failpoint admin is not enabled (set BXWIKI_FAILPOINTS)\n"
+    ~describe ~show:(fun () -> describe () ^ "\n")
+    ~configure:Bx_fault.Fault.configure
+
+let handle_chaos_admin t =
+  let describe = Bx_fault.Netchaos.describe in
+  handle_admin ~enabled:t.config.chaos_admin
+    ~unarmed:"chaos admin is not enabled (set BXWIKI_CHAOS)\n"
+    ~describe
+    ~show:(fun () -> describe () ^ "\n" ^ Bx_fault.Netchaos.stats_text ())
+    ~configure:Bx_fault.Netchaos.configure
 
 (* Quarantined entries keep serving — but honestly: every 200 for a
    flagged entry carries a Warning header.  Applied after the cache
    lookup, so the header is never cached and clears the moment the
    flag does. *)
-let with_quarantine_warning t path response =
+let with_quarantine_warning t id response =
   if
     response.Bx_repo.Webui.status <> 200
     || Integrity.Quarantine.size t.quarantine = 0
   then response
   else
-    match Bx_repo.Webui.page_identifier path with
+    match
+      Integrity.Quarantine.find t.quarantine
+        (Integrity.Quarantine.Entry (Bx_repo.Identifier.to_string id))
+    with
     | None -> response
-    | Some id -> (
-        match
-          Integrity.Quarantine.find t.quarantine
-            (Integrity.Quarantine.Entry (Bx_repo.Identifier.to_string id))
-        with
-        | None -> response
-        | Some reason ->
-            let reason =
-              String.map (fun c -> if c = '"' then '\'' else c) reason
-            in
-            {
-              response with
-              Bx_repo.Webui.headers =
-                ("Warning", Printf.sprintf "299 bxwiki \"quarantined: %s\"" reason)
-                :: response.Bx_repo.Webui.headers;
-            })
+    | Some reason ->
+        let reason = String.map (fun c -> if c = '"' then '\'' else c) reason in
+        {
+          response with
+          Bx_repo.Webui.headers =
+            ("Warning", Printf.sprintf "299 bxwiki \"quarantined: %s\"" reason)
+            :: response.Bx_repo.Webui.headers;
+        }
+
+let not_allowed allow =
+  {
+    (respond_text 405
+       ("method not allowed; use " ^ String.concat " or " allow ^ "\n"))
+    with
+    Bx_repo.Webui.headers = [ ("Allow", String.concat ", " allow) ];
+  }
 
 let handle_query ?deadline t ~query ~meth ~path ~body =
   let started = Bx_obs.Clock.now () in
   let meth = String.uppercase_ascii meth in
-  (* Operational routes never shed on a client deadline: health checks,
-     metrics scrapes, debug admin and the replication plane must answer
-     even (especially) when the node is struggling.  The stream route
-     honours the deadline its own way — by clamping its long-poll hold. *)
-  let route = route_of t path in
-  let ops_route =
-    match route with
-    | "metrics" | "health" | "debug" | "replication" | "admin" -> true
-    | _ -> false
-  in
+  let route = Route.parse ~pages:t.pages meth path in
   let response =
     (* An injected fault at a lock or lens seam is answered like any
        other transient overload: a 503 the retrying client backs off
        from, never a hung connection or a dead worker. *)
     try
-      if (not ops_route) && deadline_expired deadline then
-        (* The budget was gone before dispatch.  A stale cached render is
-           free and still useful to a client that races the answer
-           against its timeout; anything else is wasted work. *)
-        if meth = "GET" && t.config.brownout then
-          match try_stale t ~query path with
-          | Some r -> r
-          | None -> shed_deadline t
-        else shed_deadline t
-      else
-      match meth with
-      | "GET" when path = "/metrics" ->
+      match route with
+      | Route.Bad_path -> respond_text 400 "bad request path: it must begin with /\n"
+      | Not_allowed { allow; _ } -> not_allowed allow
+      | _ when (not (Route.deadline_exempt route)) && deadline_expired deadline -> (
+          (* The budget was gone before dispatch.  A stale cached render is
+             free and still useful to a client that races the answer
+             against its timeout; anything else is wasted work.
+             Operational routes never shed on a client deadline: they
+             must answer even (especially) when the node is struggling,
+             and the stream route clamps its long-poll hold instead. *)
+          match route with
+          | Page page when t.config.brownout -> (
+              match try_stale t page ~query path with
+              | Some r -> r
+              | None -> shed_deadline t)
+          | _ -> shed_deadline t)
+      | Metrics ->
           {
             Bx_repo.Webui.status = 200;
             content_type = "text/plain; version=0.0.4; charset=utf-8";
             body = Metrics.render t.metrics;
             headers = [];
           }
-      | "GET" when path = "/healthz" -> respond_text 200 "ok\n"
-      | "GET" when path = "/readyz" -> handle_readyz t
-      | ("GET" | "PUT") when path = "/debug/failpoints" ->
-          handle_failpoints_admin t ~meth ~body
-      | ("GET" | "PUT") when path = "/debug/chaos" ->
-          handle_chaos_admin t ~meth ~body
-      | "GET" when path = "/replication/stream" ->
-          handle_stream ?deadline t query
-      | "GET" when path = "/replication/snapshot" -> handle_snapshot t query
-      | "GET" when path = "/replication/digest" -> handle_digest t
-      | "POST" when path = "/admin/promote" -> handle_promote t
-      | "GET" when route = "slens" -> handle_docstore_get t ~query path
-      | "GET" ->
-          with_quarantine_warning t path (handle_get t ~query path)
-      | "POST" when route = "slens" && not (Docstore.is_doc_path path) ->
-          handle_slens t path body
-      | "POST" -> handle_write ?deadline t path body
-      | _ ->
-          respond_html 405 "Method not allowed" "<p>Use GET or POST.</p>"
+      | Healthz -> respond_text 200 "ok\n"
+      | Readyz -> handle_readyz t
+      | Failpoints { put } -> handle_failpoints_admin t ~put ~body
+      | Chaos { put } -> handle_chaos_admin t ~put ~body
+      | Stream -> handle_stream ?deadline t query
+      | Snapshot -> handle_snapshot t query
+      | Digest -> handle_digest t
+      | Promote -> handle_promote t
+      | Page (Entry { id; _ } as page) ->
+          with_quarantine_warning t id (handle_get t page ~query path)
+      | Page page -> handle_get t page ~query path
+      | Missing _ -> Bx_repo.Webui.not_found path
+      | Doc_get { lens; docid } -> handle_docstore_get t ~query ~lens ~docid
+      | Lens_op { lens; op } -> handle_slens t ~lens ~op body
+      | No_lens_path ->
+          respond_text 404
+            "lens paths are /slens/<name>/<op>, /slens/<name>/doc/<docid> \
+             and /slens/<name>/patch\n"
+      | Edit _ | Doc_write _ -> handle_write ?deadline t route ~path ~body
     with Bx_fault.Fault.Injected m ->
       respond_text 503 ("injected fault: " ^ m ^ "\n")
   in
-  Metrics.observe_request t.metrics ~route ~meth
+  Metrics.observe_request t.metrics ~route:(Route.label route) ~meth
     ~status:response.Bx_repo.Webui.status
     ~seconds:(Bx_obs.Clock.now () -. started);
   response
@@ -1730,6 +1623,12 @@ let scrub_once ?(rate = 0.) ?(stop = fun () -> false) t =
   in
   let shards = Array.length t.locks in
   let seg_name = Shardlog.file_name ~shards in
+  let segments =
+    match (t.log, t.config.journal_dir) with
+    | Some log, Some dir ->
+        List.init shards (fun k -> (k, log, Shardlog.segment_dir ~dir ~shards k))
+    | _ -> []
+  in
   (try
      (* Journal segments: re-read every record, re-checking framing and
         CRCs.  Every append holds its shard's write lock, so under the
@@ -1737,71 +1636,63 @@ let scrub_once ?(rate = 0.) ?(stop = fun () -> false) t =
         corruption (boot would truncate it).  A damaged header on a
         record-less segment reads as an empty torn log, and is flagged
         the same way. *)
-     (match (t.log, t.config.journal_dir) with
-     | Some log, Some dir ->
-         for k = 0 to shards - 1 do
-           pace ~surface:"journal";
-           let seg =
-             Shardlog.segment_dir ~dir ~shards:(Shardlog.shards log) k
-           in
-           let key = Q.File (seg_name k "journal.log") in
-           read_shard t k (fun () ->
-               match Journal.read ~dir:seg with
-               | Error why -> found key ~surface:"journal" why
-               | Ok r ->
-                   if r.Journal.crc_errors > 0 then
-                     found key ~surface:"journal"
-                       (Printf.sprintf "%d record(s) failed CRC"
-                          r.Journal.crc_errors)
-                   else if r.Journal.torn then
-                     found key ~surface:"journal"
-                       (Printf.sprintf
-                          "torn tail at rest: bytes past offset %d do not parse"
-                          r.Journal.valid_bytes)
-                   else Q.clear t.quarantine key)
-         done
-     | _ -> ());
+     List.iter
+       (fun (k, _, seg) ->
+         pace ~surface:"journal";
+         let key = Q.File (seg_name k "journal.log") in
+         read_shard t k (fun () ->
+             match Journal.read ~dir:seg with
+             | Error why -> found key ~surface:"journal" why
+             | Ok r ->
+                 if r.Journal.crc_errors > 0 then
+                   found key ~surface:"journal"
+                     (Printf.sprintf "%d record(s) failed CRC"
+                        r.Journal.crc_errors)
+                 else if r.Journal.torn then
+                   found key ~surface:"journal"
+                     (Printf.sprintf
+                        "torn tail at rest: bytes past offset %d do not parse"
+                        r.Journal.valid_bytes)
+                 else Q.clear t.quarantine key))
+       segments;
      (* Snapshot directories: recompute every cold file's CRC against
         the DIGESTS manifest. *)
-     (match (t.log, t.config.journal_dir) with
-     | Some log, Some dir ->
-         for k = 0 to shards - 1 do
-           pace ~surface:"snapshot";
-           let seg = Shardlog.segment_dir ~dir ~shards:(Shardlog.shards log) k in
-           read_shard t k (fun () ->
-               (* The MANIFEST carries its own CRC and is not covered by
-                  DIGESTS, so check it separately: a flipped cut point
-                  must stay quarantined until a re-checkpoint rewrites
-                  it. *)
-               let mkey = Q.File (seg_name k Bx_repo.Fsio.marker) in
-               (match Journal.read_manifest ~dir:seg with
-               | `Corrupt ->
-                   found mkey ~surface:"snapshot"
-                     "manifest checksum mismatch: cut point untrusted"
-               | `None | `Seq _ -> Q.clear t.quarantine mkey);
-               let report =
-                 Integrity.Digests.verify_dir ~dir:(Shardlog.snapshot_dir log k)
-               in
-               if report.Integrity.Digests.corrupt = [] then
-                 (* Clean segment: acquit its previously-flagged
-                    snapshot files (a re-checkpoint rewrote them). *)
-                 List.iter
-                   (fun (key, _) ->
-                     match key with
-                     | Q.File name
-                       when name = seg_name k (Filename.basename name)
-                            && name <> seg_name k "journal.log"
-                            && name <> seg_name k Bx_repo.Fsio.marker
-                       -> Q.clear t.quarantine key
-                     | _ -> ())
-                   (Q.items t.quarantine)
-               else
-                 List.iter
-                   (fun (file, why) ->
-                     found (Q.File (seg_name k file)) ~surface:"snapshot" why)
-                   report.Integrity.Digests.corrupt)
-         done
-     | _ -> ());
+     List.iter
+       (fun (k, log, seg) ->
+         pace ~surface:"snapshot";
+         read_shard t k (fun () ->
+             (* The MANIFEST carries its own CRC and is not covered by
+                DIGESTS, so check it separately: a flipped cut point
+                must stay quarantined until a re-checkpoint rewrites
+                it. *)
+             let mkey = Q.File (seg_name k Bx_repo.Fsio.marker) in
+             (match Journal.read_manifest ~dir:seg with
+             | `Corrupt ->
+                 found mkey ~surface:"snapshot"
+                   "manifest checksum mismatch: cut point untrusted"
+             | `None | `Seq _ -> Q.clear t.quarantine mkey);
+             let report =
+               Integrity.Digests.verify_dir ~dir:(Shardlog.snapshot_dir log k)
+             in
+             if report.Integrity.Digests.corrupt = [] then
+               (* Clean segment: acquit its previously-flagged
+                  snapshot files (a re-checkpoint rewrote them). *)
+               List.iter
+                 (fun (key, _) ->
+                   match key with
+                   | Q.File name
+                     when name = seg_name k (Filename.basename name)
+                          && name <> seg_name k "journal.log"
+                          && name <> seg_name k Bx_repo.Fsio.marker
+                     -> Q.clear t.quarantine key
+                   | _ -> ())
+                 (Q.items t.quarantine)
+             else
+               List.iter
+                 (fun (file, why) ->
+                   found (Q.File (seg_name k file)) ~surface:"snapshot" why)
+                 report.Integrity.Digests.corrupt))
+       segments;
      (* Entries: template validity plus the wiki round-trip laws (and
         any injected law), every stored version.  An entry that vanishes
         between the id walk and the check simply passes. *)
@@ -1841,6 +1732,20 @@ let scrub_once ?(rate = 0.) ?(stop = fun () -> false) t =
    with Stop_scrub -> ());
   Metrics.scrub_pass t.metrics;
   (!items, List.rev !findings)
+
+let scrub_loop ~rate ~stop t =
+  (* Sleep in slices so a stop is prompt. *)
+  let rec pause n =
+    if n > 0 && not (stop ()) then begin
+      Thread.delay 0.1;
+      pause (n - 1)
+    end
+  in
+  while not (stop ()) do
+    (try ignore (scrub_once ~rate ~stop t)
+     with exn -> Printf.eprintf "bxwiki: scrubber: %s\n%!" (Printexc.to_string exn));
+    pause 10
+  done
 
 (* ------------------------------------------------------------------ *)
 (* The socket server: accept loop + worker pool *)
@@ -1884,15 +1789,18 @@ let serve_degraded t fd =
       try Unix.close fd with Unix.Unix_error _ -> ())
   | Ok req -> (
       let started = Bx_obs.Clock.now () in
+      let route =
+        Route.parse ~pages:t.pages (String.uppercase_ascii req.Httpd.meth)
+          req.Httpd.path
+      in
       let answer =
-        if String.uppercase_ascii req.Httpd.meth = "GET" then
-          try_stale t ~query:req.Httpd.query req.Httpd.path
-        else None
+        match route with
+        | Route.Page page -> try_stale t page ~query:req.Httpd.query req.Httpd.path
+        | _ -> None
       in
       match answer with
       | Some response ->
-          Metrics.observe_request t.metrics
-            ~route:(route_of t req.Httpd.path)
+          Metrics.observe_request t.metrics ~route:(Route.label route)
             ~meth:"GET" ~status:response.Bx_repo.Webui.status
             ~seconds:(Bx_obs.Clock.now () -. started);
           (try Httpd.write_response fd ~keep_alive:false response
@@ -2022,24 +1930,10 @@ let serve t ?(port = 8008) ?(workers = 4) ?port_file ?(quiet = false) () =
     let scrubber =
       if t.config.scrub_rate <= 0 then None
       else
+        let rate = float_of_int t.config.scrub_rate in
         Some
           (Domain.spawn (fun () ->
-               let rate = float_of_int t.config.scrub_rate in
-               let stop () = Atomic.get t.stop in
-               (* Sleep in slices so shutdown is prompt. *)
-               let rec pause n =
-                 if n > 0 && not (stop ()) then begin
-                   Thread.delay 0.1;
-                   pause (n - 1)
-                 end
-               in
-               while not (stop ()) do
-                 (try ignore (scrub_once ~rate ~stop t)
-                  with exn ->
-                    Printf.eprintf "bxwiki: scrubber: %s\n%!"
-                      (Printexc.to_string exn));
-                 pause 10
-               done))
+               scrub_loop ~rate ~stop:(fun () -> Atomic.get t.stop) t))
     in
     let rec accept_loop () =
       if Atomic.get t.stop then ()
@@ -2084,11 +1978,7 @@ let serve t ?(port = 8008) ?(workers = 4) ?port_file ?(quiet = false) () =
     Option.iter Domain.join degraded;
     Option.iter Domain.join scrubber;
     t.bound_port <- None;
-    let result =
-      match checkpoint t with
-      | Ok _ -> Ok ()
-      | Error e -> Error ("final snapshot: " ^ e)
-    in
+    let result = Result.map ignore (tag "final snapshot: " (checkpoint t)) in
     close t;
     if not quiet then
       Printf.printf "bxwiki: drained, snapshot written, bye\n%!";

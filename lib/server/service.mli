@@ -112,7 +112,13 @@ val handle :
   t -> meth:string -> path:string -> body:string -> Bx_repo.Webui.response
 (** One request through locks, cache, journal and metrics — the
     transport-free core, used by every worker and directly by tests and
-    benchmarks.  [GET /metrics] is answered here, as are the health
+    benchmarks.  The path is parsed once, by {!Route.parse}: an empty or
+    relative one (what [POST ?x HTTP/1.1] yields) is a 400, and a method
+    its resource does not serve ([POST /], [POST /metrics],
+    [GET /admin/promote]...) a 405 with [Allow], both before the
+    deadline check, the write barrier or any lock.
+
+    [GET /metrics] is answered here, as are the health
     probes ([GET /healthz] — process liveness, always 200 — and
     [GET /readyz] — 200 only while the journal is writable, the service
     is not draining, and the pending queue is below its high-water mark;
@@ -157,7 +163,8 @@ val handle :
     5 ms (get) / 16 ms (put) inline and 7 / 20 ms over four domains.  One
     ill-typed document fails the whole batch with a 422, never a partial
     body; a [put_batch] record without US is a 400; unknown lenses and
-    ops are 404. *)
+    ops are 404, and so is any other [/slens/...] path; a [GET] of a
+    lens op is a 405. *)
 
 val handle_query :
   ?deadline:float ->
@@ -177,9 +184,8 @@ val handle_query :
     before dispatch, re-checked after lock acquisition and before the
     in-memory apply + journal fsync on the write paths, and used to
     clamp the replication long-poll hold.  Expired GETs are answered
-    stale from the cache when [brownout] allows.  Operational routes
-    ([/metrics], health probes, [/debug/*], the replication plane,
-    [/admin/promote]) never shed on a deadline. *)
+    stale from the cache when [brownout] allows.  The operational
+    routes ({!Route.deadline_exempt}) never shed on a deadline. *)
 
 val serve :
   t
@@ -267,6 +273,13 @@ val scrub_once :
     stale flags.  Returns (items checked, (name, error) findings).
     Each item checks under its own shard's read lock, so a running
     server keeps serving. *)
+
+val scrub_loop : rate:float -> stop:(unit -> bool) -> t -> unit
+(** The background scrubber {!serve} runs on its own domain when
+    [scrub_rate] is positive: {!scrub_once} at [rate] items/s, a second's
+    pause, again, until [stop] holds (checked between items and every
+    tenth of a second of the pause).  A pass that raises is logged and
+    the loop goes on. *)
 
 val quarantine : t -> Integrity.Quarantine.t
 (** The live quarantine set — corrupted-but-never-dropped data. *)

@@ -120,6 +120,8 @@ type segment = {
   seg_corrupt : (string * string) list;
 }
 
+let ( let* ) = Result.bind
+
 (* Recover one segment: repair its snapshot, checksum-verify the sealed
    cold files (corrupt ones are excluded from the load and reported, not
    served), read (and remember) the log's intact records, and open it
@@ -127,35 +129,26 @@ type segment = {
 let open_segment seg_dir =
   Journal.recover_snapshot ~dir:seg_dir;
   let sealed, floor, corrupt = verify_snapshot seg_dir in
-  match Journal.read ~dir:seg_dir with
-  | Error e -> Error (Printf.sprintf "%s: journal read: %s" seg_dir e)
-  | Ok { Journal.entries; torn; crc_errors; _ } -> (
-      let seg_max =
-        List.fold_left
-          (fun acc (r : Journal.record) -> max acc r.seq)
-          floor entries
-      in
-      match Journal.open_ ~dir:seg_dir ~next_seq:(seg_max + 1) with
-      | Error e -> Error (Printf.sprintf "%s: journal open: %s" seg_dir e)
-      | Ok j ->
-          let pages = if sealed then sealed_pages seg_dir corrupt else [] in
-          let replay =
-            List.filter (fun (r : Journal.record) -> r.seq > floor) entries
-          in
-          Ok
-            {
-              seg_j = j;
-              seg_pages = pages;
-              seg_sealed = sealed;
-              (* a corrupt MANIFEST reads as unsealed: the cut point is
-                 untrusted, so boot falls back to seed + overlay + replay
-                 — a clean (if stale) prefix, never the corrupted one *)
-              seg_replay = replay;
-              seg_torn = torn;
-              seg_crc_errors = crc_errors;
-              seg_max;
-              seg_corrupt = corrupt;
-            })
+  let failed what = Result.map_error (Printf.sprintf "%s: journal %s: %s" seg_dir what) in
+  let* { Journal.entries; torn; crc_errors; _ } = failed "read" (Journal.read ~dir:seg_dir) in
+  let seg_max =
+    List.fold_left (fun acc (r : Journal.record) -> max acc r.seq) floor entries
+  in
+  let* j = failed "open" (Journal.open_ ~dir:seg_dir ~next_seq:(seg_max + 1)) in
+  Ok
+    {
+      seg_j = j;
+      seg_pages = (if sealed then sealed_pages seg_dir corrupt else []);
+      seg_sealed = sealed;
+      (* a corrupt MANIFEST reads as unsealed: the cut point is
+         untrusted, so boot falls back to seed + overlay + replay — a
+         clean (if stale) prefix, never the corrupted one *)
+      seg_replay = List.filter (fun (r : Journal.record) -> r.seq > floor) entries;
+      seg_torn = torn;
+      seg_crc_errors = crc_errors;
+      seg_max;
+      seg_corrupt = corrupt;
+    }
 
 let merge_sorted replays =
   List.sort
@@ -172,36 +165,34 @@ let open_segments ~dir ~shards =
           Error e
       | Ok seg -> go (k + 1) (seg :: acc)
   in
-  match go 0 [] with
-  | Error e -> Error e
-  | Ok segs ->
-      let max_seq = List.fold_left (fun acc s -> max acc s.seg_max) 0 segs in
-      let t =
-        {
-          dir;
-          shards;
-          seg_dirs = Array.init shards (fun k -> segment_dir ~dir ~shards k);
-          segments = Array.of_list (List.map (fun s -> s.seg_j) segs);
-          mu = Mutex.create ();
-          next = max_seq + 1;
-        }
-      in
-      Ok
-        ( t,
-          {
-            pages = List.concat_map (fun s -> s.seg_pages) segs;
-            complete = List.for_all (fun s -> s.seg_sealed) segs;
-            replay = merge_sorted (List.map (fun s -> s.seg_replay) segs);
-            torn = List.exists (fun s -> s.seg_torn) segs;
-            crc_errors =
-              List.fold_left (fun acc s -> acc + s.seg_crc_errors) 0 segs;
-            corrupt =
-              List.concat
-                (List.mapi
-                   (fun k s ->
-                     List.map (fun (file, why) -> (k, file, why)) s.seg_corrupt)
-                   segs);
-          } )
+  let* segs = go 0 [] in
+  let max_seq = List.fold_left (fun acc s -> max acc s.seg_max) 0 segs in
+  let t =
+    {
+      dir;
+      shards;
+      seg_dirs = Array.init shards (fun k -> segment_dir ~dir ~shards k);
+      segments = Array.of_list (List.map (fun s -> s.seg_j) segs);
+      mu = Mutex.create ();
+      next = max_seq + 1;
+    }
+  in
+  Ok
+    ( t,
+      {
+        pages = List.concat_map (fun s -> s.seg_pages) segs;
+        complete = List.for_all (fun s -> s.seg_sealed) segs;
+        replay = merge_sorted (List.map (fun s -> s.seg_replay) segs);
+        torn = List.exists (fun s -> s.seg_torn) segs;
+        crc_errors =
+          List.fold_left (fun acc s -> acc + s.seg_crc_errors) 0 segs;
+        corrupt =
+          List.concat
+            (List.mapi
+               (fun k s ->
+                 List.map (fun (file, why) -> (k, file, why)) s.seg_corrupt)
+               segs);
+      } )
 
 (* A shard count that disagrees with the directory's layout is refused
    before a byte of it is touched: re-sharding, including out of the
@@ -243,22 +234,27 @@ let with_mu t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
+(* [f k] for every shard in order, up to the first error. *)
+let each_shard t f =
+  let rec go k acc =
+    if k = t.shards then Ok (List.rev acc)
+    else
+      let* x = f k in
+      go (k + 1) (x :: acc)
+  in
+  go 0 []
+
+(* Caller holds [t.mu]. *)
+let append_seq t ~shard ~seq ~path ~body =
+  let* s = Journal.append_seq t.segments.(shard) ~seq ~path ~body in
+  if seq + 1 > t.next then t.next <- seq + 1;
+  Ok s
+
 let append t ~shard ~path ~body =
-  with_mu t (fun () ->
-      let seq = t.next in
-      match Journal.append_seq t.segments.(shard) ~seq ~path ~body with
-      | Ok s ->
-          t.next <- seq + 1;
-          Ok s
-      | Error _ as e -> e)
+  with_mu t (fun () -> append_seq t ~shard ~seq:t.next ~path ~body)
 
 let append_at t ~shard ~seq ~path ~body =
-  with_mu t (fun () ->
-      match Journal.append_seq t.segments.(shard) ~seq ~path ~body with
-      | Ok s ->
-          if seq + 1 > t.next then t.next <- seq + 1;
-          Ok s
-      | Error _ as e -> e)
+  with_mu t (fun () -> append_seq t ~shard ~seq ~path ~body)
 
 let floor t =
   Array.fold_left
@@ -268,30 +264,18 @@ let floor t =
 let shard_floor t k = Journal.snapshot_seq ~dir:t.seg_dirs.(k)
 
 let tail t ~from =
-  let rec go k acc =
-    if k = t.shards then Ok (merge_sorted acc)
-    else
-      match Journal.tail ~dir:t.seg_dirs.(k) ~from with
-      | Error e -> Error e
-      | Ok records -> go (k + 1) (records :: acc)
-  in
-  go 0 []
+  Result.map merge_sorted
+    (each_shard t (fun k -> Journal.tail ~dir:t.seg_dirs.(k) ~from))
 
 let checkpoint_shard t ~shard ~save =
   Journal.checkpoint t.segments.(shard) ~save
 
 let checkpoint_all t ~save =
   let seq = next_seq t - 1 in
-  let rec go k files =
-    if k = t.shards then Ok files
-    else
-      match
-        Journal.checkpoint ~seq t.segments.(k) ~save:(fun ~dir -> save k ~dir)
-      with
-      | Error e -> Error (Printf.sprintf "shard %d: %s" k e)
-      | Ok n -> go (k + 1) (files + n)
-  in
-  go 0 0
+  Result.map (List.fold_left ( + ) 0)
+    (each_shard t (fun k ->
+         Result.map_error (Printf.sprintf "shard %d: %s" k)
+           (Journal.checkpoint ~seq t.segments.(k) ~save:(save k))))
 
 (* Targeted anti-entropy repair ships and installs one shard's snapshot
    without touching the others.  Its names are uniformly prefixed
@@ -305,34 +289,25 @@ let check_shard t shard =
   else Ok ()
 
 let snapshot_files_shard t ~shard =
-  Result.bind (check_shard t shard) (fun () ->
-      match Journal.snapshot_files ~dir:t.seg_dirs.(shard) with
-      | Error e -> Error (Printf.sprintf "shard %d: %s" shard e)
-      | Ok (seq, files) ->
-          Ok
-            ( seq,
-              List.map
-                (fun (name, contents) -> (shard_prefix shard ^ name, contents))
-                files ))
+  let* () = check_shard t shard in
+  let* seq, files =
+    Result.map_error (Printf.sprintf "shard %d: %s" shard)
+      (Journal.snapshot_files ~dir:t.seg_dirs.(shard))
+  in
+  Ok (seq, List.map (fun (name, contents) -> (shard_prefix shard ^ name, contents)) files)
 
 let snapshot_files t =
   if t.shards = 1 then Journal.snapshot_files ~dir:t.dir
   else
-    let rec go k seq acc =
-      if k = t.shards then Ok (seq, List.concat (List.rev acc))
-      else
-        match snapshot_files_shard t ~shard:k with
-        | Error e -> Error e
-        | Ok (sk, files) ->
-            if k > 0 && sk <> seq then
-              Error
-                (Printf.sprintf
-                   "segments sealed at different cuts (%d vs %d): checkpoint \
-                    first"
-                   seq sk)
-            else go (k + 1) sk (files :: acc)
-    in
-    go 0 0 []
+    let* parts = each_shard t (fun k -> snapshot_files_shard t ~shard:k) in
+    let seq = match parts with (seq, _) :: _ -> seq | [] -> 0 in
+    match List.find_opt (fun (sk, _) -> sk <> seq) parts with
+    | Some (sk, _) ->
+        Error
+          (Printf.sprintf
+             "segments sealed at different cuts (%d vs %d): checkpoint first"
+             seq sk)
+    | None -> Ok (seq, List.concat_map snd parts)
 
 let snapshot_pages_shard t ~shard =
   Result.bind (check_shard t shard) (fun () ->
@@ -344,14 +319,7 @@ let snapshot_pages_shard t ~shard =
           (Bx_repo.Store.load_pages ~dir:snap ()))
 
 let snapshot_pages t =
-  let rec go k acc =
-    if k = t.shards then Ok (List.concat (List.rev acc))
-    else
-      match snapshot_pages_shard t ~shard:k with
-      | Error e -> Error e
-      | Ok pages -> go (k + 1) (pages :: acc)
-  in
-  go 0 []
+  Result.map List.concat (each_shard t (fun k -> snapshot_pages_shard t ~shard:k))
 
 (* Install one shard's shipped snapshot: strip the shard prefix, then
    let the segment's journal do the verified install (payload DIGESTS
@@ -370,14 +338,10 @@ let install_shard t ~shard ~seq ~files =
             then strip ((String.sub name plen (String.length name - plen), contents) :: acc) rest
             else Error (Printf.sprintf "file %S is not in shard %d" name shard)
       in
-      match strip [] files with
-      | Error e -> Error e
-      | Ok flat -> (
-          match Journal.install_snapshot t.segments.(shard) ~seq ~files:flat with
-          | Error e -> Error e
-          | Ok () ->
-              with_mu t (fun () -> if seq + 1 > t.next then t.next <- seq + 1);
-              Ok ()))
+      let* flat = strip [] files in
+      let* () = Journal.install_snapshot t.segments.(shard) ~seq ~files:flat in
+      with_mu t (fun () -> if seq + 1 > t.next then t.next <- seq + 1);
+      Ok ())
 
 (* Sharded snapshot install.  Check every shard's payload, stage each
    as a sealed segment snapshot under [install.tmp], then write the
@@ -404,39 +368,30 @@ let install_snapshot t ~seq ~files =
               sort_files rest
           | _ -> Error (Printf.sprintf "bad snapshot file name %S" name))
     in
-    let rec check k =
-      if k = t.shards then Ok ()
-      else
-        match Journal.check_payload by_shard.(k) with
-        | Error e -> Error (Printf.sprintf "shard %d: %s" k e)
-        | Ok () -> check (k + 1)
+    let* () = sort_files files in
+    let* _ =
+      each_shard t (fun k ->
+          Result.map_error (Printf.sprintf "shard %d: %s" k)
+            (Journal.check_payload by_shard.(k)))
     in
-    match Result.bind (sort_files files) (fun () -> check 0) with
-    | Error e -> Error e
-    | Ok () ->
-        Fsio.guard (fun () ->
-            let staging = staging_dir t.dir in
-            Fsio.remove_tree staging;
-            Fsio.ensure_dir staging;
-            Bx_fault.Fault.point "shardlog.install.pre_stage";
-            Array.iteri
-              (fun k files ->
-                Journal.stage ~dir:(Filename.concat staging (shard_name k)) ~seq
-                  files)
-              by_shard;
-            Bx_fault.Fault.point "shardlog.install.pre_marker";
-            Fsio.write_file (marker_file t.dir) "install\n";
-            Bx_fault.Fault.point "shardlog.install.mid_swap";
-            finish_install ~dir:t.dir ~shards:t.shards;
-            let rec reset k =
-              if k = t.shards then Ok ()
-              else
-                match Journal.reset t.segments.(k) ~next_seq:(seq + 1) with
-                | Error e -> Error e
-                | Ok () -> reset (k + 1)
-            in
-            let r = reset 0 in
-            with_mu t (fun () -> if seq + 1 > t.next then t.next <- seq + 1);
-            r)
+    Fsio.guard (fun () ->
+        let staging = staging_dir t.dir in
+        Fsio.remove_tree staging;
+        Fsio.ensure_dir staging;
+        Bx_fault.Fault.point "shardlog.install.pre_stage";
+        Array.iteri
+          (fun k files ->
+            Journal.stage ~dir:(Filename.concat staging (shard_name k)) ~seq
+              files)
+          by_shard;
+        Bx_fault.Fault.point "shardlog.install.pre_marker";
+        Fsio.write_file (marker_file t.dir) "install\n";
+        Bx_fault.Fault.point "shardlog.install.mid_swap";
+        finish_install ~dir:t.dir ~shards:t.shards;
+        let r =
+          each_shard t (fun k -> Journal.reset t.segments.(k) ~next_seq:(seq + 1))
+        in
+        with_mu t (fun () -> if seq + 1 > t.next then t.next <- seq + 1);
+        Result.map ignore r)
 
 let close t = Array.iter Journal.close t.segments

@@ -718,6 +718,167 @@ let lens_tests =
           Alcotest.failf "minor words went from %.0f to %.0f" before after);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The route table: labels, 405 before any lock, 400 for a bad path *)
+
+let route_tests =
+  let pages =
+    [
+      ("/checks", fun () -> ("Checks", "<p>ok</p>"));
+      ("/reports.json", fun () -> ("Reports", "<p>ok</p>"));
+    ]
+  in
+  let route_service ?(config = Service.default_config) () =
+    match
+      Service.create ~config ~pages
+        ~lenses:[ ("composers", Bx_catalogue.Composers_string.lens) ]
+        ~seed ()
+    with
+    | Ok t -> t
+    | Error e -> Alcotest.fail e
+  in
+  (* The [_count] of a route's duration histogram, 0 before its first
+     request. *)
+  let duration_count t label =
+    let prefix =
+      Printf.sprintf "bxwiki_request_duration_seconds_count{route=%S} " label
+    in
+    String.split_on_char '\n' (Service.metrics_text t)
+    |> List.find_map (fun line ->
+           if String.starts_with ~prefix line then
+             int_of_string_opt
+               (String.sub line (String.length prefix)
+                  (String.length line - String.length prefix))
+           else None)
+    |> Option.value ~default:0
+  in
+  let registry_writes t =
+    List.fold_left
+      (fun acc (lock, mode, acq, _) ->
+        if lock = "registry" && mode = "write" then acc + acq else acc)
+      0 (Service.lock_stats t)
+  in
+  [
+    tc "every route class is labelled as before" (fun () ->
+        let t = route_service () in
+        List.iter
+          (fun (meth, path, label) ->
+            let before = duration_count t label in
+            ignore (Service.handle t ~meth ~path ~body:"");
+            check Alcotest.int
+              (Printf.sprintf "%s %S -> route=%S" meth path label)
+              (before + 1) (duration_count t label))
+          [
+            ("GET", "/", "index");
+            ("GET", "/search", "search");
+            ("GET", "/glossary", "glossary");
+            ("GET", "/manuscript", "manuscript");
+            (* Extra pages win over the entry route their path would
+               otherwise name, whatever its suffix. *)
+            ("GET", "/checks", "/checks");
+            ("GET", "/reports.json", "/reports.json");
+            ("GET", "/examples:celsius", "entry");
+            ("GET", "/examples:celsius.wiki", "entry.wiki");
+            ("GET", "/examples:celsius.json", "entry.json");
+            ("GET", "/examples:nonesuch", "entry");
+            ("GET", "/!!", "entry");
+            ("POST", "/examples:nonesuch", "entry");
+            ("POST", "/examples:nonesuch.wiki", "entry.wiki");
+            ("GET", "/metrics", "metrics");
+            ("GET", "/healthz", "health");
+            ("GET", "/readyz", "health");
+            ("GET", "/debug/failpoints", "debug");
+            ("GET", "/debug/chaos", "debug");
+            ("GET", "/replication/stream", "replication");
+            ("GET", "/replication/snapshot", "replication");
+            ("GET", "/replication/digest", "replication");
+            ("POST", "/admin/promote", "admin");
+            ("POST", "/slens/composers/get", "slens");
+            ("GET", "/slens/composers/doc/d1", "slens");
+            ("POST", "/slens/composers/patch", "slens");
+            ("POST", "/slens/composers/a/b/c", "slens");
+            (* Refusals keep the label of the resource they refuse. *)
+            ("POST", "/", "index");
+            ("DELETE", "/examples:celsius", "entry");
+            ("GET", "/admin/promote", "admin");
+            ("", "", "bad_path");
+          ]);
+    tc "a POST to a route that cannot be written is 405 before any lock"
+      (fun () ->
+        let t = route_service ~config:{ Service.default_config with shards = 4 } () in
+        let before = registry_writes t in
+        List.iter
+          (fun path ->
+            let r = post t path "x" in
+            check Alcotest.int ("POST " ^ path) 405 r.Bx_repo.Webui.status;
+            check Alcotest.(option string) ("Allow for " ^ path) (Some "GET")
+              (List.assoc_opt "Allow" r.Bx_repo.Webui.headers))
+          [
+            "/"; "/search"; "/glossary"; "/manuscript"; "/checks"; "/metrics";
+            "/healthz"; "/readyz"; "/replication/stream";
+            "/replication/snapshot"; "/replication/digest";
+          ];
+        List.iter
+          (fun path ->
+            check Alcotest.int ("POST " ^ path) 405
+              (post t path "x").Bx_repo.Webui.status)
+          [ "/debug/failpoints"; "/debug/chaos" ];
+        check Alcotest.int "no write lock taken" before (registry_writes t);
+        let r = get t "/admin/promote" in
+        check Alcotest.int "GET /admin/promote" 405 r.Bx_repo.Webui.status;
+        check Alcotest.(option string) "Allow" (Some "POST")
+          (List.assoc_opt "Allow" r.Bx_repo.Webui.headers));
+    tc "an empty or relative path is a 400, not an exception" (fun () ->
+        let t = route_service () in
+        List.iter
+          (fun (meth, path) ->
+            check Alcotest.int
+              (Printf.sprintf "%s %S" meth path)
+              400
+              (Service.handle t ~meth ~path ~body:"x").Bx_repo.Webui.status)
+          [ ("POST", ""); ("GET", ""); ("POST", "examples:celsius") ]);
+    tc "POST ?x over a socket answers 400 and no worker fails" (fun () ->
+        let t = route_service () in
+        let server =
+          Thread.create
+            (fun () ->
+              match Service.serve t ~port:0 ~workers:1 ~quiet:true () with
+              | Ok () -> ()
+              | Error e -> Printf.eprintf "serve: %s\n%!" e)
+            ()
+        in
+        let rec port n =
+          match Service.port t with
+          | Some p -> p
+          | None when n > 500 -> Alcotest.fail "server never bound"
+          | None ->
+              Thread.delay 0.01;
+              port (n + 1)
+        in
+        let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port 0));
+        let req = "POST ?x HTTP/1.1\r\nContent-Length: 1\r\nConnection: close\r\n\r\nx" in
+        ignore (Unix.write_substring sock req 0 (String.length req));
+        let buf = Bytes.create 4096 and out = Buffer.create 512 in
+        let rec drain () =
+          match Unix.read sock buf 0 (Bytes.length buf) with
+          | 0 -> ()
+          | n ->
+              Buffer.add_subbytes out buf 0 n;
+              drain ()
+          | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
+        in
+        drain ();
+        Unix.close sock;
+        Service.shutdown t;
+        Thread.join server;
+        let reply = Buffer.contents out in
+        check Alcotest.bool ("a 400 reply: " ^ String.escaped reply) true
+          (String.starts_with ~prefix:"HTTP/1.1 400" reply);
+        check Alcotest.bool "no worker exception" false
+          (contains ~needle:"reason=\"worker_exn\"" (Service.metrics_text t)));
+  ]
+
 let () =
   Alcotest.run "bx_server"
     [
@@ -727,4 +888,5 @@ let () =
       ("metrics", metrics_tests);
       ("store", store_tests);
       ("lens-service", lens_tests);
+      ("routes", route_tests);
     ]

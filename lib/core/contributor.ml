@@ -3,12 +3,12 @@ type t = { person_name : string; affiliation : string option }
 let make ?affiliation person_name = { person_name; affiliation }
 let equal a b = a = b
 
-let pp ppf c =
+let to_string c =
   match c.affiliation with
-  | None -> Fmt.string ppf c.person_name
-  | Some a -> Fmt.pf ppf "%s (%s)" c.person_name a
+  | None -> c.person_name
+  | Some a -> String.concat "" [ c.person_name; " ("; a; ")" ]
 
-let to_string c = Fmt.str "%a" pp c
+let pp ppf c = Fmt.string ppf (to_string c)
 
 let of_string s =
   let s = String.trim s in

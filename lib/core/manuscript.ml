@@ -6,12 +6,15 @@ let latest_entries registry =
       | Error _ -> None)
     (Registry.ids registry)
 
+(* Entries are visited once each, so a name's list can only meet an
+   identifier again within the same entry, i.e. at its head. *)
 let contributors registry =
   let tbl = Hashtbl.create 16 in
   let add person id =
     let name = person.Contributor.person_name in
-    let ids = Option.value ~default:[] (Hashtbl.find_opt tbl name) in
-    if not (List.mem id ids) then Hashtbl.replace tbl name (ids @ [ id ])
+    match Hashtbl.find_opt tbl name with
+    | Some (last :: _) when last = id -> ()
+    | ids -> Hashtbl.replace tbl name (id :: Option.value ~default:[] ids)
   in
   List.iter
     (fun (id, t) ->
@@ -19,7 +22,7 @@ let contributors registry =
       List.iter (fun p -> add p id) t.Template.authors;
       List.iter (fun p -> add p id) t.Template.reviewers)
     (latest_entries registry);
-  Hashtbl.fold (fun name ids acc -> (name, ids) :: acc) tbl []
+  Hashtbl.fold (fun name ids acc -> (name, List.rev ids) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* Demote every heading one level so entry titles nest under the

@@ -13,99 +13,127 @@ type block =
 
 type doc = block list
 
-let render_inline = function
-  | Text s -> s
-  | Bold s -> "**" ^ s ^ "**"
-  | Italic s -> "//" ^ s ^ "//"
-  | Code s -> "{{" ^ s ^ "}}"
-  | Link { target; label } -> "[[[" ^ target ^ "|" ^ label ^ "]]]"
+(* --- writers: every renderer fills one [Buffer] per document ------ *)
 
-let render_inlines inlines = String.concat "" (List.map render_inline inlines)
+(* Escaped text is blitted in runs between the characters that need an
+   entity. *)
+let add_escaped buf s =
+  let n = String.length s in
+  let rec go start i =
+    if i = n then Buffer.add_substring buf s start (i - start)
+    else
+      match String.unsafe_get s i with
+      | ('&' | '<' | '>' | '"') as c ->
+          Buffer.add_substring buf s start (i - start);
+          Buffer.add_string buf
+            (match c with '&' -> "&amp;" | '<' -> "&lt;" | '>' -> "&gt;" | _ -> "&quot;");
+          go (i + 1) (i + 1)
+      | _ -> go start (i + 1)
+  in
+  go 0 0
 
-let render_block = function
-  | Heading (level, text) -> String.make (max 1 level) '+' ^ " " ^ text
-  | Para inlines -> render_inlines inlines
-  | Bullets items -> String.concat "\n" (List.map (fun i -> "* " ^ i) items)
+(* [add s] between the literals [l] and [r]. *)
+let wrap add buf l s r =
+  Buffer.add_string buf l;
+  add buf s;
+  Buffer.add_string buf r
+
+(* [f] over [xs], with [sep] between consecutive elements. *)
+let add_sep buf sep f xs =
+  List.iteri (fun i x -> if i > 0 then Buffer.add_string buf sep; f x) xs
+
+let add_inline buf = function
+  | Text s -> Buffer.add_string buf s
+  | Bold s -> wrap Buffer.add_string buf "**" s "**"
+  | Italic s -> wrap Buffer.add_string buf "//" s "//"
+  | Code s -> wrap Buffer.add_string buf "{{" s "}}"
+  | Link { target; label } ->
+      wrap Buffer.add_string buf "[[[" target "|";
+      wrap Buffer.add_string buf "" label "]]]"
+
+let render_inlines inlines =
+  let buf = Buffer.create 64 in
+  List.iter (add_inline buf) inlines;
+  Buffer.contents buf
+
+let add_block buf = function
+  | Heading (level, text) ->
+      for _ = 1 to max 1 level do Buffer.add_char buf '+' done;
+      wrap Buffer.add_string buf " " text ""
+  | Para inlines -> List.iter (add_inline buf) inlines
+  | Bullets items -> add_sep buf "\n" (fun i -> wrap Buffer.add_string buf "* " i "") items
   | Code_block lines ->
-      String.concat "\n" (("[[code]]" :: lines) @ [ "[[/code]]" ])
+      Buffer.add_string buf "[[code]]";
+      List.iter (fun l -> wrap Buffer.add_string buf "\n" l "") lines;
+      Buffer.add_string buf "\n[[/code]]"
 
 let render doc =
   match doc with
   | [] -> ""
-  | _ -> String.concat "\n\n" (List.map render_block doc) ^ "\n"
+  | _ ->
+      let buf = Buffer.create 1024 in
+      add_sep buf "\n\n" (add_block buf) doc;
+      Buffer.add_char buf '\n';
+      Buffer.contents buf
 
 (* --- inline parsing ----------------------------------------------- *)
 
-(* Scan for the two-character markers; on finding an opener, look for its
-   closer.  Unclosed markers fall through as literal text. *)
-let parse_inlines line =
-  let n = String.length line in
-  let out = ref [] in
-  let buf = Buffer.create 32 in
-  let flush_text () =
-    if Buffer.length buf > 0 then begin
-      out := Text (Buffer.contents buf) :: !out;
-      Buffer.clear buf
-    end
-  in
-  let find_close marker from =
-    let m = String.length marker in
-    let rec scan i =
-      if i + m > n then None
-      else if String.sub line i m = marker then Some i
-      else scan (i + 1)
-    in
-    scan from
-  in
-  let rec go i =
-    if i >= n then ()
-    else if i + 3 <= n && String.sub line i 3 = "[[[" then begin
-      match find_close "]]]" (i + 3) with
-      | Some close ->
-          let body = String.sub line (i + 3) (close - i - 3) in
-          let target, label =
-            match String.index_opt body '|' with
-            | Some k ->
-                ( String.sub body 0 k,
-                  String.sub body (k + 1) (String.length body - k - 1) )
-            | None -> (body, body)
-          in
-          flush_text ();
-          out := Link { target; label } :: !out;
-          go (close + 3)
-      | None ->
-          Buffer.add_char buf line.[i];
-          go (i + 1)
-    end
-    else if i + 2 <= n then begin
-      let two = String.sub line i 2 in
-      let marked ctor marker =
-        match find_close marker (i + 2) with
-        | Some close when close > i + 2 ->
-            let body = String.sub line (i + 2) (close - i - 2) in
-            flush_text ();
-            out := ctor body :: !out;
-            go (close + 2)
-        | _ ->
-            Buffer.add_char buf line.[i];
-            go (i + 1)
-      in
-      match two with
-      | "**" -> marked (fun s -> Bold s) "**"
-      | "//" -> marked (fun s -> Italic s) "//"
-      | "{{" -> marked (fun s -> Code s) "}}"
-      | _ ->
-          Buffer.add_char buf line.[i];
-          go (i + 1)
-    end
-    else begin
-      Buffer.add_char buf line.[i];
-      go (i + 1)
-    end
-  in
-  go 0;
-  flush_text ();
-  List.rev !out
+(* [k] (2 or 3) copies of [c] start at [i] of [s]. *)
+let run s c k i =
+  i + k <= String.length s
+  && String.unsafe_get s i = c
+  && String.unsafe_get s (i + 1) = c
+  && (k = 2 || String.unsafe_get s (i + 2) = c)
+
+let rec scan_run s c k j =
+  if j + k > String.length s then -1 else if run s c k j then j else scan_run s c k (j + 1)
+
+(* The first closer of [kind] (a [k]-run of [c]) at or after [from], or
+   -1.  [dead.(kind)] is a start from which that search has failed
+   before; no later start can succeed, so it is not repeated. *)
+let find_closer s dead kind c k from =
+  if from >= dead.(kind) then -1
+  else
+    let j = scan_run s c k from in
+    if j < 0 then dead.(kind) <- from;
+    j
+
+(* The text run [start, i) of [s], if any, onto [acc]; a run spanning
+   the whole line is the line itself. *)
+let cut s start i acc =
+  if i <= start then acc
+  else if start = 0 && i = String.length s then Text s :: acc
+  else Text (String.sub s start (i - start)) :: acc
+
+let rec bar s k close = if k >= close || s.[k] = '|' then k else bar s (k + 1) close
+
+(* Scan for the markers in place; on finding an opener, look for its
+   closer.  Unclosed markers fall through as literal text, and the text
+   between two elements is cut once. *)
+let rec inlines s dead acc start i =
+  if i >= String.length s then List.rev (cut s start i acc)
+  else
+    let c = String.unsafe_get s i in
+    if c = '[' && run s '[' 3 i then
+      let close = find_closer s dead 0 ']' 3 (i + 3) in
+      if close < 0 then inlines s dead acc start (i + 1)
+      else
+        let k = bar s (i + 3) close in
+        let target = String.sub s (i + 3) (k - i - 3) in
+        let label = if k = close then target else String.sub s (k + 1) (close - k - 1) in
+        let acc = Link { target; label } :: cut s start i acc in
+        inlines s dead acc (close + 3) (close + 3)
+    else if (c = '*' || c = '/' || c = '{') && run s c 2 i then
+      let kind, closer = match c with '*' -> (1, '*') | '/' -> (2, '/') | _ -> (3, '}') in
+      let close = find_closer s dead kind closer 2 (i + 2) in
+      if close > i + 2 then
+        let body = String.sub s (i + 2) (close - i - 2) in
+        let el = match c with '*' -> Bold body | '/' -> Italic body | _ -> Code body in
+        inlines s dead (el :: cut s start i acc) (close + 2) (close + 2)
+      else inlines s dead acc start (i + 1)
+    else inlines s dead acc start (i + 1)
+
+let parse_inlines line = inlines line (Array.make 4 max_int) [] 0 0
 
 let plain_text inlines =
   String.concat ""
@@ -117,13 +145,12 @@ let plain_text inlines =
 
 (* --- block parsing ------------------------------------------------- *)
 
-let heading_of_line line =
+(* The level of a heading line ([+] signs, then a space), or 0. *)
+let heading_level line =
   let n = String.length line in
   let rec plusses i = if i < n && line.[i] = '+' then plusses (i + 1) else i in
   let level = plusses 0 in
-  if level > 0 && level < n && line.[level] = ' ' then
-    Some (level, String.sub line (level + 1) (n - level - 1))
-  else None
+  if level > 0 && level < n && line.[level] = ' ' then level else 0
 
 let is_bullet line =
   String.length line >= 2 && line.[0] = '*' && line.[1] = ' '
@@ -144,8 +171,9 @@ let parse text =
         (match collect [] rest with
         | Error e -> Error e
         | Ok (body, rest) -> blocks (Code_block body :: acc) rest)
-    | line :: rest when heading_of_line line <> None ->
-        let level, htext = Option.get (heading_of_line line) in
+    | line :: rest when heading_level line > 0 ->
+        let level = heading_level line in
+        let htext = String.sub line (level + 1) (String.length line - level - 1) in
         blocks (Heading (level, htext) :: acc) rest
     | line :: rest when is_bullet line ->
         let rec collect items = function
@@ -157,14 +185,15 @@ let parse text =
     | line :: rest ->
         (* A paragraph: subsequent ordinary lines join with spaces. *)
         let stops l =
-          l = "" || l = "[[code]]" || heading_of_line l <> None || is_bullet l
+          l = "" || l = "[[code]]" || heading_level l > 0 || is_bullet l
         in
         let rec collect para = function
           | l :: rest when not (stops l) -> collect (l :: para) rest
           | rest -> (List.rev para, rest)
         in
         let para, rest = collect [ line ] rest in
-        blocks (Para (parse_inlines (String.concat " " para)) :: acc) rest
+        let text = match para with [ l ] -> l | _ -> String.concat " " para in
+        blocks (Para (parse_inlines text) :: acc) rest
   in
   blocks [] lines
 
@@ -211,41 +240,39 @@ let to_markdown doc =
 (* --- HTML export ------------------------------------------------------ *)
 
 let html_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '"' -> Buffer.add_string buf "&quot;"
-      | c -> Buffer.add_char buf c)
-    s;
+  let buf = Buffer.create (String.length s + 16) in
+  add_escaped buf s;
   Buffer.contents buf
 
-let html_inline = function
-  | Text s -> html_escape s
-  | Bold s -> "<strong>" ^ html_escape s ^ "</strong>"
-  | Italic s -> "<em>" ^ html_escape s ^ "</em>"
-  | Code s -> "<code>" ^ html_escape s ^ "</code>"
+let add_html_inline buf = function
+  | Text s -> add_escaped buf s
+  | Bold s -> wrap add_escaped buf "<strong>" s "</strong>"
+  | Italic s -> wrap add_escaped buf "<em>" s "</em>"
+  | Code s -> wrap add_escaped buf "<code>" s "</code>"
   | Link { target; label } ->
-      Printf.sprintf "<a href=\"%s\">%s</a>" (html_escape target)
-        (html_escape label)
+      wrap add_escaped buf "<a href=\"" target "\">";
+      wrap add_escaped buf "" label "</a>"
 
-let html_block = function
+let heading_tags = Array.init 7 (fun l -> (Printf.sprintf "<h%d>" l, Printf.sprintf "</h%d>" l))
+
+let add_html_block buf = function
   | Heading (level, text) ->
-      let level = min 6 (max 1 level) in
-      Printf.sprintf "<h%d>%s</h%d>" level (html_escape text) level
+      let o, c = heading_tags.(min 6 (max 1 level)) in
+      wrap add_escaped buf o text c
   | Para inlines ->
-      "<p>" ^ String.concat "" (List.map html_inline inlines) ^ "</p>"
+      Buffer.add_string buf "<p>";
+      List.iter (add_html_inline buf) inlines;
+      Buffer.add_string buf "</p>"
   | Bullets items ->
-      "<ul>"
-      ^ String.concat ""
-          (List.map (fun i -> "<li>" ^ html_escape i ^ "</li>") items)
-      ^ "</ul>"
+      Buffer.add_string buf "<ul>";
+      List.iter (fun i -> wrap add_escaped buf "<li>" i "</li>") items;
+      Buffer.add_string buf "</ul>"
   | Code_block lines ->
-      "<pre><code>"
-      ^ html_escape (String.concat "\n" lines)
-      ^ "</code></pre>"
+      Buffer.add_string buf "<pre><code>";
+      add_sep buf "\n" (add_escaped buf) lines;
+      Buffer.add_string buf "</code></pre>"
 
-let to_html doc = String.concat "\n" (List.map html_block doc)
+let to_html doc =
+  let buf = Buffer.create 1024 in
+  add_sep buf "\n" (add_html_block buf) doc;
+  Buffer.contents buf

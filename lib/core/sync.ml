@@ -2,26 +2,47 @@ exception Parse_error of string
 
 (* --- text normalisation ------------------------------------------- *)
 
-(* Split free text into paragraphs on blank lines; inside a paragraph,
-   collapse whitespace runs to single spaces. *)
+(* Split free text into paragraphs on blank lines (nothing but
+   [String.trim]'s whitespace); inside a paragraph, collapse runs of
+   spaces and line breaks to single spaces.  One pass finds each
+   paragraph's span; a span already in that form is returned as a slice
+   (the text itself when it is the whole text), any other is rebuilt. *)
 let paragraphs_of_text text =
-  let lines = String.split_on_char '\n' text in
-  let rec group current acc = function
-    | [] ->
-        let acc = if current = [] then acc else List.rev current :: acc in
-        List.rev acc
-    | l :: rest ->
-        if String.trim l = "" then
-          let acc = if current = [] then acc else List.rev current :: acc in
-          group [] acc rest
-        else group (l :: current) acc rest
+  let n = String.length text in
+  let sep i = text.[i] = ' ' || text.[i] = '\n' in
+  let collapse a b =
+    let rec normal i =
+      i >= b
+      || (not (sep i) || (text.[i] = ' ' && i > a && i + 1 < b && not (sep (i + 1))))
+         && normal (i + 1)
+    in
+    if normal a then if a = 0 && b = n then text else String.sub text a (b - a)
+    else begin
+      let buf = Buffer.create (b - a) in
+      for i = a to b - 1 do
+        if not (sep i) then begin
+          if Buffer.length buf > 0 && sep (i - 1) then Buffer.add_char buf ' ';
+          Buffer.add_char buf text.[i]
+        end
+      done;
+      Buffer.contents buf
+    end
   in
-  let collapse para =
-    String.concat " " para |> String.split_on_char ' '
-    |> List.filter (fun w -> w <> "")
-    |> String.concat " "
+  let rec blank i stop =
+    i >= stop
+    || (match text.[i] with ' ' | '\012' | '\r' | '\t' -> true | _ -> false)
+       && blank (i + 1) stop
   in
-  group [] [] lines |> List.map collapse |> List.filter (fun p -> p <> "")
+  (* [start, last): the non-blank lines of the open paragraph, if any. *)
+  let close acc start last = if start < 0 then acc else collapse start last :: acc in
+  let rec lines acc start last i =
+    if i > n then List.rev (close acc start last)
+    else
+      let stop = Option.value ~default:n (String.index_from_opt text i '\n') in
+      if blank i stop then lines (close acc start last) (-1) 0 (stop + 1)
+      else lines acc (if start < 0 then i else start) stop (stop + 1)
+  in
+  lines [] (-1) 0 0
 
 let normalise_text text = String.concat "\n\n" (paragraphs_of_text text)
 

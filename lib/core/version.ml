@@ -21,7 +21,7 @@ let compare a b =
   | c -> c
 
 let equal a b = compare a b = 0
-let to_string v = Printf.sprintf "%d.%d" v.major v.minor
+let to_string v = string_of_int v.major ^ "." ^ string_of_int v.minor
 
 let of_string s =
   match String.split_on_char '.' (String.trim s) with

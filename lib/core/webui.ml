@@ -294,7 +294,7 @@ let page_identifier path =
     | Ok id -> Some id
 
 let get registry ~query path =
-  if path = "/" || path = "" then index_page registry query
+  if path = "/" then index_page registry query
   else if path = "/search" then search_page registry query
   else if path = "/glossary" then glossary_page ()
   else if path = "/manuscript" then
@@ -357,14 +357,18 @@ let default_editor = Curation.account ~role:Curation.Curator "wiki"
 
 let handle ?(editor = default_editor) ?(pages = []) ?(query = "") registry
     ~meth ~path ~body =
-  match String.uppercase_ascii meth with
-  | "GET" -> (
-      match List.assoc_opt path pages with
-      | Some render ->
-          let title, fragment = render () in
-          respond 200 (html_page ~title fragment)
-      | None -> get registry ~query path)
-  | "POST" -> post ~editor registry path body
-  | _ ->
-      respond 405
-        (html_page ~title:"Method not allowed" "<p>Use GET or POST.</p>")
+  if path = "" || path.[0] <> '/' then
+    respond ~content_type:"text/plain; charset=utf-8" 400
+      "bad request path: it must begin with /\n"
+  else
+    match String.uppercase_ascii meth with
+    | "GET" -> (
+        match List.assoc_opt path pages with
+        | Some render ->
+            let title, fragment = render () in
+            respond 200 (html_page ~title fragment)
+        | None -> get registry ~query path)
+    | "POST" -> post ~editor registry path body
+    | _ ->
+        respond 405
+          (html_page ~title:"Method not allowed" "<p>Use GET or POST.</p>")

@@ -17,7 +17,9 @@
     - [POST /<page>] with wiki text as the body — parse the edited page
       through the {!Sync} lens and {!Registry.revise} the entry (the
       section 5.4 bx, live);
-    - anything else — 404.
+    - anything else — 404;
+    - an empty path, or one not starting with [/] — 400, as the server's
+      route table answers it.
 
     POSTs are performed as the configured editor account; permission and
     validation failures surface as 403/400 with the message in the

@@ -15,23 +15,47 @@
    snapshot digest manifests, sealed MANIFESTs and the per-entry content
    hashes all speak it, so a tool that can check one can check all. *)
 
-(* Built eagerly: a lazy forced by two domains at once can raise
-   [CamlinternalLazy.Undefined] in one of them. *)
-let crc_table =
-  Array.init 256 (fun n ->
-      let c = ref n in
-      for _ = 0 to 7 do
+(* Slicing-by-4: [crc_tables.((k * 256) + b)] is the register after
+   byte [b] and then [k] zero bytes, i.e. [8 * (k + 1)] bit steps from
+   [b], so one step folds four bytes with four independent lookups (the
+   first 256 entries are the bytewise table).  Built eagerly: a lazy
+   forced by two domains at once can raise [CamlinternalLazy.Undefined]
+   in one of them. *)
+let crc_tables =
+  Array.init (4 * 256) (fun i ->
+      let c = ref (i land 0xff) in
+      for _ = 1 to 8 * ((i lsr 8) + 1) do
         c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
       done;
       !c)
 
-let crc32_sub s off len =
-  let c = ref 0xFFFFFFFF in
-  for i = off to off + len - 1 do
-    c := Array.unsafe_get crc_table ((!c lxor Char.code s.[i]) land 0xff)
-         lxor (!c lsr 8)
+let byte s i = Char.code (String.unsafe_get s i)
+
+(* Fold [s.[off .. off + len - 1]] into the (inverted) register [c];
+   the caller has checked the range. *)
+let crc_update c s off len =
+  let t = crc_tables and c = ref c and i = ref off and stop = off + len in
+  while !i + 4 <= stop do
+    let j = !i in
+    let x = !c lxor byte s j lxor (byte s (j + 1) lsl 8) lxor (byte s (j + 2) lsl 16) in
+    let x = x lxor (byte s (j + 3) lsl 24) in
+    c :=
+      Array.unsafe_get t (768 + (x land 0xff))
+      lxor Array.unsafe_get t (512 + ((x lsr 8) land 0xff))
+      lxor Array.unsafe_get t (256 + ((x lsr 16) land 0xff))
+      lxor Array.unsafe_get t (x lsr 24);
+    i := j + 4
   done;
-  !c lxor 0xFFFFFFFF
+  while !i < stop do
+    c := Array.unsafe_get t ((!c lxor byte s !i) land 0xff) lxor (!c lsr 8);
+    incr i
+  done;
+  !c
+
+let crc32_sub s off len =
+  if off < 0 || len < 0 || off > String.length s - len then
+    invalid_arg "Integrity.crc32_sub";
+  crc_update 0xFFFFFFFF s off len lxor 0xFFFFFFFF
 
 let crc32 s = crc32_sub s 0 (String.length s)
 
@@ -188,20 +212,16 @@ let entry_hash registry id =
   match Bx_repo.Registry.versions registry id with
   | Error _ -> 0 (* absent: the fold identity, so XOR-in/XOR-out balances *)
   | Ok versions ->
-      let buf = Buffer.create 512 in
-      Buffer.add_string buf (Bx_repo.Identifier.to_string id);
-      Buffer.add_char buf '\x00';
-      List.iter
-        (fun v ->
-          match Bx_repo.Registry.find_version registry id v with
-          | Error _ -> ()
-          | Ok t ->
-              Buffer.add_string buf (Bx_repo.Version.to_string v);
-              Buffer.add_char buf '\x00';
-              Buffer.add_string buf (Bx_repo.Sync.wiki_text t);
-              Buffer.add_char buf '\x00')
-        versions;
-      let h = crc32 (Buffer.contents buf) in
+      (* The CRC of [id \x00 (version \x00 wiki-text \x00)*], fed piece
+         by piece rather than copied into one buffer first. *)
+      let feed c s = crc_update (crc_update c s 0 (String.length s)) "\x00" 0 1 in
+      let version c v =
+        match Bx_repo.Registry.find_version registry id v with
+        | Error _ -> c
+        | Ok t -> feed (feed c (Bx_repo.Version.to_string v)) (Bx_repo.Sync.wiki_text t)
+      in
+      let c = feed 0xFFFFFFFF (Bx_repo.Identifier.to_string id) in
+      let h = List.fold_left version c versions lxor 0xFFFFFFFF in
       (* 0 is the fold's identity ("entry absent"); nudge a real entry
          that happens to hash there so presence is always visible. *)
       if h = 0 then 1 else h

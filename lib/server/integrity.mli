@@ -14,7 +14,8 @@ val crc32 : string -> int
 
 val crc32_sub : string -> int -> int -> int
 (** [crc32_sub s off len] checksums the substring — the journal's
-    zero-copy record scan. *)
+    zero-copy record scan.  Raises [Invalid_argument] unless
+    [0 <= off], [0 <= len] and [off + len <= String.length s]. *)
 
 (** The [DIGESTS] manifest: CRC32s of a snapshot directory's cold files
     (pages, JSON sidecars, [INDEX.wiki], [DOCS.bxdocs]), written when the

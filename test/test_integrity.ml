@@ -75,6 +75,33 @@ let codec_tests =
         let s = "xx123456789yy" in
         check Alcotest.int "crc32_sub agrees with the copy" 0xCBF43926
           (Integrity.crc32_sub s 2 9));
+    tc "crc32_sub checks its range before reading" (fun () ->
+        check Alcotest.int "empty" 0 (Integrity.crc32_sub "" 0 0);
+        check Alcotest.int "empty tail" 0 (Integrity.crc32_sub "abc" 3 0);
+        List.iter
+          (fun (s, off, len) ->
+            match Integrity.crc32_sub s off len with
+            | _ -> Alcotest.failf "crc32_sub %S %d %d did not raise" s off len
+            | exception Invalid_argument _ -> ())
+          [ ("", 1, 0); ("", 0, 1); ("abc", -1, 1); ("abc", 1, -1);
+            ("abc", 2, 2); ("abc", 4, 0); ("abcdefghij", 1, max_int) ]);
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:2000 ~long_factor:50
+         ~name:"crc32_sub equals the bytewise table on any range"
+         ~print:QCheck2.Print.(triple string int int)
+         QCheck2.Gen.(
+           string_size (0 -- 200) >>= fun s ->
+           let n = String.length s in
+           triple (pure s) (-2 -- (n + 2)) (-2 -- (n + 2)))
+         (fun (s, off, len) ->
+           let n = String.length s in
+           if off >= 0 && len >= 0 && off + len <= n then
+             Integrity.crc32_sub s off len
+             = Bx_markup_ref.Markup_ref.crc32_sub s off len
+           else
+             match Integrity.crc32_sub s off len with
+             | _ -> false
+             | exception Invalid_argument _ -> true));
     tc "DIGESTS manifest round trips and names every damage mode" (fun () ->
         let files =
           [ ("b.wiki", "bravo"); ("a.wiki", "alpha"); ("DOCS.bxdocs", "d") ]

@@ -1,0 +1,218 @@
+(* Extensional equivalence of the in-place wiki markup kernels (Markup,
+   Sync's free-text normaliser, Integrity's entry hash) and the copying
+   originals kept in Markup_ref, plus the wiki bx's own laws over the
+   templates the server actually holds.
+
+   Strings are drawn from a token pool dense in the markup's special
+   characters — the inline markers' halves, the link bar, spaces, tabs,
+   CR and line breaks, the block keywords and the characters HTML
+   escapes — so openers without closers, empty bodies, overlapping
+   markers and blank-but-not-empty lines come up in most cases.
+
+   Each property runs [count] cases under [dune runtest] and about
+   [long] (10^5 unless stated) with QCHECK_LONG set, as the CI job
+   sets it. *)
+
+open Bx_repo
+module Ref = Bx_markup_ref.Markup_ref
+
+let prop ?(count = 1000) ?(long = 100_000) name ~print gen f =
+  let long_factor = (long + count - 1) / count in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count ~long_factor ~name ~print gen f)
+
+(* ------------------------------------------------------------------ *)
+(* Generators *)
+
+let tokens =
+  [| "*"; "/"; "{"; "}"; "["; "]"; "|"; " "; " "; "\t"; "\r"; "\n"; "\n";
+     "a"; "b"; "c"; "&"; "<"; ">"; "\""; "\012"; "**"; "//"; "{{"; "}}";
+     "[[["; "]]]"; "[[code]]"; "[[/code]]"; "+"; "* "; "+ "; "++ " |]
+
+let dense_of n = QCheck2.Gen.(
+  map (String.concat "") (list_size (0 -- n) (map (Array.get tokens) (0 -- (Array.length tokens - 1)))))
+
+let dense = QCheck2.Gen.(oneof [ dense_of 12; dense_of 60 ])
+
+(* One-line text: the line breaks a paragraph would have been split on
+   are gone, as they are for every string [parse_inlines] is given. *)
+let dense_line =
+  QCheck2.Gen.map (String.map (fun c -> if c = '\n' then ' ' else c)) dense
+
+let inline_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun s -> Markup.Text s) dense_line;
+        map (fun s -> Markup.Bold s) dense_line;
+        map (fun s -> Markup.Italic s) dense_line;
+        map (fun s -> Markup.Code s) dense_line;
+        map2 (fun target label -> Markup.Link { target; label }) dense_line dense_line;
+      ])
+
+let block_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        map2 (fun l t -> Markup.Heading (l, t)) (-1 -- 8) dense;
+        map (fun is -> Markup.Para is) (list_size (0 -- 5) inline_gen);
+        map (fun is -> Markup.Bullets is) (list_size (0 -- 4) dense);
+        map (fun ls -> Markup.Code_block ls) (list_size (0 -- 4) dense);
+      ])
+
+let doc_gen = QCheck2.Gen.(list_size (0 -- 6) block_gen)
+
+(* A random template whose every free-text field is dense markup. *)
+let dense_template =
+  QCheck2.Gen.(
+    map2
+      (fun (t : Template.t) texts ->
+        let text i = List.nth texts (i mod List.length texts) in
+        {
+          t with
+          overview = text 0;
+          consistency = text 1;
+          discussion = text 2;
+          restoration = { rest_forward = text 3; rest_backward = text 4 };
+          models =
+            List.mapi
+              (fun i (m : Template.model_desc) ->
+                { m with model_description = text (5 + i) })
+              t.models;
+          variants =
+            List.mapi
+              (fun i (v : Template.variant) ->
+                { v with variant_description = text (7 + i) })
+              t.variants;
+        })
+      Bx_check.Generators.template
+      (list_size (1 -- 9) dense))
+
+(* Templates the server holds: the load corpus (random seed and index),
+   the catalogue's own entries, and the random round-trip templates. *)
+let real_template =
+  let catalogue = Array.of_list (Bx_catalogue.Catalogue.all ()) in
+  QCheck2.Gen.(
+    oneof
+      [
+        map2
+          (fun seed i ->
+            List.nth (Bx_load.Corpus.generate ~entries:(i + 1) ~seed) i)
+          (0 -- 10_000) (0 -- 40);
+        map (Array.get catalogue) (0 -- (Array.length catalogue - 1));
+        Bx_check.Generators.template;
+      ])
+
+let print_string = Printf.sprintf "%S"
+let print_doc d = Fmt.str "%a" Markup.pp d
+let print_template t = print_string (Ref.wiki_text t)
+
+(* ------------------------------------------------------------------ *)
+(* New kernel = oracle *)
+
+let kernel_tests =
+  [
+    prop "parse_inlines = oracle" ~print:print_string dense_line (fun s ->
+        Markup.parse_inlines s = Ref.parse_inlines s);
+    prop "parse_inlines = oracle (line breaks kept)" ~print:print_string dense
+      (fun s -> Markup.parse_inlines s = Ref.parse_inlines s);
+    prop "parse = oracle" ~print:print_string dense (fun s ->
+        Markup.parse s = Ref.parse s);
+    prop "render = oracle" ~print:print_doc doc_gen (fun d ->
+        Markup.render d = Ref.render d);
+    prop "render_inlines = oracle" ~print:print_doc doc_gen (fun d ->
+        List.for_all
+          (function
+            | Markup.Para is -> Markup.render_inlines is = Ref.render_inlines is
+            | _ -> true)
+          d);
+    prop "to_html = oracle" ~print:print_doc doc_gen (fun d ->
+        Markup.to_html d = Ref.to_html d);
+    prop "html_escape = oracle" ~print:print_string dense (fun s ->
+        Markup.html_escape s = Ref.html_escape s);
+    prop "normalise = oracle's paragraphs" ~print:print_string dense (fun s ->
+        let t = { (Sync.blank ~title:"T") with Template.overview = s } in
+        (Sync.normalise t).Template.overview = Ref.normalise_text s);
+    prop ~count:300 "render_entry and wiki_text = oracle" ~print:print_template
+      dense_template (fun t ->
+        Sync.render_entry t = Ref.render_entry t
+        && Sync.wiki_text t = Ref.wiki_text t);
+    prop ~count:300 "of_wiki_text = oracle's parse" ~print:print_template
+      dense_template (fun t ->
+        let text = Ref.wiki_text t in
+        let ours = Sync.of_wiki_text ~fallback:t text in
+        let theirs =
+          Result.bind (Ref.parse text) (Sync.parse_entry ~fallback:t)
+        in
+        match (ours, theirs) with
+        | Ok a, Ok b -> Template.equal a b
+        | Error a, Error b -> a = b
+        | _ -> false);
+  ]
+
+(* A line of openers whose closers never come: each failed search for a
+   closer is not repeated, so the scan stays linear.  The copying
+   original searched again from every opener and took about 30 s on 90
+   kB of "{{a". *)
+let linear_tests =
+  [
+    Alcotest.test_case "unclosed openers parse in linear time" `Quick
+      (fun () ->
+        let line = String.concat "" (List.init 20_000 (fun _ -> "{{a[[[b")) in
+        let t0 = Sys.time () in
+        let inlines = Markup.parse_inlines line in
+        let dt = Sys.time () -. t0 in
+        Alcotest.(check bool) "one literal run" true (inlines = [ Markup.Text line ]);
+        if dt > 1.0 then Alcotest.failf "took %.2f s on %d bytes" dt (String.length line));
+  ]
+
+(* The per-entry hash behind every shard digest: revisions of dense
+   templates, submitted to a registry, hash as the copying fold did. *)
+let hash_tests =
+  let curator = Curation.account ~role:Curation.Curator "Oracle Curator" in
+  [
+    Alcotest.test_case "entry_hash = oracle over the load corpus" `Quick
+      (fun () ->
+        let reg = Bx_load.Corpus.seed_registry ~entries:60 ~seed:101 () in
+        List.iter
+          (fun id ->
+            Alcotest.(check int)
+              (Identifier.to_string id)
+              (Ref.entry_hash reg id)
+              (Bx_server.Integrity.entry_hash reg id))
+          (Registry.ids reg));
+    prop ~count:100 ~long:10_000 "entry_hash = oracle over revised entries"
+      ~print:print_template dense_template (fun t ->
+        let reg = Bx_catalogue.Catalogue.seed () in
+        let id = List.hd (Registry.ids reg) in
+        let base = Result.get_ok (Registry.latest reg id) in
+        let edited = { t with Template.title = base.Template.title } in
+        match Registry.revise reg ~as_:curator id edited with
+        | Error _ -> QCheck2.assume_fail ()
+        | Ok _ -> Ref.entry_hash reg id = Bx_server.Integrity.entry_hash reg id);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* The wiki bx's laws over real templates *)
+
+let law_tests =
+  [
+    prop ~count:300 "parse (render (render_entry t)) = Ok (render_entry t)"
+      ~print:print_template real_template (fun t ->
+        let doc = Sync.render_entry t in
+        Markup.parse (Markup.render doc) = Ok doc);
+    prop ~count:300 "GetPut: put (get t) t = t on normalised templates"
+      ~print:print_template real_template (fun t ->
+        let t = Sync.normalise t in
+        let lens = Sync.lens () in
+        Template.equal t (lens.Bx.Lens.put (lens.Bx.Lens.get t) t));
+  ]
+
+let () =
+  Alcotest.run "bx markup equivalence"
+    [
+      ("kernels", kernel_tests);
+      ("linear", linear_tests);
+      ("entry hash", hash_tests);
+      ("laws", law_tests);
+    ]

@@ -834,6 +834,53 @@ let manuscript_tests =
           (List.assoc_opt "Perdita Stevens" cs = Some [ "COMPOSERS" ]);
         check Alcotest.bool "else on other" true
           (List.assoc_opt "Someone Else" cs = Some [ "OTHER" ]));
+    tc "credits list each contributor's entries once, in entry order" (fun () ->
+        (* Perdita Stevens authors ENTRY-00..05 (twice over on 01) and
+           reviews ENTRY-06..11; Someone Else authors ENTRY-06..11 and
+           reviews the even entries below 06, A Reviewer the odd ones. *)
+        let reg = Registry.create () in
+        let stevens = Contributor.make "Perdita Stevens" in
+        let someone = Contributor.make "Someone Else" in
+        let someone_reviewer =
+          Curation.account ~role:Curation.Reviewer "Someone Else"
+        in
+        for i = 0 to 11 do
+          let authors =
+            if i = 1 then [ stevens; stevens ]
+            else if i < 6 then [ stevens ]
+            else [ someone ]
+          in
+          let t =
+            { (sample_template ()) with
+              Template.title = Printf.sprintf "ENTRY-%02d" i; authors }
+          in
+          let as_ = if i < 6 then member else other_member in
+          let id = ok_or_fail (Registry.submit reg ~as_ t) in
+          let endorser =
+            if i >= 6 then author_reviewer
+            else if i mod 2 = 0 then someone_reviewer
+            else reviewer
+          in
+          ok_or_fail (Registry.endorse reg ~as_:endorser id);
+          ignore (ok_or_fail (Registry.approve reg ~as_:curator id))
+        done;
+        let entries is =
+          String.concat ", " (List.map (Printf.sprintf "ENTRY-%02d") is)
+        in
+        let expected =
+          [
+            "A Reviewer: " ^ entries [ 1; 3; 5 ];
+            "Perdita Stevens: " ^ entries (List.init 12 Fun.id);
+            "Someone Else: " ^ entries [ 0; 2; 4; 6; 7; 8; 9; 10; 11 ];
+          ]
+        in
+        match Markup.parse (Manuscript.generate reg) with
+        | Error e -> Alcotest.fail e
+        | Ok doc -> (
+            match List.rev doc with
+            | Markup.Bullets credits :: Markup.Heading (2, "Credits") :: _ ->
+                check Alcotest.(list string) "credits" expected credits
+            | _ -> Alcotest.fail "the manuscript does not end with its credits"));
     tc "bibliography has one record per entry plus the repository" (fun () ->
         let reg = two_entry_registry () in
         let bib = Manuscript.bibliography reg in
@@ -1199,6 +1246,14 @@ let webui_tests =
         check Alcotest.int "404" 404 (get reg "/examples:ghost").Webui.status;
         check Alcotest.int "405" 405
           (Webui.handle reg ~meth:"PUT" ~path:"/" ~body:"").Webui.status);
+    tc "an empty or relative path is a 400, not an exception" (fun () ->
+        let reg = fresh () in
+        List.iter
+          (fun (meth, path) ->
+            let r = Webui.handle reg ~meth ~path ~body:"+ X\n" in
+            check Alcotest.int (meth ^ " " ^ path) 400 r.Webui.status)
+          [ ("POST", ""); ("GET", ""); ("PUT", ""); ("POST", "examples:lines");
+            ("GET", "examples:lines.wiki"); ("POST", "?x") ]);
     tc "extra pages mount on GET routes" (fun () ->
         let reg = fresh () in
         let r =

@@ -5,8 +5,6 @@
 val to_fahrenheit : Bx_models.Rational.t -> Bx_models.Rational.t
 (** f = c * 9/5 + 32. *)
 
-val to_celsius : Bx_models.Rational.t -> Bx_models.Rational.t
-
 val iso : (Bx_models.Rational.t, Bx_models.Rational.t) Bx.Iso.t
 val bx : (Bx_models.Rational.t, Bx_models.Rational.t) Bx.Symmetric.t
 

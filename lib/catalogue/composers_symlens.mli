@@ -20,9 +20,6 @@ type complement = {
 
 val lens : (m, n, complement) Bx.Symlens.t
 
-val remembered_dates : complement -> string * string -> string list
-(** The dates the complement holds for a pair (empty if never seen). *)
-
 (** The paper's Discussion scenario, replayed through the symmetric
     lens: this time the dates come back. *)
 type repair_trace = {

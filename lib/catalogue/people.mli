@@ -6,9 +6,6 @@
 
 type entry = { person : string; age : int; email : string }
 
-val entry_iso : (entry, (string * int) * string) Bx.Iso.t
-(** Records against nested pairs, so the generic pair lenses apply. *)
-
 val lens : (entry list, (string * int) list) Bx.Lens.t
 (** get: project each entry to (name, age).  put: key-aligned by name;
     new names get email ["unknown@example.org"]. *)

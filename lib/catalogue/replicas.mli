@@ -7,12 +7,6 @@
 type store = (string * string) list
 (** Key-value pairs; keys unique, order significant. *)
 
-val news_prefix : string
-(** ["news/"]. *)
-
-val mail_prefix : string
-(** ["mail/"]. *)
-
 val news_lens : (store, store) Bx.Lens.t
 (** The master restricted to [news/] keys. *)
 

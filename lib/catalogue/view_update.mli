@@ -8,9 +8,6 @@
 val employees : Bx_models.Relational.table
 (** id (key, INT), name (TEXT), dept (TEXT), salary (INT). *)
 
-val engineering_directory : Bx_models.Relalg.query
-(** σ(dept = "eng") then π(id, name): the engineering phone directory. *)
-
 val lens :
   (Bx_models.Relational.row list, Bx_models.Relational.row list) Bx.Lens.t
 

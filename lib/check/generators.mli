@@ -51,9 +51,7 @@ val mixed_pair :
   ('m, 'n) Bx.Symmetric.t -> 'm Gen.t -> 'n Gen.t -> ('m * 'n) Gen.t
 (** Half arbitrary, half consistent. *)
 
-val composers_m_edit : Bx_catalogue.Composers_edit.m_edit QCheck2.Gen.t
 val composers_m_edits : Bx_catalogue.Composers_edit.m_edit list QCheck2.Gen.t
-val composers_n_edit : Bx_catalogue.Composers_edit.n_edit QCheck2.Gen.t
 val composers_n_edits : Bx_catalogue.Composers_edit.n_edit list QCheck2.Gen.t
 
 val composers_complement : Bx_catalogue.Composers_edit.complement QCheck2.Gen.t

@@ -23,10 +23,6 @@ type row = {
 type checker = unit -> (unit, string) result
 type suite = (Bx.Properties.t * checker) list
 
-val checker_of_law :
-  ?seed:int -> ?count:int -> 'a QCheck2.Gen.t -> 'a Bx.Law.t -> checker
-(** Package a law and a generator as a suite checker. *)
-
 val symmetric_suite :
   ?seed:int -> ?count:int -> m_space:'m Bx.Model.t -> n_space:'n Bx.Model.t
   -> gen_m:'m QCheck2.Gen.t -> gen_n:'n QCheck2.Gen.t -> ('m, 'n) Bx.Symmetric.t
@@ -49,6 +45,5 @@ val check_claims : suite -> Bx.Properties.claim list -> row list
 val all_upheld : row list -> bool
 (** No claim was refuted (unsupported claims are allowed). *)
 
-val pp_row : Format.formatter -> row -> unit
 val pp_report : Format.formatter -> row list -> unit
 (** A claimed-vs-verified table. *)

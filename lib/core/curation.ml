@@ -24,5 +24,3 @@ let can_edit ~author_names a =
   | Curator -> true
   | Reviewer | Member -> List.mem a.account_name author_names
 
-let pp_account ppf a =
-  Fmt.pf ppf "%s [%s]" a.account_name (role_name a.role)

@@ -33,5 +33,3 @@ val can_approve : account -> bool
 val can_edit : author_names:string list -> account -> bool
 (** Editing an entry is not uncontrolled: curators may edit anything; other
     accounts only entries they co-authored (matched by name). *)
-
-val pp_account : Format.formatter -> account -> unit

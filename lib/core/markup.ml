@@ -197,7 +197,6 @@ let parse text =
   in
   blocks [] lines
 
-let heading_text = function Heading (_, t) -> Some t | _ -> None
 let equal (a : doc) b = a = b
 
 let pp_inline ppf = function

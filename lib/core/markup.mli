@@ -47,9 +47,6 @@ val parse_inlines : string -> inline list
 val plain_text : inline list -> string
 (** Concatenated text content with markers stripped. *)
 
-val heading_text : block -> string option
-(** [Some text] for headings, [None] otherwise. *)
-
 val equal : doc -> doc -> bool
 val pp : Format.formatter -> doc -> unit
 

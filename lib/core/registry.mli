@@ -111,7 +111,6 @@ val versions : t -> Identifier.t -> (Version.t list, error) result
     ([Published]). *)
 type curation_state = Provisional | Endorsed | Published
 
-val state_name : curation_state -> string
 val state_of_name : string -> curation_state option
 
 type query = {

@@ -64,8 +64,6 @@ val env_configured : bool
     startup (even empty) — the service uses this to decide whether the
     [/debug/failpoints] admin route exists. *)
 
-val parse_action : string -> (action, string) result
-
 val set : string -> action -> unit
 (** Install (or with [Off], remove) the rule for one site. *)
 

@@ -90,13 +90,10 @@ val set_toxics : t -> rule list -> unit
 
 val toxics : t -> rule list
 
-val sever : t -> unit
-(** Tear down every live connection now (new connections still accepted
-    and subject to the current toxics). *)
-
 val partition : t -> unit
-(** [set_toxics t [(Both, Blackhole)]] plus {!sever}: a full partition —
-    existing connections die, new ones hang. *)
+(** [set_toxics t [(Both, Blackhole)]] plus tearing down every live
+    connection: a full partition — existing connections die, new ones
+    hang. *)
 
 val heal : t -> unit
 (** Clear this proxy's toxics; traffic flows normally again. *)

@@ -49,9 +49,6 @@ val apply_list_op : 'a list_op -> 'a list -> 'a list option
 val list_edit_module : unit -> ('a list_edit, 'a list) edit_module
 (** The edit module of composite list edits under concatenation. *)
 
-val map_ops : ('a -> 'b) -> 'a list_edit -> 'b list_edit
-(** Transport a list edit through a function on elements. *)
-
 val list_map_iso : ('a, 'b) Iso.t -> (unit, 'a list_edit, 'b list_edit) t
 (** The edit lens that maps list edits elementwise through an isomorphism.
     Stateless (unit complement). *)

@@ -28,8 +28,6 @@ let conj ~name ~description laws =
   in
   { name; description; check }
 
-let is_violated = function Violated _ -> true | Holds -> false
-
 let check_all law inputs =
   List.mapi (fun i x -> (i, x, law.check x)) inputs
   |> List.filter_map (fun (i, x, v) ->

@@ -38,9 +38,6 @@ val conj : name:string -> description:string -> 'a t list -> 'a t
     verdict reports the first violation, prefixed with the violated law's
     name. *)
 
-val is_violated : verdict -> bool
-(** [is_violated v] is true on {!Violated} verdicts. *)
-
 val check_all : 'a t -> 'a list -> (int * 'a * string) list
 (** [check_all law inputs] evaluates [law] on every input and returns the
     indices, inputs and messages of the violations (empty = law held

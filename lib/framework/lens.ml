@@ -113,21 +113,18 @@ let list_key_map ~source_key ~view_key l =
     create = List.map l.create;
   }
 
-(* Longest common subsequence of two key arrays as strictly increasing
-   index pairs. *)
-let lcs_pairs equal a b =
-  let n = Array.length a and m = Array.length b in
+let lcs_pairs ~eq n m =
   let table = Array.make_matrix (n + 1) (m + 1) 0 in
   for i = n - 1 downto 0 do
     for j = m - 1 downto 0 do
       table.(i).(j) <-
-        (if equal a.(i) b.(j) then 1 + table.(i + 1).(j + 1)
+        (if eq i j then 1 + table.(i + 1).(j + 1)
          else max table.(i + 1).(j) table.(i).(j + 1))
     done
   done;
   let rec walk i j acc =
     if i >= n || j >= m then List.rev acc
-    else if equal a.(i) b.(j) then walk (i + 1) (j + 1) ((i, j) :: acc)
+    else if eq i j then walk (i + 1) (j + 1) ((i, j) :: acc)
     else if table.(i + 1).(j) >= table.(i).(j + 1) then walk (i + 1) j acc
     else walk i (j + 1) acc
   in
@@ -139,7 +136,11 @@ let list_diff_map ~source_key ~view_key l =
     let v_arr = Array.of_list vs in
     let skeys = Array.map source_key s_arr in
     let vkeys = Array.map view_key v_arr in
-    let matched = lcs_pairs ( = ) skeys vkeys in
+    let matched =
+      lcs_pairs
+        ~eq:(fun i j -> skeys.(i) = vkeys.(j))
+        (Array.length skeys) (Array.length vkeys)
+    in
     let source_for = Hashtbl.create 16 in
     List.iter (fun (i, j) -> Hashtbl.replace source_for j i) matched;
     List.mapi

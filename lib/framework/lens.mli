@@ -70,6 +70,15 @@ val list_key_map :
     [create]d.  This is the state-level analogue of POPL'08 dictionary
     lenses. *)
 
+val lcs_pairs : eq:(int -> int -> bool) -> int -> int -> (int * int) list
+(** [lcs_pairs ~eq n m] is a longest common subsequence of two sequences
+    of lengths [n] and [m], where [eq i j] compares element [i] of the
+    first with element [j] of the second, as index pairs strictly
+    increasing in both components.  Quadratic in time and space.  Ties
+    break the same way every time: walking from the front, equal
+    elements pair at once, and otherwise the walk skips an element of
+    the first sequence whenever that loses nothing. *)
+
 val list_diff_map :
   source_key:('s -> 'k) -> view_key:('v -> 'k) -> ('s, 'v) t
   -> ('s list, 'v list) t

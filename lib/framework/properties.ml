@@ -110,4 +110,3 @@ let claim_of_name s =
   else Option.map (fun p -> Satisfies p) (of_name s)
 
 let pp ppf p = Fmt.string ppf (name p)
-let pp_claim ppf c = Fmt.string ppf (claim_name c)

@@ -47,4 +47,3 @@ val claim_of_name : string -> claim option
 (** Parse a claim; a leading ["not "] marks a {!Violates} claim. *)
 
 val pp : Format.formatter -> t -> unit
-val pp_claim : Format.formatter -> claim -> unit

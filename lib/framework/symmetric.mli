@@ -50,21 +50,12 @@ val identity : ('m, 'm) t
     problematic (there is no canonical middle model to restore through); the
     repository glossary discusses this, and no [compose] is provided. *)
 
-val correct_fwd_law : ('m, 'n) t -> ('m * 'n) Law.t
-(** Correctness, forward half: [consistent m (fwd m n)]. *)
-
-val correct_bwd_law : ('m, 'n) t -> ('m * 'n) Law.t
-(** Correctness, backward half: [consistent (bwd m n) n]. *)
-
 val correct_law : ('m, 'n) t -> ('m * 'n) Law.t
 (** Correctness: both halves. *)
 
 val hippocratic_fwd_law : 'n Model.t -> ('m, 'n) t -> ('m * 'n) Law.t
 (** Hippocraticness, forward half: if [consistent m n] then [fwd m n = n]
     (inputs that are already consistent are vacuously accepted). *)
-
-val hippocratic_bwd_law : 'm Model.t -> ('m, 'n) t -> ('m * 'n) Law.t
-(** Hippocraticness, backward half: if [consistent m n] then [bwd m n = m]. *)
 
 val hippocratic_law : 'm Model.t -> 'n Model.t -> ('m, 'n) t -> ('m * 'n) Law.t
 (** Hippocraticness: both halves. *)

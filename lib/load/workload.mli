@@ -49,27 +49,6 @@ val read_heavy : profile
 (** ~95% reads: entry pages in all three formats, index, lens gets,
     some batches, a trickle of writes and manuscript renders. *)
 
-val write_heavy : profile
-(** Half the traffic revises entries or puts lens views — the profile
-    that exercises the write lock and cache invalidation. *)
-
-val search_heavy : profile
-(** Half the traffic queries [/search] with indexed criteria, the rest
-    browses and occasionally writes — the profile that shows whether
-    search latency stays flat as the catalogue grows. *)
-
-val patch_heavy : profile
-(** Half the traffic ships single-line edits to lens-backed documents
-    through [/slens/composers/patch] — the profile that exercises the
-    delta propagation path (edit-sized requests, journal records and
-    replication traffic) against a background of reads. *)
-
-val scrub_soak : profile
-(** Read-heavy browsing plus a steady trickle of digest and readiness
-    probes — the profile to run with the background scrubber enabled
-    when measuring how much integrity checking costs foreground
-    latency. *)
-
 val profiles : profile list
 val of_name : string -> profile option
 

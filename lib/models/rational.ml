@@ -18,7 +18,6 @@ let add a b = make ((a.num * b.den) + (b.num * a.den)) (a.den * b.den)
 let sub a b = make ((a.num * b.den) - (b.num * a.den)) (a.den * b.den)
 let mul a b = make (a.num * b.num) (a.den * b.den)
 let div a b = if b.num = 0 then raise Division_by_zero else make (a.num * b.den) (a.den * b.num)
-let neg a = { a with num = -a.num }
 let equal a b = a.num = b.num && a.den = b.den
 let compare a b = Stdlib.compare (a.num * b.den) (b.num * a.den)
 let to_float a = float_of_int a.num /. float_of_int a.den

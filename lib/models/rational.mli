@@ -24,7 +24,6 @@ val mul : t -> t -> t
 val div : t -> t -> t
 (** Raises [Division_by_zero] on a zero divisor. *)
 
-val neg : t -> t
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val to_float : t -> float

@@ -51,5 +51,3 @@ val lens :
     type-appropriate defaults ([0], [""], [false]).
 
     [Seq] composes the lenses. *)
-
-val default_value : Relational.col_type -> Relational.value

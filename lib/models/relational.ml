@@ -75,9 +75,6 @@ let type_of_value = function
   | Text_v _ -> Text_t
   | Bool_v _ -> Bool_t
 
-let rows_of instance name =
-  match List.assoc_opt name instance with Some rows -> rows | None -> []
-
 let conforms schema instance =
   let check_table (name, rows) =
     match find_table schema name with
@@ -117,14 +114,6 @@ let pp_value ppf = function
   | Int_v n -> Fmt.int ppf n
   | Text_v s -> Fmt.pf ppf "%S" s
   | Bool_v b -> Fmt.bool ppf b
-
-let pp_instance ppf inst =
-  let pp_rows ppf (name, rows) =
-    Fmt.pf ppf "@[<v 2>%s:@,%a@]" name
-      (Fmt.list ~sep:Fmt.cut (Fmt.brackets (Fmt.list ~sep:Fmt.comma pp_value)))
-      rows
-  in
-  Fmt.pf ppf "@[<v>%a@]" (Fmt.list ~sep:Fmt.cut pp_rows) inst
 
 let equal_instance i1 i2 =
   let canon i =

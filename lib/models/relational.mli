@@ -48,16 +48,11 @@ val pp_schema : Format.formatter -> schema -> unit
 
 (** {1 Instances} *)
 
-val type_of_value : value -> col_type
-
 val conforms : schema -> instance -> (unit, string) result
 (** Every listed table exists in the schema, every row has the right arity
     and column types, and primary-key values are unique per table. *)
 
-val rows_of : instance -> string -> row list
-
 val pp_value : Format.formatter -> value -> unit
-val pp_instance : Format.formatter -> instance -> unit
 
 val equal_instance : instance -> instance -> bool
 (** Order-insensitive on tables and on rows within a table. *)

@@ -62,25 +62,6 @@ let edit_module () =
     identity = [];
   }
 
-(* LCS over child labels, as index pairs. *)
-let lcs_pairs equal a b =
-  let n = Array.length a and m = Array.length b in
-  let table = Array.make_matrix (n + 1) (m + 1) 0 in
-  for i = n - 1 downto 0 do
-    for j = m - 1 downto 0 do
-      table.(i).(j) <-
-        (if equal a.(i) b.(j) then 1 + table.(i + 1).(j + 1)
-         else max table.(i + 1).(j) table.(i).(j + 1))
-    done
-  done;
-  let rec walk i j acc =
-    if i >= n || j >= m then List.rev acc
-    else if equal a.(i) b.(j) then walk (i + 1) (j + 1) ((i, j) :: acc)
-    else if table.(i + 1).(j) >= table.(i).(j + 1) then walk (i + 1) j acc
-    else walk i (j + 1) acc
-  in
-  walk 0 0 []
-
 let rec diff ~equal (t1 : 'a Tree.t) (t2 : 'a Tree.t) = diff_at ~equal [] t1 t2
 
 and diff_at ~equal path t1 t2 =
@@ -91,7 +72,9 @@ and diff_at ~equal path t1 t2 =
   let a = Array.of_list t1.Tree.children in
   let b = Array.of_list t2.Tree.children in
   let anchors =
-    lcs_pairs (fun x y -> equal x.Tree.label y.Tree.label) a b
+    Bx.Lens.lcs_pairs
+      ~eq:(fun i j -> equal a.(i).Tree.label b.(j).Tree.label)
+      (Array.length a) (Array.length b)
     @ [ (Array.length a, Array.length b) ] (* sentinel *)
   in
   (* Between consecutive anchors, pair leftover old and new children in

@@ -13,8 +13,6 @@ let find_class model name =
 let remove_class model name =
   List.filter (fun c -> not (String.equal c.class_name name)) model
 
-let add_class model c = remove_class model c.class_name @ [ c ]
-
 let class_names model =
   List.sort String.compare (List.map (fun c -> c.class_name) model)
 

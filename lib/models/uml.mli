@@ -24,8 +24,6 @@ val attribute : ?is_key:bool -> string -> attr_type -> attribute
 val clazz : ?persistent:bool -> string -> attribute list -> clazz
 
 val find_class : model -> string -> clazz option
-val add_class : model -> clazz -> model
-(** Add or replace the class of that name. *)
 
 val remove_class : model -> string -> model
 val class_names : model -> string list

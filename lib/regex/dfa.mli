@@ -56,20 +56,9 @@ val accepts_sub : t -> string -> pos:int -> len:int -> bool
 val run_from : t -> int -> string -> int
 (** Run the automaton over a string from a given state. *)
 
-val run_from_sub : t -> int -> string -> pos:int -> len:int -> int
-(** Run the automaton over the slice [s[pos .. pos+len)] from a state. *)
-
 val prefix_marks : t -> string -> bool array
 (** [prefix_marks d s] has length [String.length s + 1]; element [i] tells
     whether the prefix [s[0..i)] is accepted. *)
-
-val prefix_marks_sub : t -> string -> pos:int -> len:int -> into:Bytes.t -> int
-(** Slice variant of {!prefix_marks} writing into caller scratch: after
-    the call, [into.(i) = '\001'] iff [s[pos .. pos+i)] is accepted, for
-    [0 <= i <= len].  [into] must have at least [len + 1] bytes; lens
-    executions reuse one buffer across every split of a run.  The pass
-    bails out at the sink state (blanking the rest of the scratch) and
-    returns the highest index that can still carry a mark. *)
 
 val suffix_marks_sub : t -> string -> pos:int -> len:int -> into:Bytes.t -> int
 (** [d] must recognise the {e reversal} of the language of interest

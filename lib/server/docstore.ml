@@ -270,26 +270,26 @@ let doc_keys t =
   locked t (fun () ->
       Hashtbl.fold (fun k _ acc -> k :: acc) t.docs [] |> List.sort compare)
 
+(* A lens or document missing here vanished between the scrubber's key
+   walk and this check. *)
 let check_doc t ~lens ~docid =
   locked t (fun () ->
-      match List.assoc_opt lens t.lenses with
-      | None -> Error (Printf.sprintf "unknown lens %S" lens)
-      | Some l -> (
-          match Hashtbl.find_opt t.docs (lens, docid) with
-          | None -> Error (Printf.sprintf "unknown document %S" docid)
-          | Some e -> (
-              match l.Slens.get e.source with
-              | exception (Slens.Type_error m | Bx_strlens.Split.Split_error m)
-                ->
-                  Error (Printf.sprintf "get raised: %s" m)
-              | view ->
-                  if String.equal view e.view then Ok ()
-                  else
-                    Error
-                      (Printf.sprintf
-                         "view drift: stored view (%d bytes) <> get source \
-                          (%d bytes)"
-                         (String.length e.view) (String.length view)))))
+      match
+        (List.assoc_opt lens t.lenses, Hashtbl.find_opt t.docs (lens, docid))
+      with
+      | None, _ | _, None -> `Gone
+      | Some l, Some e -> (
+          match l.Slens.get e.source with
+          | exception (Slens.Type_error m | Bx_strlens.Split.Split_error m) ->
+              `Bad (Printf.sprintf "get raised: %s" m)
+          | view ->
+              if String.equal view e.view then `Ok
+              else
+                `Bad
+                  (Printf.sprintf
+                     "view drift: stored view (%d bytes) <> get source (%d \
+                      bytes)"
+                     (String.length e.view) (String.length view))))
 
 let doc_digest_parts t =
   locked t (fun () ->

@@ -96,11 +96,13 @@ val doc_keys : t -> (string * string) list
 (** All (lens, docid) pairs currently stored, sorted — the scrubber's
     walk order. *)
 
-val check_doc : t -> lens:string -> docid:string -> (unit, string) result
+val check_doc :
+  t -> lens:string -> docid:string -> [ `Ok | `Gone | `Bad of string ]
 (** Re-derive the view from the stored source through the lens and
     compare byte-for-byte with the stored view — the [view = get source]
     invariant the delta machinery depends on.  Runs under the store's
-    mutex; an [Error] names the drift or the raised lens error. *)
+    mutex.  [`Gone] when the lens or the document is not (or no longer)
+    stored; [`Bad] names the drift or the raised lens error. *)
 
 val doc_digest_parts : t -> (string * string * int * string) list
 (** Every document as (lens, docid, generation, source), sorted — the

@@ -91,5 +91,3 @@ val error_response : error -> Bx_repo.Webui.response
 val query_params : string -> (string * string) list
 (** Split a raw query string into key/value pairs (no percent decoding —
     the internal endpoints that use queries only pass integers). *)
-
-val status_text : int -> string

@@ -304,19 +304,21 @@ let check_template ?law t =
             | None -> Ok ()
             | Some f -> f t))
 
+(* The registry's lookups fail only with [Not_found]: the entry (or one
+   of its versions) vanished between the scrubber's id walk and here. *)
 let check_entry ?law registry id =
   match Bx_repo.Registry.versions registry id with
-  | Error e -> Error (Bx_repo.Registry.error_message e)
+  | Error _ -> `Gone
   | Ok versions ->
       let rec go = function
-        | [] -> Ok ()
+        | [] -> `Ok
         | v :: rest -> (
             match Bx_repo.Registry.find_version registry id v with
-            | Error e -> Error (Bx_repo.Registry.error_message e)
+            | Error _ -> `Gone
             | Ok t -> (
                 match check_template ?law t with
                 | Error e ->
-                    Error
+                    `Bad
                       (Printf.sprintf "version %s: %s"
                          (Bx_repo.Version.to_string v) e)
                 | Ok () -> go rest))

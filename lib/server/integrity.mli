@@ -86,17 +86,14 @@ val render_digests : epoch:int -> (int * int) list -> string
 val parse_digests : string -> (int * (int * int) list, string) result
 (** Parse the digest body into [(epoch, (shard, digest) rows)]. *)
 
-val check_template :
-  ?law:(Bx_repo.Template.t -> (unit, string) result)
-  -> Bx_repo.Template.t -> (unit, string) result
-(** Template validity plus the wiki round trip (the sync lens's GetPut
-    at this entry); [law] injects a further deterministic check. *)
-
 val check_entry :
   ?law:(Bx_repo.Template.t -> (unit, string) result)
-  -> Bx_repo.Registry.t -> Bx_repo.Identifier.t -> (unit, string) result
-(** {!check_template} over every stored version of the entry; the error
-    names the first failing version. *)
+  -> Bx_repo.Registry.t -> Bx_repo.Identifier.t
+  -> [ `Ok | `Gone | `Bad of string ]
+(** Template validity plus the wiki round trip (the sync lens's GetPut
+    at this entry), and [law] if given, over every stored version of
+    the entry.  [`Gone] when the entry or a version is not (or no
+    longer) in the registry; [`Bad] names the first failing version. *)
 
 (** Token bucket pacing for the scrubber: [rate] items/second with a
     tenth of a second of burst (at least one item).  Rate 0 means

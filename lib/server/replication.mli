@@ -132,17 +132,6 @@ type sink = {
           both stop the loop *)
 }
 
-val verify_digests :
-  host:string -> port:int -> sink -> (unit, string) result
-(** One anti-entropy round: fetch [GET /replication/digest] from the
-    upstream, compare with [sink.digests ()], and re-bootstrap exactly
-    the diverged shards through [sink.install_shard] (or fully, when the
-    shard counts disagree).  An upstream without the endpoint, or a
-    transport failure, skips the round ([Ok ()]) — the next caught-up
-    poll retries.  {!poll_once} runs this automatically whenever a poll
-    finds the replica caught up; exposed so tests and drills can force a
-    round synchronously. *)
-
 val poll_once :
   host:string -> port:int -> ?wait:float -> sink -> (int, string) result
 (** One poll of the upstream: fetch, epoch-check, apply (or snapshot
@@ -150,7 +139,11 @@ val poll_once :
     was applied — 0 means caught up.  [wait] is the long-poll hold the
     primary is asked for (default 5 s).  A detected sequence gap is
     counted through [sink.note_gap] and healed by a snapshot bootstrap;
-    a caught-up poll additionally runs {!verify_digests}. *)
+    a caught-up poll additionally runs one anti-entropy round: it
+    compares [sink.digests ()] with the upstream's
+    [GET /replication/digest] and re-bootstraps exactly the diverged
+    shards through [sink.install_shard] (fully, when the shard counts
+    disagree); an upstream without the endpoint skips the round. *)
 
 val follow :
   host:string ->

@@ -178,26 +178,10 @@ type t = {
       (* connections between the accept loop and the workers; under
          brownout, the front lane's overflow waits on the stale lane
          for the degraded worker *)
-  (* Replication.  [replica] flips to false on promotion; [epoch] is the
-     highest epoch this node has observed (persisted when journaled);
-     [fenced_by] is the epoch that deposed this primary (0 = none);
-     [applied_next] is the next sequence number this node will journal —
-     the follower's poll cursor and the primary's stream head alike. *)
-  replica : bool Atomic.t;
-  epoch : int Atomic.t;
-  fenced_by : int Atomic.t;
+  node : Node.t; (* role, epoch, fencing and follower progress *)
   applied_next : int Atomic.t;
-  last_stream_from : int Atomic.t;
-      (* the highest [from] any follower has polled with — everything
-         below it is known applied downstream *)
-  created_at : float;
-  rm : Mutex.t; (* guards the follower-progress fields below *)
-  mutable repl_synced : bool; (* caught up at least once *)
-  mutable repl_behind : int; (* record lag at the last successful poll *)
-  mutable repl_last_sync : float; (* when [repl_behind] last hit 0 *)
-  mutable repl_allowance : float;
-      (* the long-poll hold: an idle follower's [repl_last_sync] is
-         legitimately this stale *)
+      (* the next sequence number this node will journal — the
+         follower's poll cursor and the primary's stream head alike *)
 }
 
 let metrics t = t.metrics
@@ -402,33 +386,9 @@ let checkpoint_locked t which =
 (* What /metrics samples rather than counts: read at scrape time,
    registered once per service. *)
 
-let fenced t = Atomic.get t.fenced_by > 0
-
-let replication_behind t =
-  Mutex.lock t.rm;
-  let b = t.repl_behind in
-  Mutex.unlock t.rm;
-  b
-
-(* How stale this replica's data may be: 0 while it is demonstrably
-   caught up (the idle long-poll hold is legitimate staleness and is
-   allowed for), growing from the moment it last knew it was current —
-   whether because records are queueing up or because the primary has
-   gone quiet.  A replica that has never synced is lagging since
-   birth. *)
-let replication_lag t =
-  if not (Atomic.get t.replica) then 0.
-  else begin
-    let now = Bx_obs.Clock.now () in
-    Mutex.lock t.rm;
-    let lag =
-      if not t.repl_synced then now -. t.created_at
-      else if t.repl_behind > 0 then now -. t.repl_last_sync
-      else Float.max 0. (now -. t.repl_last_sync -. t.repl_allowance)
-    in
-    Mutex.unlock t.rm;
-    lag
-  end
+let fenced t = Node.fenced t.node
+let replication_behind t = Node.behind t.node
+let replication_lag t = Node.lag t.node ~now:(Bx_obs.Clock.now ())
 
 let register_sampled t =
   let gauge ?kind ?labels name help read =
@@ -474,14 +434,14 @@ let register_sampled t =
         [ ("entry", entries); ("doc", docs); ("file", files) ]);
   gauge "bxwiki_replication_epoch"
     "The replication epoch this node believes is current."
-    (fun () -> one (Atomic.get t.epoch));
+    (fun () -> one (Node.epoch t.node));
   gauge "bxwiki_replication_fenced"
     "Whether this node has been deposed by a newer epoch (writes rejected)."
     (fun () -> one (Bool.to_int (fenced t)));
   gauge ~labels:[ "role" ] "bxwiki_replication_role"
     "Role of this node (1 for the held role)."
     (fun () ->
-      let r = Bool.to_int (Atomic.get t.replica) in
+      let r = Bool.to_int (Node.is_replica t.node) in
       [ ([ "replica" ], float_of_int r); ([ "primary" ], float_of_int (1 - r)) ]);
   gauge "bxwiki_replication_lag_seconds"
     "Time since this replica was last known caught up (0 when in sync)."
@@ -565,25 +525,6 @@ let create ?(config = default_config) ?(pages = []) ?(lenses = []) ~seed () =
      docstore, not the registry. *)
   let docstore = Docstore.create ~lenses in
   let fresh ~registry ~log ~applied ~failed =
-    (* Epoch at boot: a primary starts at (at least) 1 and persists it,
-       so any future promotion elsewhere necessarily fences it; a
-       replica starts from whatever it last persisted (0 when it has
-       never observed a primary). *)
-    let persisted =
-      match config.journal_dir with
-      | Some dir -> Journal.read_epoch ~dir
-      | None -> 0
-    in
-    let epoch0 =
-      if config.replica then persisted else max 1 persisted
-    in
-    (if (not config.replica) && persisted < epoch0 then
-       match config.journal_dir with
-       | Some dir -> (
-           match Journal.write_epoch ~dir epoch0 with
-           | Ok () -> ()
-           | Error e -> Printf.eprintf "bxwiki: epoch persist: %s\n%!" e)
-       | None -> ());
     let t = {
       config;
       registry;
@@ -611,19 +552,12 @@ let create ?(config = default_config) ?(pages = []) ?(lenses = []) ~seed () =
       admission =
         Admission.create ~capacity:config.queue_capacity
           ~budget:config.queue_deadline ~stale:config.brownout;
-      replica = Atomic.make config.replica;
-      epoch = Atomic.make epoch0;
-      fenced_by = Atomic.make 0;
+      node =
+        Node.create ~dir:config.journal_dir ~replica:config.replica
+          ~wait:config.stream_wait ~now:(Bx_obs.Clock.now ());
       applied_next =
         Atomic.make
           (match log with Some l -> Shardlog.next_seq l | None -> 1);
-      last_stream_from = Atomic.make 0;
-      created_at = Bx_obs.Clock.now ();
-      rm = Mutex.create ();
-      repl_synced = false;
-      repl_behind = 0;
-      repl_last_sync = 0.;
-      repl_allowance = config.stream_wait +. 1.0;
     }
     in
     (* Single-threaded here; steady state keeps these incremental. *)
@@ -881,19 +815,14 @@ let handle_slens t ~lens:name ~op body =
 
 (* Why this node cannot accept a write right now, if it cannot. *)
 let write_barrier t =
-  if Atomic.get t.replica then
-    Some (respond_text 503 "read-only replica: writes go to the primary\n")
-  else if Atomic.get t.fenced_by > 0 then
-    Some
-      (respond_text 503
-         (Printf.sprintf "fenced: deposed by epoch %d, writes rejected\n"
-            (Atomic.get t.fenced_by)))
-  else if Atomic.get t.disk_full then
+  match Node.write_barrier t.node with
+  | Some why -> Some (respond_text 503 why)
+  | None when Atomic.get t.disk_full ->
     Some
       (respond_text 503
          "read-only: journal disk full, writes refused until space is \
           freed\n")
-  else None
+  | None -> None
 
 (* ------------------------------------------------------------------ *)
 (* The write path.  A write at run time — a live POST or a streamed
@@ -1058,15 +987,10 @@ let handle_docstore_get t ~query ~lens ~docid =
    replica side (apply + snapshot install, reached through the
    {!Replication.sink}), and promotion. *)
 
-let is_replica t = Atomic.get t.replica
-let epoch t = Atomic.get t.epoch
-let last_stream_poll t = Atomic.get t.last_stream_from
-
-let replication_synced t =
-  Mutex.lock t.rm;
-  let s = t.repl_synced in
-  Mutex.unlock t.rm;
-  s
+let is_replica t = Node.is_replica t.node
+let epoch t = Node.epoch t.node
+let last_stream_poll t = Node.last_stream_from t.node
+let replication_synced t = Node.synced t.node
 
 let octet_response body =
   {
@@ -1096,20 +1020,19 @@ let handle_stream ?deadline:client_deadline t query =
       | Some from, Some peer_epoch when from < 0 || peer_epoch < 0 ->
           respond_text 400 "bad from/epoch\n"
       | Some from, Some peer_epoch ->
-          let my_epoch = Atomic.get t.epoch in
+          let my_epoch = Node.epoch t.node in
           if peer_epoch > my_epoch then begin
             (* The poller has seen a newer primary than us: we are the
                deposed one.  Fence: refuse all further writes, so no
                stale ack from this node can contradict the new epoch. *)
-            Atomic.set t.fenced_by peer_epoch;
+            Node.fence t.node peer_epoch;
             respond_text 409
               (Printf.sprintf "deposed: epoch %d supersedes ours (%d)\n"
                  peer_epoch my_epoch)
           end
           else begin
             (* A poll at [from] acknowledges everything below it. *)
-            if from > Atomic.get t.last_stream_from then
-              Atomic.set t.last_stream_from from;
+            Node.note_poll t.node from;
             let wait = Float.min wait t.config.stream_wait in
             (* A long poll held past the client's budget answers nobody:
                clamp the hold so the poll returns (possibly empty) while
@@ -1171,7 +1094,7 @@ let snapshot_response t files =
   | Ok (seq, files) ->
       Bx_fault.Fault.point "repl.stream.write";
       let body =
-        Replication.snapshot_body ~epoch:(Atomic.get t.epoch) ~seq ~files
+        Replication.snapshot_body ~epoch:(Node.epoch t.node) ~seq ~files
       in
       Metrics.replication_streamed t.metrics ~records:0
         ~bytes:(String.length body);
@@ -1214,7 +1137,7 @@ let handle_snapshot t query =
    mismatch, knows exactly which shard to re-fetch. *)
 let handle_digest t =
   respond_text 200
-    (Integrity.render_digests ~epoch:(Atomic.get t.epoch) (shard_digests t))
+    (Integrity.render_digests ~epoch:(Node.epoch t.node) (shard_digests t))
 
 (* Apply one streamed batch: journal first (a crash between journal and
    registry replays to the same state at next boot), then the registry,
@@ -1337,22 +1260,11 @@ let replication_install_shard t ~shard ~seq ~files =
             docs)
   with Bx_fault.Fault.Injected m -> Error m
 
-let observe_epoch t e =
-  if e > Atomic.get t.epoch then begin
-    Atomic.set t.epoch e;
-    match t.config.journal_dir with
-    | Some dir -> (
-        match Journal.write_epoch ~dir e with
-        | Ok () -> ()
-        | Error err -> Printf.eprintf "bxwiki: epoch persist: %s\n%!" err)
-    | None -> ()
-  end
-
 let replication_sink t =
   {
     Replication.next_seq = (fun () -> Atomic.get t.applied_next);
-    epoch = (fun () -> Atomic.get t.epoch);
-    observe_epoch = observe_epoch t;
+    epoch = (fun () -> Node.epoch t.node);
+    observe_epoch = Node.observe_epoch t.node;
     apply = replication_apply t;
     install_snapshot = replication_install_snapshot t;
     digests = (fun () -> shard_digests t);
@@ -1368,59 +1280,26 @@ let replication_sink t =
       (fun ~matched -> Metrics.replication_digest_check t.metrics ~matched);
     note_progress =
       (fun ~behind ->
-        Mutex.lock t.rm;
-        t.repl_behind <- behind;
-        if behind = 0 then begin
-          t.repl_synced <- true;
-          t.repl_last_sync <- Bx_obs.Clock.now ()
-        end;
-        Mutex.unlock t.rm);
+        Node.note_progress t.node ~now:(Bx_obs.Clock.now ()) ~behind);
     note_reconnect = (fun () -> Metrics.replication_reconnect t.metrics);
     note_epoch_reject = (fun () -> Metrics.replication_epoch_reject t.metrics);
     note_snapshot_bootstrap =
       (fun () -> Metrics.replication_snapshot_bootstrap t.metrics);
     should_stop =
-      (fun () -> Atomic.get t.stop || not (Atomic.get t.replica));
+      (fun () -> Atomic.get t.stop || not (Node.is_replica t.node));
   }
 
 let follow t ~host ~port ?(wait = default_config.stream_wait) ?min_sleep
     ?max_sleep () =
-  Mutex.lock t.rm;
-  t.repl_allowance <- wait +. 1.0;
-  Mutex.unlock t.rm;
+  Node.set_allowance t.node ~wait;
   Replication.follow ~host ~port ~wait ?min_sleep ?max_sleep
     (replication_sink t)
 
-(* Promotion: bump and persist the epoch, then flip writable — in that
-   order, so a crash in between leaves a replica with a monotonically
-   advanced epoch and nothing worse.  A replica that has never synced
-   and never persisted an epoch has nothing worth promoting and is
-   refused. *)
+(* Promotion runs under every shard lock, so no write is in flight
+   while the role flips. *)
 let promote t =
-  if not (Atomic.get t.replica) then Error "already primary"
-  else
-    write_all t (fun () ->
-        if not (Atomic.get t.replica) then Error "already primary"
-        else if not (replication_synced t || Atomic.get t.epoch > 0) then
-          Error "replica has never synced with a primary"
-        else begin
-          try
-            Bx_fault.Fault.point "repl.promote";
-            let e = Atomic.get t.epoch + 1 in
-            let persisted =
-              match t.config.journal_dir with
-              | Some dir -> Journal.write_epoch ~dir e
-              | None -> Ok ()
-            in
-            match persisted with
-            | Error err -> Error ("epoch persist: " ^ err)
-            | Ok () ->
-                Atomic.set t.epoch e;
-                Atomic.set t.fenced_by 0;
-                Atomic.set t.replica false;
-                Ok e
-          with Bx_fault.Fault.Injected m -> Error m
-        end)
+  if not (Node.is_replica t.node) then Error "already primary"
+  else write_all t (fun () -> Node.promote t.node)
 
 let handle_promote t =
   match promote t with
@@ -1438,8 +1317,6 @@ let concurrency_limit t = Admission.limit t.admission
    a constructed service has replayed), we are not draining, and the
    pending queue is below its high-water mark. *)
 let readiness t =
-  let replica = Atomic.get t.replica in
-  let synced = (not replica) || replication_synced t in
   List.filter_map
     (fun (ok, reason) -> if ok then None else Some reason)
     [
@@ -1451,17 +1328,12 @@ let readiness t =
       (not (Atomic.get t.stop), "draining");
       ( Admission.depth t.admission < Admission.high_water t.admission,
         "queue_high_water" );
-      (* A replica is ready only once it has caught up and is staying
-         caught up; a fenced (deposed) primary is never ready. *)
-      (synced, "replica_syncing");
-      ( (not replica) || (not synced)
-        || replication_lag t <= t.config.replica_lag_threshold,
-        "replication_lag" );
-      (not (fenced t), "fenced");
-      (* A burst of fresh corruption findings means the medium under us
-         is failing: drain traffic away while still serving reads. *)
-      (not (corruption_burst t), "corruption_burst");
     ]
+  @ Node.readiness t.node ~now:(Bx_obs.Clock.now ())
+      ~lag_threshold:t.config.replica_lag_threshold
+  (* A burst of fresh corruption findings means the medium under us is
+     failing: drain traffic away while still serving reads. *)
+  @ if corruption_burst t then [ "corruption_burst" ] else []
 
 let ready t = readiness t = []
 
@@ -1708,11 +1580,9 @@ let scrub_once ?(rate = 0.) ?(stop = fun () -> false) t =
                match
                  Integrity.check_entry ?law:t.config.entry_law t.registry id
                with
-               | Ok () -> Q.clear t.quarantine key
-               | Error why ->
-                   if String.length why >= 8 && String.sub why 0 8 = "no entry"
-                   then ()
-                   else found key ~surface:"entry" why))
+               | `Ok -> Q.clear t.quarantine key
+               | `Gone -> ()
+               | `Bad why -> found key ~surface:"entry" why))
          ids
      done;
      (* Documents: the stored view must equal what the lens derives from
@@ -1723,11 +1593,9 @@ let scrub_once ?(rate = 0.) ?(stop = fun () -> false) t =
          let key = Q.Doc (lens, docid) in
          read_shard t 0 (fun () ->
              match Docstore.check_doc t.docstore ~lens ~docid with
-             | Ok () -> Q.clear t.quarantine key
-             | Error why ->
-                 if String.length why >= 7 && String.sub why 0 7 = "unknown"
-                 then ()
-                 else found key ~surface:"doc" why))
+             | `Ok -> Q.clear t.quarantine key
+             | `Gone -> ()
+             | `Bad why -> found key ~surface:"doc" why))
        (Docstore.doc_keys t.docstore)
    with Stop_scrub -> ());
   Metrics.scrub_pass t.metrics;

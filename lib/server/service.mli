@@ -239,10 +239,10 @@ val ready : t -> bool
 val readiness : t -> string list
 (** Why the service is not ready ([[]] when it is): any of
     [journal_unwritable], [draining], [queue_high_water] (pending
-    connections at 3/4 of the {!concurrency_limit}),
-    [replica_syncing] (a replica that has not yet caught up),
-    [replication_lag] (a replica whose lag exceeds
-    [replica_lag_threshold]), [fenced] (a deposed primary),
+    connections at 3/4 of the {!concurrency_limit}); the role's reasons
+    from {!Node.readiness}: [replica_syncing] (a replica that has not
+    yet caught up), [replication_lag] (a replica whose lag exceeds
+    [replica_lag_threshold]) and [fenced] (a deposed primary);
     [corruption_burst] (five or more fresh corruption findings inside
     the last minute — the medium is failing, drain traffic away),
     [journal_disk_full] (a sticky ENOSPC latched by a journal append:
@@ -293,8 +293,9 @@ val shard_digests : t -> (int * int) list
 (** {1 Replication} *)
 
 val promote : t -> (int, string) result
-(** Flip a replica to writable primary: bump the epoch, persist it
-    (journaled services), then accept writes — in that order, so a crash
+(** Flip a replica to writable primary: {!Node.promote} under every
+    shard's write lock.  It bumps the epoch, persists it (journaled
+    services), then accepts writes — in that order, so a crash
     mid-promotion leaves at worst an advanced epoch.  Refused on a
     primary and on a replica that has never synced.  Returns the new
     epoch.  Failpoint: [repl.promote]. *)
@@ -318,22 +319,30 @@ val replication_sink : t -> Replication.sink
 (** The service wired up as a {!Replication.sink} — lets tests drive
     {!Replication.poll_once} synchronously. *)
 
+(** The role reads below are {!Node}'s, of this service's node. *)
+
 val is_replica : t -> bool
+(** {!Node.is_replica}. *)
+
 val epoch : t -> int
+(** {!Node.epoch}. *)
+
 val fenced : t -> bool
-(** Whether this node observed a newer epoch and now rejects writes. *)
+(** Whether this node observed a newer epoch and now rejects writes
+    ({!Node.fenced}). *)
 
 val replication_lag : t -> float
 (** Seconds this replica may be stale: 0 while demonstrably caught up
-    (always 0 on a primary). *)
+    (always 0 on a primary); {!Node.lag} at the current time. *)
 
 val replication_behind : t -> int
-(** Record lag reported by the last successful poll. *)
+(** Record lag reported by the last successful poll ({!Node.behind}). *)
 
 val replication_synced : t -> bool
-(** Whether this replica has ever fully caught up. *)
+(** Whether this replica has ever fully caught up ({!Node.synced}). *)
 
 val last_stream_poll : t -> int
 (** The highest [from] any follower has polled this node with — every
-    record below it is known applied downstream.  The failover tests use
-    it to wait for a replica without back-channels. *)
+    record below it is known applied downstream
+    ({!Node.last_stream_from}).  The failover tests use it to wait for a
+    replica without back-channels. *)

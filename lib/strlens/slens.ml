@@ -603,30 +603,12 @@ let key_pairing sc ~ns ~nv =
   done;
   pair
 
-(* Longest common subsequence of the source keys and the view keys, as
-   a list of index pairs (i_source, j_view), strictly increasing in both
-   components. *)
-let lcs_pairs sc n m =
-  let eq i j = key_equal sc i (n + j) in
-  let table = Array.make_matrix (n + 1) (m + 1) 0 in
-  for i = n - 1 downto 0 do
-    for j = m - 1 downto 0 do
-      table.(i).(j) <-
-        (if eq i j then 1 + table.(i + 1).(j + 1)
-         else max table.(i + 1).(j) table.(i).(j + 1))
-    done
-  done;
-  let rec walk i j acc =
-    if i >= n || j >= m then List.rev acc
-    else if eq i j then walk (i + 1) (j + 1) ((i, j) :: acc)
-    else if table.(i + 1).(j) >= table.(i).(j + 1) then walk (i + 1) j acc
-    else walk i (j + 1) acc
-  in
-  walk 0 0 []
-
 let diff_pairing sc ~ns ~nv =
   let pair = reset_pair sc nv in
-  List.iter (fun (i, j) -> pair.(j) <- i) (lcs_pairs sc ns nv);
+  (* A longest common subsequence of the source keys and the view keys. *)
+  List.iter
+    (fun (i, j) -> pair.(j) <- i)
+    (Bx.Lens.lcs_pairs ~eq:(fun i j -> key_equal sc i (ns + j)) ns nv);
   pair
 
 let star_with ~name ~kind ~align l =

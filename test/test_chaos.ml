@@ -65,10 +65,10 @@ let isolated f () =
     f
 
 let wait_for ?(timeout = 10.0) f =
-  let deadline = Unix.gettimeofday () +. timeout in
+  let deadline = Bx_obs.Clock.now () +. timeout in
   let rec go () =
     if f () then ()
-    else if Unix.gettimeofday () > deadline then Alcotest.fail "wait_for: timeout"
+    else if Bx_obs.Clock.now () > deadline then Alcotest.fail "wait_for: timeout"
     else begin
       Thread.delay 0.02;
       go ()

@@ -112,10 +112,10 @@ let fault_tests =
     tc "delay sleeps roughly the configured time"
       (isolated (fun () ->
            Fault.set "s" (Fault.Delay 0.05);
-           let t0 = Unix.gettimeofday () in
+           let t0 = Bx_obs.Clock.now () in
            Fault.point "s";
            check Alcotest.bool "slept >= 40ms" true
-             (Unix.gettimeofday () -. t0 >= 0.04)));
+             (Bx_obs.Clock.now () -. t0 >= 0.04)));
     tc "set Off removes a single site"
       (isolated (fun () ->
            Fault.set "a" (Fault.Error "injected");
@@ -849,10 +849,10 @@ let raw_request port =
       Buffer.contents out)
 
 let wait_for ?(timeout = 5.0) f =
-  let deadline = Unix.gettimeofday () +. timeout in
+  let deadline = Bx_obs.Clock.now () +. timeout in
   let rec go () =
     if f () then true
-    else if Unix.gettimeofday () > deadline then false
+    else if Bx_obs.Clock.now () > deadline then false
     else begin
       Thread.delay 0.002;
       go ()

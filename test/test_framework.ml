@@ -652,6 +652,44 @@ let diff_map_prop_tests =
          QCheck2.Gen.(pair gen (list_size (0 -- 15) small_int))
          (fun (s, v) ->
            law_holds (Bx.Lens.put_get_law Bx.Model.(list int) l) (s, v)));
+    (* The one LCS table behind list_diff_map, Tree_edit.diff and
+       Slens.star_diff, against a brute force over every subsequence of
+       the first input. *)
+    QCheck_alcotest.to_alcotest
+      (let word = QCheck2.Gen.(array_size (0 -- 8) (oneofl [ 'a'; 'b'; 'c' ])) in
+       QCheck2.Test.make ~count:1000
+         ~name:"lcs_pairs: increasing, equal, and as long as brute force"
+         QCheck2.Gen.(pair word word)
+         (fun (a, b) ->
+           let n = Array.length a and m = Array.length b in
+           let pairs = Bx.Lens.lcs_pairs ~eq:(fun i j -> a.(i) = b.(j)) n m in
+           let rec increasing = function
+             | (i, j) :: ((i', j') :: _ as rest) ->
+                 i < i' && j < j' && increasing rest
+             | _ -> true
+           in
+           (* Greedy: whether [cs] is a subsequence of b[j..]. *)
+           let rec subsequence_of j = function
+             | [] -> true
+             | c :: rest as cs ->
+                 j < m && subsequence_of (j + 1) (if b.(j) = c then rest else cs)
+           in
+           let brute =
+             List.fold_left max 0
+               (List.init (1 lsl n) (fun mask ->
+                    let sub =
+                      List.filter_map
+                        (fun i ->
+                          if mask land (1 lsl i) <> 0 then Some a.(i) else None)
+                        (List.init n Fun.id)
+                    in
+                    if subsequence_of 0 sub then List.length sub else 0))
+           in
+           increasing pairs
+           && List.for_all
+                (fun (i, j) -> i >= 0 && i < n && j >= 0 && j < m && a.(i) = b.(j))
+                pairs
+           && List.length pairs = brute));
   ]
 
 (* ------------------------------------------------------------------ *)

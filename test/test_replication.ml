@@ -58,10 +58,10 @@ let ok_exn what = function
   | Error e -> Alcotest.failf "%s: %s" what e
 
 let wait_for ?(timeout = 10.0) f =
-  let deadline = Unix.gettimeofday () +. timeout in
+  let deadline = Bx_obs.Clock.now () +. timeout in
   let rec go () =
     if f () then true
-    else if Unix.gettimeofday () > deadline then false
+    else if Bx_obs.Clock.now () > deadline then false
     else begin
       Thread.delay 0.005;
       go ()

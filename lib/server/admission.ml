@@ -1,20 +1,18 @@
 type 'a lane = {
   m : Mutex.t;
   nonempty : Condition.t;
-  items : ('a * float) Queue.t;  (* the item and its absolute deadline *)
+  items : 'a Queue.t;
   mutable open_ : bool;
 }
-
-type 'a ticket = Live of 'a | Expired of 'a
 
 let lane () =
   { m = Mutex.create (); nonempty = Condition.create (); items = Queue.create (); open_ = true }
 
-let push lane ~cap x ~deadline =
+let push lane ~cap x =
   Mutex.lock lane.m;
   let ok = lane.open_ && Queue.length lane.items < cap in
   if ok then begin
-    Queue.push (x, deadline) lane.items;
+    Queue.push x lane.items;
     Condition.signal lane.nonempty
   end;
   Mutex.unlock lane.m;
@@ -27,9 +25,7 @@ let take lane =
   done;
   let next = Queue.take_opt lane.items in
   Mutex.unlock lane.m;
-  Option.map
-    (fun (x, deadline) -> if Bx_obs.Clock.now () > deadline then Expired x else Live x)
-    next
+  next
 
 let close lane =
   Mutex.lock lane.m;
@@ -82,15 +78,14 @@ let decrease t =
     Atomic.set t.limit (max t.floor (Atomic.get t.limit / 2))
 
 let admit t x =
-  let deadline = Bx_obs.Clock.now () +. t.budget in
-  if push t.front ~cap:(bound t) x ~deadline then `Front
+  if push t.front ~cap:(bound t) x then `Front
   else begin
     decrease t;
     (* The stale lane is several times the front lane: a stale cache hit
        costs microseconds, and the lane exists precisely to absorb the
        burst the limit just refused. *)
     match t.stale with
-    | Some lane when push lane ~cap:(4 * t.capacity) x ~deadline -> `Stale
+    | Some lane when push lane ~cap:(4 * t.capacity) x -> `Stale
     | _ -> `Shed
   end
 

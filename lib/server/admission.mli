@@ -11,19 +11,15 @@
 
     {v front ──overflow──▶ stale ──full──▶ shed v}
 
-    Every queued item carries one absolute {!Bx_obs.Clock} deadline,
-    [budget] seconds after its admission; {!take} reports whether it
-    has passed.  The module is polymorphic in the item and does no
-    I/O: {!Service} queues sockets, tests queue plain values. *)
+    The module keeps no deadline: {!Service} queues each socket with
+    its request deadline and checks it when a worker takes the socket.
+    The module is polymorphic in the item and does no I/O: {!Service}
+    queues sockets, tests queue plain values. *)
 
 type 'a lane
 (** A bounded, closable FIFO.  Thread-safe. *)
 
-type 'a ticket = Live of 'a | Expired of 'a
-(** A dequeued item, and whether its deadline had passed when it came
-    out. *)
-
-val take : 'a lane -> 'a ticket option
+val take : 'a lane -> 'a option
 (** The oldest item, waiting while the lane is empty and open; [None]
     once the lane is closed and empty. *)
 
@@ -38,8 +34,9 @@ type 'a t
 
 val create : capacity:int -> budget:float -> stale:bool -> 'a t
 (** [capacity] is the ceiling of the limit, which starts there;
-    [budget] is how long, in seconds, an item may wait queued; [stale]
-    adds the stale lane.  Both lanes start open. *)
+    [budget] is the service time, in seconds, within which a front-lane
+    item counts as prompt (see {!served}); [stale] adds the stale lane.
+    Both lanes start open. *)
 
 val front : 'a t -> 'a lane
 val stale : 'a t -> 'a lane option

@@ -21,25 +21,11 @@ type reader = {
   buf : Bytes.t;
   mutable pos : int;
   mutable len : int;
-  (* Wall-clock bound on reading one whole request, armed when its first
-     byte arrives.  SO_RCVTIMEO only bounds a single read(2): a slowloris
-     peer trickling one header byte per second resets that clock forever,
-     while this one runs out. *)
-  mutable read_budget : float;  (* seconds; 0. = unbounded *)
-  mutable started : float;  (* when the current request's first byte came *)
 }
 
 exception Read_deadline
 
-let make_reader refill =
-  {
-    refill;
-    buf = Bytes.create 8192;
-    pos = 0;
-    len = 0;
-    read_budget = 0.;
-    started = 0.;
-  }
+let make_reader refill = { refill; buf = Bytes.create 8192; pos = 0; len = 0 }
 
 let reader_of_fd fd =
   let refill buf off want =
@@ -58,28 +44,30 @@ let reader_of_string s =
   in
   make_reader refill
 
-(* Returns false at end of stream. *)
-let ensure r =
-  if r.pos < r.len then true
-  else begin
-    if
-      r.read_budget > 0. && r.started > 0.
-      && Bx_obs.Clock.now () -. r.started > r.read_budget
-    then raise Read_deadline;
-    r.pos <- 0;
-    r.len <- r.refill r.buf 0 (Bytes.length r.buf);
-    if r.len > 0 && r.started = 0. then r.started <- Bx_obs.Clock.now ();
-    r.len > 0
-  end
+(* Both return false at end of stream. *)
+let await r =
+  r.pos < r.len
+  || (r.pos <- 0;
+      r.len <- r.refill r.buf 0 (Bytes.length r.buf);
+      r.len > 0)
+
+(* SO_RCVTIMEO only bounds a single read(2): a slowloris peer trickling
+   one header byte at a time resets that clock forever, while the
+   deadline, checked before each refill, runs out. *)
+let ensure ~deadline r =
+  r.pos < r.len
+  || (if deadline < Float.infinity && Bx_obs.Clock.now () > deadline then
+        raise Read_deadline;
+      await r)
 
 exception Line_too_long
 
 (* One CRLF- (or bare-LF-) terminated line, without the terminator.
    None at end of stream. *)
-let read_line r =
+let read_line ~deadline r =
   let b = Buffer.create 128 in
   let rec go () =
-    if not (ensure r) then if Buffer.length b = 0 then None else Some (Buffer.contents b)
+    if not (ensure ~deadline r) then if Buffer.length b = 0 then None else Some (Buffer.contents b)
     else
       let c = Bytes.get r.buf r.pos in
       r.pos <- r.pos + 1;
@@ -92,11 +80,11 @@ let read_line r =
   in
   go ()
 
-let read_exact r n =
+let read_exact ~deadline r n =
   let out = Bytes.create n in
   let rec go off =
     if off = n then Some (Bytes.unsafe_to_string out)
-    else if not (ensure r) then None
+    else if not (ensure ~deadline r) then None
     else begin
       let take = min (n - off) (r.len - r.pos) in
       Bytes.blit r.buf r.pos out off take;
@@ -123,19 +111,28 @@ let parse_request_line line =
   | _ -> Error { status = 400; reason = "malformed_request_line" }
 
 (* The deadline header carries the client's remaining budget in
-   milliseconds; bound it so a typo cannot pin a connection for a year.
-   Malformed or non-positive values are ignored rather than rejected —
-   a deadline is advisory, not an input the request depends on. *)
+   milliseconds, anchored when its line is read; bound it so a typo
+   cannot pin a connection for a year.  Malformed or non-positive values
+   are ignored rather than rejected: a deadline is advisory, not an
+   input the request depends on. *)
 let max_deadline_ms = 3_600_000.
 
 let parse_deadline value =
-  match float_of_string_opt (String.trim value) with
+  match float_of_string_opt value with
   | Some ms when ms > 0. ->
       Some (Bx_obs.Clock.now () +. Float.min ms max_deadline_ms /. 1000.)
   | _ -> None
 
-let read_request_inner ~max_body r =
-  match read_line r with
+(* RFC 9112 §8.6: Content-Length = 1*DIGIT.  [int_of_string_opt] alone
+   would also take [0x5], [1_0], [+5] and [0b11]; a value past [max_int]
+   is None too. *)
+let parse_length value =
+  if value <> "" && String.for_all (fun c -> c >= '0' && c <= '9') value then
+    int_of_string_opt value
+  else None
+
+let read_request_inner ~max_body ~deadline r =
+  match read_line ~deadline r with
   | None -> Error `Eof
   | Some "" -> bad 400 "empty_request_line"
   | Some line -> (
@@ -144,17 +141,17 @@ let read_request_inner ~max_body r =
       | Ok (meth, path, query, version) -> (
           let content_length = ref None in
           let connection = ref None in
-          let deadline_ms = ref None in
+          let client_deadline = ref None in
           let rec headers n =
             if n > max_header_count then bad 431 "too_many_headers"
             else
-              match read_line r with
+              match read_line ~deadline r with
               | None -> bad 400 "eof_in_headers"
               | Some "" -> Ok ()
               | Some line -> (
                   match String.index_opt line ':' with
                   | None -> bad 400 "malformed_header"
-                  | Some i ->
+                  | Some i -> (
                       let name =
                         String.lowercase_ascii (String.trim (String.sub line 0 i))
                       in
@@ -162,53 +159,45 @@ let read_request_inner ~max_body r =
                         String.trim
                           (String.sub line (i + 1) (String.length line - i - 1))
                       in
-                      if name = "content-length" then content_length := Some value
-                      else if name = "connection" then
-                        connection := Some (String.lowercase_ascii value)
-                      else if name = "x-bxwiki-deadline" then
-                        deadline_ms := Some value;
-                      headers (n + 1))
+                      match name with
+                      | "content-length" -> (
+                          match (parse_length value, !content_length) with
+                          | None, _ -> bad 400 "unparseable_content_length"
+                          | Some len, Some prev when len <> prev ->
+                              bad 400 "conflicting_content_length"
+                          | len, _ ->
+                              content_length := len;
+                              headers (n + 1))
+                      (* Chunked framing is not implemented. *)
+                      | "transfer-encoding" -> bad 501 "transfer_encoding_unsupported"
+                      | _ ->
+                          if name = "connection" then
+                            connection := Some (String.lowercase_ascii value)
+                          else if name = "x-bxwiki-deadline" then
+                            client_deadline := parse_deadline value;
+                          headers (n + 1)))
           in
           match headers 0 with
           | Error e -> Error e
           | Ok () -> (
               let keep_alive =
                 match (!connection, version) with
-                | Some "close", _ -> false
-                | Some v, _ when v = "keep-alive" -> true
-                | None, "HTTP/1.0" -> false
+                | Some "close", _ | None, "HTTP/1.0" -> false
                 | _ -> true
               in
               let finish body =
-                let deadline =
-                  match !deadline_ms with
-                  | None -> None
-                  | Some v -> parse_deadline v
-                in
-                Ok { meth; path; query; body; keep_alive; deadline }
+                Ok { meth; path; query; body; keep_alive; deadline = !client_deadline }
               in
               match !content_length with
-              | None -> finish ""
-              | Some v -> (
-                  match int_of_string_opt v with
-                  | None -> bad 400 "unparseable_content_length"
-                  | Some n when n < 0 -> bad 400 "negative_content_length"
-                  | Some n when n > max_body -> bad 413 "body_too_large"
-                  | Some 0 -> finish ""
-                  | Some n -> (
-                      match read_exact r n with
-                      | None -> bad 400 "truncated_body"
-                      | Some body -> finish body)))))
-  | exception Line_too_long -> bad 431 "line_too_long"
-  | exception Read_deadline -> Error `Deadline
+              | None | Some 0 -> finish ""
+              | Some n when n > max_body -> bad 413 "body_too_large"
+              | Some n -> (
+                  match read_exact ~deadline r n with
+                  | None -> bad 400 "truncated_body"
+                  | Some body -> finish body))))
 
-let read_request ?(max_body = default_max_body) ?(read_budget = 0.) r =
-  r.read_budget <- read_budget;
-  r.started <- 0.;
-  (* The per-match [exception] clauses above only cover the request
-     line; the header loop and body read raise through to here. *)
-  try read_request_inner ~max_body r
-  with
+let read_request ?(max_body = default_max_body) ?(deadline = Float.infinity) r =
+  try read_request_inner ~max_body ~deadline r with
   | Line_too_long -> bad 431 "line_too_long"
   | Read_deadline -> Error `Deadline
 
@@ -239,6 +228,7 @@ let status_text = function
   | 410 -> "Gone"
   | 413 -> "Content Too Large"
   | 431 -> "Request Header Fields Too Large"
+  | 501 -> "Not Implemented"
   | 503 -> "Service Unavailable"
   | 504 -> "Gateway Timeout"
   | _ -> "Internal Server Error"

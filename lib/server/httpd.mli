@@ -5,24 +5,21 @@
     Hardening over the seed server's parser:
     - the request line and each header line are length-capped;
     - header count is capped;
-    - [Content-Length] must be a valid non-negative integer (a negative
-      or unparseable value is a 400, not an arbitrary
-      [really_input_string]) and is capped by [max_body] (413 beyond);
+    - [Content-Length] must be [1*DIGIT] (RFC 9112 §8.6), the same in
+      every copy (400 otherwise), and at most [max_body] (413 beyond);
+    - any [Transfer-Encoding] is a 501: a chunked body read as empty
+      would be parsed as the next request;
     - persistent connections: HTTP/1.1 keep-alive by default,
       [Connection: close] and HTTP/1.0 semantics honoured;
     - reads run against a socket with a receive timeout ({!Service}
       sets [SO_RCVTIMEO]); a timeout surfaces as
-      [Unix.EAGAIN]/[EWOULDBLOCK] from {!read_request}, which the
-      caller maps to 408;
-    - a wall-clock [read_budget] bounds reading one {e whole} request
-      from its first byte: [SO_RCVTIMEO] only limits a single [read(2)],
-      so a slowloris peer trickling one header byte at a time would
-      otherwise hold a worker forever.  Exhaustion surfaces as
-      [`Deadline];
-    - an [X-Bxwiki-Deadline: <ms>] request header (the client's
-      remaining budget in milliseconds) is parsed into an absolute
-      {!field:request.deadline} so the service can shed work whose
-      requester has already given up.
+      [Unix.EAGAIN]/[EWOULDBLOCK], which the caller maps to 408;
+    - [SO_RCVTIMEO] only limits a single [read(2)], so the caller's
+      absolute deadline is checked before each refill: a slowloris peer
+      trickling one byte at a time cannot hold a worker forever;
+    - an [X-Bxwiki-Deadline: <ms>] header (the client's remaining
+      budget) becomes an absolute {!field:request.deadline} when its
+      line is read.
 
     The reader abstraction exists so the parser is testable from plain
     strings — the Content-Length regression tests drive it without a
@@ -40,7 +37,7 @@ type request = {
 }
 
 type error = {
-  status : int;  (** 400, 413 or 431 *)
+  status : int;  (** 400, 413, 431 or 501 *)
   reason : string;
 }
 
@@ -52,17 +49,20 @@ val reader_of_string : string -> reader
 val default_max_body : int
 (** 1 MiB — generous for wiki pages. *)
 
+val await : reader -> bool
+(** Wait, under [SO_RCVTIMEO] alone, for the next request's first byte;
+    [false] at end of stream.  Propagates [Unix.Unix_error] like
+    {!read_request}. *)
+
 val read_request :
   ?max_body:int ->
-  ?read_budget:float ->
+  ?deadline:float ->
   reader ->
   (request, [ `Eof | `Bad of error | `Deadline ]) result
 (** Parse one request.  [`Eof] means the peer closed (or never wrote)
     before a request line — the normal end of a keep-alive connection.
-    [read_budget] (seconds; [0.] = unbounded, the default) bounds the
-    wall-clock time from the request's first byte to its last;
-    exhaustion is [`Deadline], which the service sheds and counts as
-    [bxwiki_shed_total{reason="deadline"}].  Propagates
+    A refill after [deadline] (absolute; none by default) is
+    [`Deadline], which the service sheds.  Propagates
     [Unix.Unix_error] from the underlying reads (timeouts, resets); the
     caller owns the socket and the 408/close decision. *)
 

@@ -174,10 +174,10 @@ type t = {
          an operator frees space, so writes stay refused (503) and
          /readyz stays down while reads keep serving *)
   mutable bound_port : int option;
-  admission : Unix.file_descr Admission.t;
-      (* connections between the accept loop and the workers; under
-         brownout, the front lane's overflow waits on the stale lane
-         for the degraded worker *)
+  admission : (Unix.file_descr * float) Admission.t;
+      (* connections, each with its request deadline, between the
+         accept loop and the workers; under brownout, the front lane's
+         overflow waits on the stale lane for the degraded worker *)
   node : Node.t; (* role, epoch, fencing and follower progress *)
   applied_next : int Atomic.t;
       (* the next sequence number this node will journal — the
@@ -642,15 +642,12 @@ let scope_gen t k = if k < 0 then total_gen t else t.gens.(k)
 let cache_key ~path ~query = if query = "" then path else path ^ "?" ^ query
 
 (* ------------------------------------------------------------------ *)
-(* Deadline propagation.  A request carries the client's remaining
-   budget (X-Bxwiki-Deadline, parsed by Httpd into an absolute time);
-   once it is exhausted nobody is waiting for the answer, so work is
-   shed *before* the expensive steps — lock acquisition, rendering, the
+(* The request deadline.  A request carries one absolute deadline: its
+   connection's accept time (or, on keep-alive, its first byte) plus
+   [queue_deadline], tightened by the client's X-Bxwiki-Deadline.  Once
+   it has passed nobody is waiting for the answer, so work is shed
+   *before* the expensive steps — lock acquisition, rendering, the
    journal fsync — with a 504 and its own shed reason. *)
-
-let deadline_expired = function
-  | None -> false
-  | Some d -> Bx_obs.Clock.now () > d
 
 let shed_deadline t =
   Metrics.shed t.metrics ~reason:"deadline_propagated";
@@ -941,13 +938,13 @@ let handle_write ?deadline t route ~path ~body =
              exhausted budget can abort cleanly — once the in-memory
              apply happens, skipping the journal fsync would diverge
              memory from disk. *)
-          if deadline_expired deadline then shed_deadline t
-          else begin
-            observe_doc_write t route body;
-            let response = apply_write t touch route ~path ~body in
-            if response.Bx_repo.Webui.status <> 200 then response
-            else journal_accepted t ~k ~path ~body response
-          end)
+          match deadline with
+          | Some d when Bx_obs.Clock.now () > d -> shed_deadline t
+          | _ ->
+              observe_doc_write t route body;
+              let response = apply_write t touch route ~path ~body in
+              if response.Bx_repo.Webui.status <> 200 then response
+              else journal_accepted t ~k ~path ~body response)
 
 (* ------------------------------------------------------------------ *)
 (* Lens-backed documents.  POST /slens/<name>/doc/<docid> stores a
@@ -1000,7 +997,7 @@ let octet_response body =
     headers = [];
   }
 
-let handle_stream ?deadline:client_deadline t query =
+let handle_stream ?deadline:request_deadline t query =
   match t.log with
   | None -> respond_text 404 "replication requires a journal\n"
   | Some log ->
@@ -1034,11 +1031,11 @@ let handle_stream ?deadline:client_deadline t query =
             (* A poll at [from] acknowledges everything below it. *)
             Node.note_poll t.node from;
             let wait = Float.min wait t.config.stream_wait in
-            (* A long poll held past the client's budget answers nobody:
-               clamp the hold so the poll returns (possibly empty) while
-               the follower is still listening. *)
+            (* A long poll held past its request's deadline answers
+               nobody: clamp the hold so the poll returns (possibly
+               empty) while the follower is still listening. *)
             let wait =
-              match client_deadline with
+              match request_deadline with
               | None -> wait
               | Some d ->
                   Float.max 0. (Float.min wait (d -. Bx_obs.Clock.now ()))
@@ -1403,6 +1400,7 @@ let not_allowed allow =
 
 let handle_query ?deadline t ~query ~meth ~path ~body =
   let started = Bx_obs.Clock.now () in
+  let expired = match deadline with Some d -> started > d | None -> false in
   let meth = String.uppercase_ascii meth in
   let route = Route.parse ~pages:t.pages meth path in
   let response =
@@ -1413,7 +1411,7 @@ let handle_query ?deadline t ~query ~meth ~path ~body =
       match route with
       | Route.Bad_path -> respond_text 400 "bad request path: it must begin with /\n"
       | Not_allowed { allow; _ } -> not_allowed allow
-      | _ when (not (Route.deadline_exempt route)) && deadline_expired deadline -> (
+      | _ when expired && not (Route.deadline_exempt route) -> (
           (* The budget was gone before dispatch.  A stale cached render is
              free and still useful to a client that races the answer
              against its timeout; anything else is wasted work.
@@ -1620,18 +1618,61 @@ let scrub_loop ~rate ~stop t =
 
 let shutdown t = Atomic.set t.stop true
 
+(* A connection's last response: the peer may be gone already, which
+   must not fail the worker. *)
+let write_last fd response =
+  try Httpd.write_response fd ~keep_alive:false response
+  with Unix.Unix_error _ | Bx_fault.Fault.Injected _ -> ()
+
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
 (* Shed one connection: a tiny 503 + Retry-After written straight from
    whichever loop is rejecting it (the write goes to a socket buffer
-   that is empty, and SO_SNDTIMEO bounds the pathological case), then
-   close. *)
+   that is empty, and SO_SNDTIMEO bounds the pathological case).  The
+   caller closes the socket. *)
 let shed_connection t fd ~reason =
   Metrics.shed t.metrics ~reason;
-  let retry_after = Admission.retry_after t.admission in
-  (try
-     Httpd.write_response fd ~keep_alive:false
-       (Httpd.shed_response ~retry_after ~reason)
-   with Unix.Unix_error _ | Bx_fault.Fault.Injected _ -> ());
-  try Unix.close fd with Unix.Unix_error _ -> ()
+  write_last fd
+    (Httpd.shed_response ~retry_after:(Admission.retry_after t.admission) ~reason)
+
+(* The next request on [fd] and its deadline: [deadline], or else
+   [queue_deadline] after the request's first byte (SO_RCVTIMEO alone
+   bounds a keep-alive connection's idle wait), tightened by
+   X-Bxwiki-Deadline.  Both lanes read here, so every read failure is
+   answered the same way, and yields None. *)
+let read_next t fd reader ~deadline =
+  let bad reason status =
+    Metrics.protocol_error t.metrics ~route:"wire" ~reason;
+    write_last fd (Httpd.error_response status);
+    None
+  in
+  match
+    if not (Httpd.await reader) then Error `Eof
+    else
+      let deadline =
+        match deadline with
+        | Some d -> d
+        | None -> Bx_obs.Clock.now () +. t.config.queue_deadline
+      in
+      Result.map
+        (fun req ->
+          (req, Option.fold ~none:deadline ~some:(Float.min deadline) req.Httpd.deadline))
+        (Httpd.read_request ~deadline reader)
+  with
+  | Ok next -> Some next
+  | Error `Eof -> None
+  | Error (`Bad e) -> bad e.Httpd.reason e
+  | Error `Deadline ->
+      (* Slowloris: each byte came inside SO_RCVTIMEO, the request late. *)
+      shed_connection t fd ~reason:"deadline";
+      None
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      bad "read_timeout" { Httpd.status = 408; reason = "read timeout" }
+  | exception Unix.Unix_error (_, _, _) -> None
+  | exception Bx_fault.Fault.Injected _ ->
+      (* An injected wire-read fault behaves like a peer reset. *)
+      Metrics.protocol_error t.metrics ~route:"wire" ~reason:"fault_injected";
+      None
 
 (* ------------------------------------------------------------------ *)
 (* Brownout: the degraded read lane.  When admission overflows, GETs are
@@ -1644,18 +1685,16 @@ let shed_connection t fd ~reason =
    erroring. *)
 
 (* Serve one overflow connection from cache only — no locks, no
-   rendering, no keep-alive.  The read budget is short: this lane exists
-   because the node is overloaded, and a slow client does not get to pin
-   its one domain. *)
-let serve_degraded t fd =
-  let reader = Httpd.reader_of_fd fd in
+   rendering, no keep-alive.  Its deadline is at most 1 s out: this lane
+   exists because the node is overloaded, and a slow client does not get
+   to pin its one domain. *)
+let serve_degraded t fd ~now ~deadline =
   match
-    Httpd.read_request ~read_budget:(Float.min 1.0 t.config.read_timeout) reader
+    read_next t fd (Httpd.reader_of_fd fd)
+      ~deadline:(Some (Float.min deadline (now +. 1.0)))
   with
-  | Error _ -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-  | exception (Unix.Unix_error _ | Bx_fault.Fault.Injected _) -> (
-      try Unix.close fd with Unix.Unix_error _ -> ())
-  | Ok req -> (
+  | None -> ()
+  | Some (req, _) -> (
       let started = Bx_obs.Clock.now () in
       let route =
         Route.parse ~pages:t.pages (String.uppercase_ascii req.Httpd.meth)
@@ -1671,83 +1710,55 @@ let serve_degraded t fd =
           Metrics.observe_request t.metrics ~route:(Route.label route)
             ~meth:"GET" ~status:response.Bx_repo.Webui.status
             ~seconds:(Bx_obs.Clock.now () -. started);
-          (try Httpd.write_response fd ~keep_alive:false response
-           with Unix.Unix_error _ | Bx_fault.Fault.Injected _ -> ());
-          (try Unix.close fd with Unix.Unix_error _ -> ())
+          write_last fd response
       | None -> shed_connection t fd ~reason:"queue_full")
 
-let handle_connection t fd =
+(* A front-lane connection, request after request.  The first request's
+   deadline is the connection's; each later one's starts at its first
+   byte.  Served promptly, the connection earns one admission slot back,
+   whatever it threw. *)
+let serve_front t fd ~now ~deadline =
   let reader = Httpd.reader_of_fd fd in
-  let bad route reason status =
-    Metrics.protocol_error t.metrics ~route ~reason;
-    try Httpd.write_response fd ~keep_alive:false (Httpd.error_response status)
-    with Unix.Unix_error _ -> ()
-  in
-  let rec loop () =
-    match
-      Httpd.read_request ~read_budget:t.config.read_timeout reader
-    with
-    | Error `Eof -> ()
-    | Error (`Bad e) -> bad "wire" e.Httpd.reason e
-    | Error `Deadline ->
-        (* Slowloris: every byte arrived inside SO_RCVTIMEO, but the
-           request as a whole overstayed its wall-clock budget.  Reap
-           the socket and count the shed — a trickling client must not
-           hold a worker for longer than a queued one may wait. *)
-        Metrics.shed t.metrics ~reason:"deadline";
-        (try
-           Httpd.write_response fd ~keep_alive:false
-             (Httpd.shed_response ~retry_after:1 ~reason:"deadline")
-         with Unix.Unix_error _ | Bx_fault.Fault.Injected _ -> ())
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        bad "wire" "read_timeout" { Httpd.status = 408; reason = "read timeout" }
-    | exception Unix.Unix_error (_, _, _) -> ()
-    | exception Bx_fault.Fault.Injected _ ->
-        (* An injected wire-read fault behaves like a peer reset. *)
-        Metrics.protocol_error t.metrics ~route:"wire" ~reason:"fault_injected"
-    | Ok req -> (
+  let rec loop deadline =
+    match read_next t fd reader ~deadline with
+    | None -> ()
+    | Some (req, deadline) -> (
         let response =
-          handle_query ?deadline:req.Httpd.deadline t ~query:req.query
-            ~meth:req.meth ~path:req.path ~body:req.body
+          handle_query ~deadline t ~query:req.Httpd.query ~meth:req.meth
+            ~path:req.path ~body:req.body
         in
         (* Drop keep-alive while draining so shutdown terminates. *)
         let keep_alive = req.keep_alive && not (Atomic.get t.stop) in
         match Httpd.write_response fd ~keep_alive response with
-        | () -> if keep_alive then loop ()
+        | () -> if keep_alive then loop None
         | exception Unix.Unix_error (_, _, _) -> ()
         | exception Bx_fault.Fault.Injected _ ->
             Metrics.protocol_error t.metrics ~route:"wire"
               ~reason:"fault_injected")
   in
-  loop ();
-  try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
-
-(* A front-lane connection served promptly earns one admission slot
-   back, whatever it threw. *)
-let serve_front t fd =
-  let began = Bx_obs.Clock.now () in
   Fun.protect
-    ~finally:(fun () -> Admission.served t.admission ~began)
-    (fun () -> handle_connection t fd)
+    ~finally:(fun () -> Admission.served t.admission ~began:now)
+    (fun () -> loop (Some deadline))
 
 (* One worker's life on a lane, until the lane is closed and empty.  A
-   connection that waited past [queue_deadline] is answered with a fast
-   503 — by now the client has likely timed out or retried, and burning
-   a worker on stale work only deepens the overload. *)
+   connection whose deadline passed while it waited is answered with a
+   fast 503: by now the client has likely timed out or retried, and
+   burning a worker on stale work only deepens the overload.  Every
+   connection is closed here, once, whatever its service threw. *)
 let drain t lane serve =
   let rec go () =
     match Admission.take lane with
     | None -> ()
-    | Some (Admission.Expired fd) ->
-        shed_connection t fd ~reason:"deadline";
-        go ()
-    | Some (Admission.Live fd) ->
-        (try serve fd
+    | Some (fd, deadline) ->
+        (try
+           let now = Bx_obs.Clock.now () in
+           if now > deadline then shed_connection t fd ~reason:"deadline"
+           else serve fd ~now ~deadline
          with exn ->
            (* A worker must survive anything one connection throws. *)
            Metrics.protocol_error t.metrics ~route:"wire" ~reason:"worker_exn";
-           Printf.eprintf "bxwiki: worker: %s\n%!" (Printexc.to_string exn);
-           (try Unix.close fd with Unix.Unix_error (_, _, _) -> ()));
+           Printf.eprintf "bxwiki: worker: %s\n%!" (Printexc.to_string exn));
+        close_quietly fd;
         go ()
   in
   go ()
@@ -1819,12 +1830,14 @@ let serve t ?(port = 8008) ?(workers = 4) ?port_file ?(quiet = false) () =
                        time out too, and the connection is dropped. *)
                     Unix.setsockopt_float client Unix.SO_SNDTIMEO
                       write_timeout;
-                    if Admission.admit t.admission client = `Shed then
-                      shed_connection t client ~reason:"queue_full"
+                    let deadline = Bx_obs.Clock.now () +. t.config.queue_deadline in
+                    if Admission.admit t.admission (client, deadline) = `Shed then (
+                      shed_connection t client ~reason:"queue_full";
+                      close_quietly client)
                 | exception Bx_fault.Fault.Injected _ -> (
                     Metrics.protocol_error t.metrics ~route:"wire"
                       ~reason:"fault_injected";
-                    try Unix.close client with Unix.Unix_error _ -> ()));
+                    close_quietly client));
                 accept_loop ()
             | exception
                 Unix.Unix_error
@@ -1836,7 +1849,7 @@ let serve t ?(port = 8008) ?(workers = 4) ?port_file ?(quiet = false) () =
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
     in
     accept_loop ();
-    (try Unix.close sock with Unix.Unix_error (_, _, _) -> ());
+    close_quietly sock;
     (* Drain: no more connections will arrive; workers finish the queue
        and their in-flight requests, then exit.  The stale lane closes
        only after the pool has joined. *)

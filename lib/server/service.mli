@@ -41,15 +41,19 @@ type config = {
   compact_every : int;
       (** snapshot + truncate once the log holds this many edits;
           [0] disables automatic compaction *)
-  read_timeout : float;  (** per-socket receive timeout, seconds *)
+  read_timeout : float;
+      (** per-recv socket timeout, seconds; it alone bounds a keep-alive
+          connection's idle wait *)
   queue_capacity : int;
       (** ceiling of the AIMD admission limit that bounds pending
           connections (see {!Admission}); beyond the limit a connection
           goes to the stale lane under [brownout] and is shed with a
           fast 503 + [Retry-After] otherwise *)
   queue_deadline : float;
-      (** seconds a connection may wait queued before a worker sheds it
-          unprocessed (the per-request deadline budget) *)
+      (** the request budget, seconds: a request's deadline is this
+          after accept (on keep-alive, after its first byte), tightened
+          by [X-Bxwiki-Deadline]; still queued or being read past it,
+          the request is shed with a 503 *)
   failpoints_admin : bool;
       (** mount [GET/PUT /debug/failpoints]; defaults to whether
           [BXWIKI_FAILPOINTS] was present in the environment *)
@@ -178,8 +182,7 @@ val handle_query :
     the replication stream endpoint reads its parameters from it.
 
     [deadline] is the request's absolute deadline ({!Bx_obs.Clock.now}
-    clock), parsed by the socket workers from the [X-Bxwiki-Deadline]
-    header (a millisecond budget).  An exhausted deadline sheds with 504
+    clock; see [queue_deadline]).  An exhausted deadline sheds with 504
     and [bxwiki_shed_total{reason="deadline_propagated"}] — checked
     before dispatch, re-checked after lock acquisition and before the
     in-memory apply + journal fsync on the write paths, and used to

@@ -154,6 +154,35 @@ let status_of raw =
   | Some i -> ( try int_of_string (String.sub raw (i + 1) 3) with _ -> -1)
   | None -> -1
 
+(* One response off a connection that stays open: read to the end of
+   the headers, then Content-Length more bytes. *)
+let read_response fd =
+  let buf = Buffer.create 4096 and chunk = Bytes.create 4096 in
+  let more () =
+    match Unix.read fd chunk 0 4096 with
+    | 0 -> Alcotest.fail "connection closed mid-response"
+    | n -> Buffer.add_subbytes buf chunk 0 n
+  in
+  let rec head () =
+    let raw = Buffer.contents buf in
+    match Str.search_forward (Str.regexp_string "\r\n\r\n") raw 0 with
+    | i -> i + 4
+    | exception Not_found ->
+        more ();
+        head ()
+  in
+  let body_at = head () in
+  let length =
+    let raw = Buffer.contents buf in
+    ignore
+      (Str.search_forward (Str.regexp "Content-Length: \\([0-9]+\\)") raw 0);
+    int_of_string (Str.matched_group 1 raw)
+  in
+  while Buffer.length buf < body_at + length do
+    more ()
+  done;
+  Buffer.contents buf
+
 let with_echo_server f =
   let srv = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt srv Unix.SO_REUSEADDR true;
@@ -471,6 +500,103 @@ let deadline_tests =
             check bool "empty poll returned on the budget, not the hold" true
               (elapsed < 2.0);
             check bool "still a success" true (r.Bx_repo.Webui.status < 500)));
+    tc "X-Bxwiki-Deadline is anchored when its header line is read" (fun () ->
+        let client, server = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Fun.protect
+          ~finally:(fun () ->
+            Unix.close client;
+            Unix.close server)
+          (fun () ->
+            let first_byte = Bx_obs.Clock.now () in
+            write_all client
+              "POST /p HTTP/1.1\r\nX-Bxwiki-Deadline: 500\r\n\
+               Content-Length: 4\r\n\r\n";
+            let body_writer =
+              Thread.create
+                (fun () ->
+                  Thread.delay 0.4;
+                  write_all client "body")
+                ()
+            in
+            let r = Httpd.read_request (Httpd.reader_of_fd server) in
+            Thread.join body_writer;
+            check bool "the body came 0.4 s later" true
+              (Bx_obs.Clock.now () -. first_byte >= 0.4);
+            match r with
+            | Ok { Httpd.deadline = Some d; body = "body"; _ } ->
+                let after = d -. first_byte in
+                check bool
+                  (Printf.sprintf "deadline %.3f s after the first byte, not after the body"
+                     after)
+                  true (after <= 0.55)
+            | _ -> Alcotest.fail "expected the request, with its deadline"));
+    tc "a connection queued past queue_deadline is shed unrendered"
+      (isolated (fun () ->
+           let t =
+             service ~config:{ Service.default_config with queue_deadline = 0.2 } ()
+           in
+           let th, port = serve_thread ~workers:1 t in
+           Fun.protect
+             ~finally:(fun () ->
+               Fault.clear ();
+               Service.shutdown t;
+               Thread.join th)
+             (fun () ->
+               let m = Service.metrics t in
+               let shed = Metrics.shed_by_reason m "deadline"
+               and requests = Metrics.requests_total m in
+               (* Wedge the only worker on a render, then queue a second
+                  connection behind it for longer than its budget. *)
+               Fault.set "service.lock.read" (Fault.Delay 0.6);
+               let wedged = connect port in
+               Fun.protect
+                 ~finally:(fun () -> Unix.close wedged)
+                 (fun () ->
+                   write_all wedged
+                     "GET /examples:celsius.wiki?w=1 HTTP/1.1\r\nHost: x\r\n\
+                      Connection: close\r\n\r\n";
+                   Thread.delay 0.1;
+                   let queued =
+                     exchange port
+                       "GET /examples:celsius.wiki?w=2 HTTP/1.1\r\nHost: x\r\n\
+                        Connection: close\r\n\r\n"
+                   in
+                   check int "the queued connection gets a 503" 503
+                     (status_of queued);
+                   check bool "with Retry-After" true
+                     (contains ~needle:"Retry-After: " queued);
+                   check int "counted as a deadline shed" (shed + 1)
+                     (Metrics.shed_by_reason m "deadline");
+                   check int "the wedged request is served" 200
+                     (status_of (drain wedged));
+                   check int "only the wedged request was dispatched"
+                     (requests + 1) (Metrics.requests_total m)))));
+    tc "an idle keep-alive connection's next request has its own deadline"
+      (isolated (fun () ->
+           let t =
+             service
+               ~config:
+                 { Service.default_config with queue_deadline = 0.3; brownout = false }
+               ()
+           in
+           let th, port = serve_thread ~workers:1 t in
+           Fun.protect
+             ~finally:(fun () ->
+               Service.shutdown t;
+               Thread.join th)
+             (fun () ->
+               let fd = connect port in
+               Fun.protect
+                 ~finally:(fun () -> Unix.close fd)
+                 (fun () ->
+                   let request = "GET /examples:celsius HTTP/1.1\r\nHost: x\r\n\r\n" in
+                   write_all fd request;
+                   check int "first request" 200 (status_of (read_response fd));
+                   (* 1.5 x queue_deadline, well inside read_timeout. *)
+                   Thread.delay 0.45;
+                   write_all fd request;
+                   check int "the request after the idle wait" 200
+                     (status_of (read_response fd))))));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -482,7 +608,7 @@ let slowloris_tests =
       (isolated (fun () ->
            let t =
              service
-               ~config:{ Service.default_config with read_timeout = 0.6 }
+               ~config:{ Service.default_config with queue_deadline = 0.6 }
                ()
            in
            let th, port = serve_thread t in
@@ -514,6 +640,35 @@ let slowloris_tests =
                    wait_for ~timeout:5.0 (fun () ->
                        Metrics.shed_by_reason (Service.metrics t) "deadline"
                        >= 1)))));
+  ]
+
+(* Framing the parser does not implement is refused, and the connection
+   closed: a chunked body read as empty would leave its chunks to be
+   parsed as the next request. *)
+let wire_tests =
+  [
+    tc "a chunked POST is a 501 that closes the connection"
+      (isolated (fun () ->
+           let t = service () in
+           let th, port = serve_thread ~workers:1 t in
+           Fun.protect
+             ~finally:(fun () ->
+               Service.shutdown t;
+               Thread.join th)
+             (fun () ->
+               let raw =
+                 exchange port
+                   "POST /examples:celsius HTTP/1.1\r\nHost: x\r\n\
+                    Transfer-Encoding: chunked\r\n\r\n\
+                    5\r\nhello\r\n0\r\n\r\n\
+                    GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+               in
+               check int "501" 501 (status_of raw);
+               check bool "Connection: close" true
+                 (contains ~needle:"Connection: close" raw);
+               check int "one response, nothing parsed after it" 1
+                 (List.length (String.split_on_char '\n' raw
+                  |> List.filter (String.starts_with ~prefix:"HTTP/1.1 "))))));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -750,6 +905,7 @@ let () =
       ("transparency", transparency_tests);
       ("deadline", deadline_tests);
       ("slowloris", slowloris_tests);
+      ("wire", wire_tests);
       ("brownout", brownout_tests);
       ("disk-full", disk_full_tests);
       ("drill", drill_tests);

@@ -728,7 +728,7 @@ let range n = List.init n (fun i -> i + 1)
 let rec take_all lane =
   match Admission.take lane with
   | None -> []
-  | Some ticket -> ticket :: take_all lane
+  | Some x -> x :: take_all lane
 
 let admission_tests =
   [
@@ -741,17 +741,8 @@ let admission_tests =
         Admission.close front;
         check Alcotest.bool "a closed lane refuses" true (Admission.admit a 5 = `Shed);
         check Alcotest.bool "queued items still come out, in order" true
-          (take_all front = Admission.[ Live 1; Live 2; Live 3; Live 4 ]);
+          (take_all front = [ 1; 2; 3; 4 ]);
         check Alcotest.bool "then None" true (Admission.take front = None));
-    tc "take reports an item whose deadline passed" (fun () ->
-        let a = Admission.create ~capacity:4 ~budget:0.2 ~stale:false in
-        ignore (Admission.admit a "late");
-        Unix.sleepf 0.3;
-        ignore (Admission.admit a "fresh");
-        Admission.close (Admission.front a);
-        match take_all (Admission.front a) with
-        | Admission.[ Expired "late"; Live "fresh" ] -> ()
-        | _ -> Alcotest.fail "expected the first item expired, the second live");
     tc "a blocked take wakes on push and on close" (fun () ->
         let a = Admission.create ~capacity:4 ~budget:5. ~stale:false in
         let front = Admission.front a in
@@ -763,7 +754,7 @@ let admission_tests =
         Admission.close front;
         Thread.join th;
         check Alcotest.bool "the waiter saw the item, then the close" true
-          (!got = [ Admission.Live 7 ]));
+          (!got = [ 7 ]));
     tc "overflow halves the limit once per window, down to the floor" (fun () ->
         let a = Admission.create ~capacity:16 ~budget:5. ~stale:false in
         ignore (admit_all a (range 16));

@@ -95,7 +95,46 @@ let httpd_tests =
           (bad_status
              (parse
                 "POST /p HTTP/1.1\r\nContent-Length: \
-                 99999999999999999999999\r\n\r\n")));
+                 99999999999999999999999\r\n\r\n"));
+        (* Content-Length is 1*DIGIT: OCaml's integer literal syntax is
+           not, though int_of_string takes it. *)
+        List.iter
+          (fun v ->
+            check
+              Alcotest.(option int)
+              ("Content-Length: " ^ v) (Some 400)
+              (bad_status
+                 (parse
+                    ("POST /p HTTP/1.1\r\nContent-Length: " ^ v
+                   ^ "\r\n\r\nhello"))))
+          [ "0x5"; "1_0"; "+5"; "0b11" ]);
+    tc "conflicting Content-Length headers are a 400" (fun () ->
+        (match
+           parse
+             "POST /p HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 3\r\n\r\nhello"
+         with
+        | Error (`Bad e) ->
+            check Alcotest.int "status" 400 e.Httpd.status;
+            check Alcotest.string "reason" "conflicting_content_length"
+              e.Httpd.reason
+        | _ -> Alcotest.fail "expected a 400");
+        match
+          parse
+            "POST /p HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello"
+        with
+        | Ok r -> check Alcotest.string "agreeing duplicates" "hello" r.Httpd.body
+        | _ -> Alcotest.fail "expected Ok");
+    tc "Transfer-Encoding is a 501" (fun () ->
+        List.iter
+          (fun te ->
+            check
+              Alcotest.(option int)
+              ("Transfer-Encoding: " ^ te) (Some 501)
+              (bad_status
+                 (parse
+                    ("POST /p HTTP/1.1\r\nTransfer-Encoding: " ^ te
+                   ^ "\r\nContent-Length: 5\r\n\r\nhello"))))
+          [ "chunked"; "gzip, chunked"; "identity" ]);
     tc "absurd Content-Length is a 413" (fun () ->
         check
           Alcotest.(option int)

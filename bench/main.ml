@@ -287,9 +287,17 @@ let registry_tests =
   @
   let entry = Bx_repo.Sync.normalise Bx_catalogue.Composers.template in
   let page = Bx_repo.Sync.wiki_text entry in
+  (* The boot digest fold: every version of every entry through the get.
+     Built on first use, so the other bench modes do not pay for it. *)
+  let corpus = lazy (Bx_load.Corpus.seed_registry ~shards:4 ~entries:2000 ~seed:1 ()) in
   [
     Test.make ~name:"P4 sync render (get)"
       (Staged.stage (fun () -> Bx_repo.Sync.wiki_text entry));
+    Test.make ~name:"P4 digest fold entries=2000"
+      (Staged.stage (fun () ->
+           let corpus = Lazy.force corpus in
+           List.init (Bx_repo.Registry.shard_count corpus)
+             (Bx_server.Integrity.shard_digest_of corpus)));
     Test.make ~name:"P4 sync parse (put)"
       (Staged.stage (fun () -> Bx_repo.Sync.of_wiki_text ~fallback:entry page));
   ]

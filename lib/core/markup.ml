@@ -56,25 +56,27 @@ let render_inlines inlines =
   List.iter (add_inline buf) inlines;
   Buffer.contents buf
 
-let add_block buf = function
+(* A blank line separates the block from those already in [buf], and a
+   line break ends it. *)
+let add_block buf block =
+  if Buffer.length buf > 0 then Buffer.add_char buf '\n';
+  (match block with
   | Heading (level, text) ->
       for _ = 1 to max 1 level do Buffer.add_char buf '+' done;
-      wrap Buffer.add_string buf " " text ""
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf text
   | Para inlines -> List.iter (add_inline buf) inlines
   | Bullets items -> add_sep buf "\n" (fun i -> wrap Buffer.add_string buf "* " i "") items
   | Code_block lines ->
       Buffer.add_string buf "[[code]]";
       List.iter (fun l -> wrap Buffer.add_string buf "\n" l "") lines;
-      Buffer.add_string buf "\n[[/code]]"
+      Buffer.add_string buf "\n[[/code]]");
+  Buffer.add_char buf '\n'
 
 let render doc =
-  match doc with
-  | [] -> ""
-  | _ ->
-      let buf = Buffer.create 1024 in
-      add_sep buf "\n\n" (add_block buf) doc;
-      Buffer.add_char buf '\n';
-      Buffer.contents buf
+  let buf = Buffer.create 1024 in
+  List.iter (add_block buf) doc;
+  Buffer.contents buf
 
 (* --- inline parsing ----------------------------------------------- *)
 

@@ -34,6 +34,10 @@ val render : doc -> string
 (** Render to wiki text, blocks separated by blank lines, ending with a
     newline (empty document renders to the empty string). *)
 
+val add_block : Buffer.t -> block -> unit
+(** Append a block to a buffer holding the same document's earlier
+    blocks: {!render} is [add_block] over a doc into an empty buffer. *)
+
 val render_inlines : inline list -> string
 
 val parse : string -> (doc, string) result

@@ -2,12 +2,23 @@ exception Parse_error of string
 
 (* --- text normalisation ------------------------------------------- *)
 
+(* Whether [text] from [i] on is one normal paragraph: one line, no
+   leading, trailing or doubled space, a non-blank character. *)
+let rec one_para text i seen =
+  let n = String.length text in
+  if i = n then seen
+  else
+    match String.unsafe_get text i with
+    | ' ' -> i > 0 && i + 1 < n && text.[i + 1] <> ' ' && one_para text (i + 1) seen
+    | '\012' | '\r' | '\t' -> one_para text (i + 1) seen
+    | c -> c <> '\n' && one_para text (i + 1) true
+
 (* Split free text into paragraphs on blank lines (nothing but
    [String.trim]'s whitespace); inside a paragraph, collapse runs of
    spaces and line breaks to single spaces.  One pass finds each
    paragraph's span; a span already in that form is returned as a slice
    (the text itself when it is the whole text), any other is rebuilt. *)
-let paragraphs_of_text text =
+let split_paragraphs text =
   let n = String.length text in
   let sep i = text.[i] = ' ' || text.[i] = '\n' in
   let collapse a b =
@@ -44,7 +55,12 @@ let paragraphs_of_text text =
   in
   lines [] (-1) 0 0
 
-let normalise_text text = String.concat "\n\n" (paragraphs_of_text text)
+(* A text already one normal paragraph costs one pass and no copy. *)
+let paragraphs_of_text text =
+  if one_para text 0 false then [ text ] else split_paragraphs text
+
+let normalise_text text =
+  match paragraphs_of_text text with [ p ] -> p | ps -> String.concat "\n\n" ps
 
 let normalise (t : Template.t) =
   {
@@ -71,18 +87,6 @@ let normalise (t : Template.t) =
 
 (* --- rendering ----------------------------------------------------- *)
 
-let paras_of text =
-  List.map (fun p -> Markup.Para (Markup.parse_inlines p)) (paragraphs_of_text text)
-
-let section name blocks =
-  if blocks = [] then [] else Markup.Heading (2, name) :: blocks
-
-let text_section name text =
-  if String.trim text = "" then [] else section name (paras_of text)
-
-let bullet_section name items =
-  if items = [] then [] else section name [ Markup.Bullets items ]
-
 let model_bullet (m : Template.model_desc) =
   let base = m.model_name ^ ": " ^ normalise_text m.model_description in
   match m.meta_model with
@@ -94,48 +98,54 @@ let artefact_bullet (a : Template.artefact) =
     (Template.artefact_kind_name a.artefact_kind)
     a.location
 
-let render_entry (t : Template.t) =
+(* The entry layout, the one place that says which sections a page has
+   and in what order: each block of [t]'s page goes to [emit] in turn,
+   and a section with nothing in it is left out.  [para] makes the
+   block of one normalised free-text paragraph. *)
+let layout ~para emit (t : Template.t) =
   let open Markup in
-  List.concat
-    [
-      [ Heading (1, t.title) ];
-      section "Version" [ Para [ Text (Version.to_string t.version) ] ];
-      section "Type"
-        [
-          Para
-            [ Text (String.concat ", " (List.map Template.class_name t.classes)) ];
-        ];
-      text_section "Overview" t.overview;
-      bullet_section "Models" (List.map model_bullet t.models);
-      text_section "Consistency" t.consistency;
-      (let fwd = String.trim t.restoration.rest_forward in
-       let bwd = String.trim t.restoration.rest_backward in
-       if fwd = "" && bwd = "" then []
-       else
-         [ Heading (2, "Consistency Restoration") ]
-         @ (if fwd = "" then []
-            else Heading (3, "Forward") :: paras_of t.restoration.rest_forward)
-         @
-         if bwd = "" then []
-         else Heading (3, "Backward") :: paras_of t.restoration.rest_backward);
-      bullet_section "Properties"
-        (List.map Bx.Properties.claim_name t.properties);
-      bullet_section "Variants"
-        (List.map
-           (fun (v : Template.variant) ->
-             v.variant_name ^ ": " ^ normalise_text v.variant_description)
-           t.variants);
-      text_section "Discussion" t.discussion;
-      bullet_section "References" (List.map Reference.to_line t.references);
-      bullet_section "Authors" (List.map Contributor.to_string t.authors);
-      bullet_section "Reviewers" (List.map Contributor.to_string t.reviewers);
-      bullet_section "Comments"
-        (List.map
-           (fun (c : Template.comment) ->
-             c.comment_author ^ ": " ^ c.comment_text)
-           t.comments);
-      bullet_section "Artefacts" (List.map artefact_bullet t.artefacts);
-    ]
+  let section level name = function
+    | [] -> ()
+    | blocks -> emit (Heading (level, name)); List.iter emit blocks
+  in
+  let text name s = section 2 name (List.map para (paragraphs_of_text s)) in
+  let bullets name f xs =
+    section 2 name (if xs = [] then [] else [ Bullets (List.map f xs) ]) in
+  let line s = [ Para [ Text s ] ] in
+  emit (Heading (1, t.title));
+  section 2 "Version" (line (Version.to_string t.version));
+  section 2 "Type" (line (String.concat ", " (List.map Template.class_name t.classes)));
+  text "Overview" t.overview;
+  bullets "Models" model_bullet t.models;
+  text "Consistency" t.consistency;
+  (match
+     ( paragraphs_of_text t.restoration.rest_forward,
+       paragraphs_of_text t.restoration.rest_backward )
+   with
+  | [], [] -> ()
+  | fwd, bwd ->
+      emit (Heading (2, "Consistency Restoration"));
+      section 3 "Forward" (List.map para fwd);
+      section 3 "Backward" (List.map para bwd));
+  bullets "Properties" Bx.Properties.claim_name t.properties;
+  bullets "Variants"
+    (fun (v : Template.variant) ->
+      v.variant_name ^ ": " ^ normalise_text v.variant_description)
+    t.variants;
+  text "Discussion" t.discussion;
+  bullets "References" Reference.to_line t.references;
+  bullets "Authors" Contributor.to_string t.authors;
+  bullets "Reviewers" Contributor.to_string t.reviewers;
+  bullets "Comments"
+    (fun (c : Template.comment) -> c.comment_author ^ ": " ^ c.comment_text)
+    t.comments;
+  bullets "Artefacts" artefact_bullet t.artefacts
+
+let render_entry t =
+  let blocks = ref [] in
+  let para p = Markup.Para (Markup.parse_inlines p) in
+  layout ~para (fun b -> blocks := b :: !blocks) t;
+  List.rev !blocks
 
 (* --- parsing -------------------------------------------------------- *)
 
@@ -375,7 +385,28 @@ let lens () =
       | Ok t -> t
       | Error e -> raise (Parse_error e))
 
-let wiki_text t = Markup.render (render_entry t)
+(* Whether [p] holds "[[[" at or after [i - 2]: each run of three covers
+   an index [i + 3k], so only those are read until a '[' turns up. *)
+let bracket p j = j >= 0 && j < String.length p && String.unsafe_get p j = '['
+
+let rec has_link p i =
+  i < String.length p
+  && (bracket p i
+      && (bracket p (i - 1) && (bracket p (i - 2) || bracket p (i + 1))
+         || (bracket p (i + 1) && bracket p (i + 2)))
+     || has_link p (i + 3))
+
+(* A line without "[[[" prints back from its inlines as it is (only a
+   link without a bar prints differently), so such a paragraph is
+   written unparsed.  2000 bytes hold most pages and stay a minor-heap
+   allocation. *)
+let wiki_text t =
+  let buf = Buffer.create 2000 in
+  let para p =
+    Markup.Para (if has_link p 2 then Markup.parse_inlines p else [ Markup.Text p ])
+  in
+  layout ~para (Markup.add_block buf) t;
+  Buffer.contents buf
 
 let of_wiki_text ?fallback text =
   match Markup.parse text with

@@ -43,7 +43,7 @@ val normalise : Template.t -> Template.t
     normalised templates. *)
 
 val wiki_text : Template.t -> string
-(** Shorthand: {!Markup.render} of {!render_entry}. *)
+(** {!Markup.render} of {!render_entry}, written block by block. *)
 
 val of_wiki_text : ?fallback:Template.t -> string -> (Template.t, string) result
 (** Parse wiki text into a template; without [fallback], a {!blank} one is

@@ -21,7 +21,10 @@ let compare a b =
   | c -> c
 
 let equal a b = compare a b = 0
-let to_string v = string_of_int v.major ^ "." ^ string_of_int v.minor
+(* Small numbers skip [string_of_int]'s C formatter, the costly part. *)
+let small = Array.init 100 string_of_int
+let digits n = if n >= 0 && n < 100 then small.(n) else string_of_int n
+let to_string v = digits v.major ^ "." ^ digits v.minor
 
 let of_string s =
   match String.split_on_char '.' (String.trim s) with

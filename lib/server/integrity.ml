@@ -15,14 +15,14 @@
    snapshot digest manifests, sealed MANIFESTs and the per-entry content
    hashes all speak it, so a tool that can check one can check all. *)
 
-(* Slicing-by-4: [crc_tables.((k * 256) + b)] is the register after
+(* Slicing-by-8: [crc_tables.((k * 256) + b)] is the register after
    byte [b] and then [k] zero bytes, i.e. [8 * (k + 1)] bit steps from
-   [b], so one step folds four bytes with four independent lookups (the
-   first 256 entries are the bytewise table).  Built eagerly: a lazy
-   forced by two domains at once can raise [CamlinternalLazy.Undefined]
-   in one of them. *)
+   [b], so one step folds eight bytes, read as two little-endian words,
+   with eight independent lookups (the first 256 entries are the
+   bytewise table).  Built eagerly: a lazy forced by two domains at once
+   can raise [CamlinternalLazy.Undefined] in one of them. *)
 let crc_tables =
-  Array.init (4 * 256) (fun i ->
+  Array.init (8 * 256) (fun i ->
       let c = ref (i land 0xff) in
       for _ = 1 to 8 * ((i lsr 8) + 1) do
         c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
@@ -35,16 +35,20 @@ let byte s i = Char.code (String.unsafe_get s i)
    the caller has checked the range. *)
 let crc_update c s off len =
   let t = crc_tables and c = ref c and i = ref off and stop = off + len in
-  while !i + 4 <= stop do
+  while !i + 8 <= stop do
     let j = !i in
-    let x = !c lxor byte s j lxor (byte s (j + 1) lsl 8) lxor (byte s (j + 2) lsl 16) in
-    let x = x lxor (byte s (j + 3) lsl 24) in
+    let x = !c lxor (Int32.to_int (String.get_int32_le s j) land 0xFFFFFFFF) in
+    let y = Int32.to_int (String.get_int32_le s (j + 4)) land 0xFFFFFFFF in
     c :=
-      Array.unsafe_get t (768 + (x land 0xff))
-      lxor Array.unsafe_get t (512 + ((x lsr 8) land 0xff))
-      lxor Array.unsafe_get t (256 + ((x lsr 16) land 0xff))
-      lxor Array.unsafe_get t (x lsr 24);
-    i := j + 4
+      Array.unsafe_get t (1792 + (x land 0xff))
+      lxor Array.unsafe_get t (1536 + ((x lsr 8) land 0xff))
+      lxor Array.unsafe_get t (1280 + ((x lsr 16) land 0xff))
+      lxor Array.unsafe_get t (1024 + (x lsr 24))
+      lxor Array.unsafe_get t (768 + (y land 0xff))
+      lxor Array.unsafe_get t (512 + ((y lsr 8) land 0xff))
+      lxor Array.unsafe_get t (256 + ((y lsr 16) land 0xff))
+      lxor Array.unsafe_get t (y lsr 24);
+    i := j + 8
   done;
   while !i < stop do
     c := Array.unsafe_get t ((!c lxor byte s !i) land 0xff) lxor (!c lsr 8);

@@ -390,12 +390,15 @@ let fenced t = Node.fenced t.node
 let replication_behind t = Node.behind t.node
 let replication_lag t = Node.lag t.node ~now:(Bx_obs.Clock.now ())
 
-let register_sampled t =
+let register_sampled t ~boot =
   let gauge ?kind ?labels name help read =
     Metrics.sample t.metrics ?kind ?labels name ~help read
   in
   let counter ?labels name help read = gauge ~kind:"counter" ?labels name help read in
   let one v = [ ([], float_of_int v) ] in
+  gauge ~labels:[ "phase" ] "bxwiki_boot_seconds"
+    "Seconds each boot phase took: journal, seed or snapshot, replay, digest."
+    (fun () -> List.map (fun (phase, s) -> ([ phase ], s)) boot);
   gauge "bxwiki_queue_depth"
     "Pending connections queued for a worker (sampled at scrape)."
     (fun () -> one (Admission.depth t.admission));
@@ -524,6 +527,14 @@ let create ?(config = default_config) ?(pages = []) ?(lenses = []) ~seed () =
   (* Built before replay: journalled lens-document records apply to the
      docstore, not the registry. *)
   let docstore = Docstore.create ~lenses in
+  (* Each boot phase's seconds, in the order they ran. *)
+  let phases = ref [] in
+  let timed phase f =
+    let t0 = Bx_obs.Clock.now_ns () in
+    let r = f () in
+    phases := (phase, float_of_int (Bx_obs.Clock.now_ns () - t0) *. 1e-9) :: !phases;
+    r
+  in
   let fresh ~registry ~log ~applied ~failed =
     let t = {
       config;
@@ -561,17 +572,17 @@ let create ?(config = default_config) ?(pages = []) ?(lenses = []) ~seed () =
     }
     in
     (* Single-threaded here; steady state keeps these incremental. *)
-    recompute_digests t;
-    register_sampled t;
+    timed "digest" (fun () -> recompute_digests t);
+    register_sampled t ~boot:(List.rev !phases);
     t
   in
   let seeded () = tag "seed re-shard: " (resharded (seed ())) in
   match config.journal_dir with
   | None ->
-      let* registry = seeded () in
+      let* registry = timed "seed" seeded in
       Ok (fresh ~registry ~log:None ~applied:0 ~failed:0)
   | Some dir -> (
-      let* log, recovery = Shardlog.open_ ~dir ~shards in
+      let* log, recovery = timed "journal" (fun () -> Shardlog.open_ ~dir ~shards) in
       (* What recovery found is an operational signal: torn tails are the
          benign residue of a crash, checksum failures are corruption
          worth an operator's attention. *)
@@ -581,17 +592,18 @@ let create ?(config = default_config) ?(pages = []) ?(lenses = []) ~seed () =
         if recovery.complete then
           (* Every segment carries a sealed snapshot: the pages are the
              whole catalogue, no seed needed. *)
-          tag "snapshot load: " (Bx_repo.Registry.import ~shards recovery.pages)
+          timed "snapshot" (fun () ->
+              tag "snapshot load: " (Bx_repo.Registry.import ~shards recovery.pages))
         else
           (* Partial (or no) snapshots: start from the seed and lay the
              sealed shards' pages over it — cheaper than forcing a full
              initial checkpoint just to make boot uniform. *)
-          let* registry = seeded () in
-          let* () =
-            tag "snapshot overlay: "
-              (Bx_repo.Registry.overlay registry recovery.pages)
-          in
-          Ok registry
+          timed "seed" (fun () ->
+              let* registry = seeded () in
+              let* () =
+                tag "snapshot overlay: " (Bx_repo.Registry.overlay registry recovery.pages)
+              in
+              Ok registry)
       in
       match registry0 with
       | Error e ->
@@ -611,7 +623,9 @@ let create ?(config = default_config) ?(pages = []) ?(lenses = []) ~seed () =
              match load_docs docstore log with
              | Ok () -> ()
              | Error e -> Printf.eprintf "bxwiki: %s\n%!" e);
-          let applied, failed = replay_edits registry docstore recovery.replay in
+          let applied, failed =
+            timed "replay" (fun () -> replay_edits registry docstore recovery.replay)
+          in
           let t = fresh ~registry ~log:(Some log) ~applied ~failed in
           (* Checksum casualties found at boot enter the quarantine like
              scrub findings would: flagged, counted, kept on disk for the

@@ -103,6 +103,16 @@ let real_template =
         Bx_check.Generators.template;
       ])
 
+(* One-line text without "[[[": each '[' that would close a run of
+   three becomes ']'. *)
+let plain_line =
+  QCheck2.Gen.map
+    (fun s ->
+      String.mapi
+        (fun i c -> if c = '[' && i >= 2 && s.[i - 1] = '[' && s.[i - 2] = '[' then ']' else c)
+        s)
+    dense_line
+
 let print_string = Printf.sprintf "%S"
 let print_doc d = Fmt.str "%a" Markup.pp d
 let print_template t = print_string (Ref.wiki_text t)
@@ -137,6 +147,10 @@ let kernel_tests =
       dense_template (fun t ->
         Sync.render_entry t = Ref.render_entry t
         && Sync.wiki_text t = Ref.wiki_text t);
+    prop "render_inlines (parse_inlines s) = s without [[[" ~print:print_string
+      plain_line (fun s -> Markup.render_inlines (Markup.parse_inlines s) = s);
+    prop ~count:300 "wiki_text = oracle over real templates" ~print:print_template
+      real_template (fun t -> Sync.wiki_text t = Ref.wiki_text t);
     prop ~count:300 "of_wiki_text = oracle's parse" ~print:print_template
       dense_template (fun t ->
         let text = Ref.wiki_text t in
@@ -181,6 +195,19 @@ let hash_tests =
               (Ref.entry_hash reg id)
               (Bx_server.Integrity.entry_hash reg id))
           (Registry.ids reg));
+    (* The digest replicas compare: a node printing pages the old way
+       and one printing them block by block must agree. *)
+    Alcotest.test_case "shard digests = oracle's fold over a 2000-entry corpus" `Quick
+      (fun () ->
+        let reg = Bx_load.Corpus.seed_registry ~shards:4 ~entries:2000 ~seed:1 () in
+        for k = 0 to Registry.shard_count reg - 1 do
+          Alcotest.(check int)
+            (Printf.sprintf "shard %d" k)
+            (List.fold_left
+               (fun acc id -> acc lxor Ref.entry_hash reg id)
+               0 (Registry.shard_ids reg k))
+            (Bx_server.Integrity.shard_digest_of reg k)
+        done);
     prop ~count:100 ~long:10_000 "entry_hash = oracle over revised entries"
       ~print:print_template dense_template (fun t ->
         let reg = Bx_catalogue.Catalogue.seed () in

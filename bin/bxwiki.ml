@@ -522,7 +522,7 @@ let server_main ~replica args =
       journal_dir = !journal_dir;
       shards = !shards;
       compact_every = !compact_every;
-      (* One response-cache shard per worker domain: see Respcache. *)
+      (* Pages hash to cache shards; one per worker keeps their mutexes cold. *)
       cache_shards = !workers;
       failpoints_admin =
         !failpoints <> None

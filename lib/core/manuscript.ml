@@ -34,10 +34,14 @@ let demote doc =
       | block -> block)
     doc
 
-let generate registry =
+(* A list with no items is no block at all: printed, it would be a bare
+   blank line, which parses back to nothing. *)
+let bullets = function [] -> [] | items -> [ Markup.Bullets items ]
+
+let document registry =
   let entries = latest_entries registry in
   let toc =
-    Markup.Bullets
+    bullets
       (List.map
          (fun (id, t) ->
            Printf.sprintf "%s (version %s)"
@@ -47,29 +51,27 @@ let generate registry =
   in
   let body = List.concat_map (fun (_, t) -> demote (Sync.render_entry t)) entries in
   let credits =
-    Markup.Bullets
+    bullets
       (List.map
          (fun (name, ids) ->
            Printf.sprintf "%s: %s" name (String.concat ", " ids))
          (contributors registry))
   in
-  let doc =
-    [
-      Markup.Heading (1, Citation.repository_name ^ ": Collected Examples");
-      Markup.Para
-        [
-          Markup.Text
-            "An archival collection of the most recent version of every \
-             example in the repository. Cite the repository as: ";
-        ];
-      Markup.Para [ Markup.Text (Citation.repository ()) ];
-      Markup.Heading (2, "Contents");
-      toc;
-    ]
-    @ body
-    @ [ Markup.Heading (2, "Credits"); credits ]
-  in
-  Markup.render doc
+  [
+    Markup.Heading (1, Citation.repository_name ^ ": Collected Examples");
+    Markup.Para
+      [
+        Markup.Text
+          "An archival collection of the most recent version of every \
+           example in the repository. Cite the repository as: ";
+      ];
+    Markup.Para [ Markup.Text (Citation.repository ()) ];
+    Markup.Heading (2, "Contents");
+  ]
+  @ toc @ body
+  @ (Markup.Heading (2, "Credits") :: credits)
+
+let generate registry = Markup.render (document registry)
 
 let bibliography registry =
   let entries = latest_entries registry in

@@ -4,14 +4,18 @@
     manuscript (with all authors and reviewers named), and publish it
     formally as a citable, archival technical report."
 
-    {!generate} produces exactly that, as a single wiki document: a
+    {!document} builds exactly that, as a single wiki document: a
     preamble with the recommended repository citation, a table of
     contents, every entry's latest version (headings demoted one level so
     entry titles nest under the manuscript title), and a credits section
     naming every contributing author and reviewer. *)
 
+val document : Registry.t -> Markup.doc
+(** The manuscript as a document: what the wiki serves as HTML. *)
+
 val generate : Registry.t -> string
-(** The manuscript as wiki text. *)
+(** The manuscript as wiki text: {!Markup.render} of {!document}, which
+    {!Markup.parse} reads back as {!document}. *)
 
 val contributors : Registry.t -> (string * string list) list
 (** Every person named in the repository with the entries they touched:

@@ -229,6 +229,8 @@ let comment t ~as_ id ~text =
   with_entry t id (fun entry ->
       if not (Curation.can_comment as_) then
         Error (Permission_denied "commenting requires an account")
+      else if String.contains text '\n' then
+        Error (Invalid [ "a comment must be one line" ])
       else begin
         match entry.history with
         | (v, template) :: older ->

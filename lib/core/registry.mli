@@ -72,7 +72,8 @@ val submit :
 
 val comment :
   t -> as_:Curation.account -> Identifier.t -> text:string -> (unit, error) result
-(** Append a comment (attributed to the account) to the latest version. *)
+(** Append a comment (attributed to the account) to the latest version.
+    A comment must be one line: the page writes it as one bullet item. *)
 
 val endorse :
   t -> as_:Curation.account -> Identifier.t -> (unit, error) result

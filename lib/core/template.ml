@@ -84,6 +84,13 @@ let artefact ~name ~kind location =
 
 let is_provisional t = Version.is_provisional t.version
 
+let artefact_kind_name = function
+  | Code -> "code"
+  | Diagram -> "diagram"
+  | Sample_data -> "sample-data"
+  | Proof -> "proof"
+  | Other s -> s
+
 let validate t =
   let errors = ref [] in
   let err fmt = Format.kasprintf (fun m -> errors := m :: !errors) fmt in
@@ -109,6 +116,24 @@ let validate t =
     err "a version 0.x entry cannot list reviewers";
   if (not (Version.is_provisional t.version)) && t.reviewers = [] then
     err "a reviewed (version >= 1.0) entry must list its reviewers";
+  (* The page writes each of these as one bullet item: a line break would
+     end the item early, and the rest would not come back. *)
+  let one_line what f =
+    List.iter (fun x ->
+        if String.contains (f x) '\n' then err "%s %S must be one line" what (f x))
+  in
+  one_line "a model" (fun m -> m.model_name ^ Option.value ~default:"" m.meta_model)
+    t.models;
+  one_line "a variant name" (fun v -> v.variant_name) t.variants;
+  one_line "a reference" Reference.to_line t.references;
+  one_line "a contributor" Contributor.to_string (t.authors @ t.reviewers);
+  one_line "a comment" (fun c -> c.comment_author ^ ": " ^ c.comment_text)
+    t.comments;
+  one_line "an artefact"
+    (fun a ->
+      Printf.sprintf "%s [%s]: %s" a.artefact_name
+        (artefact_kind_name a.artefact_kind) a.location)
+    t.artefacts;
   match !errors with [] -> Ok () | es -> Error (List.rev es)
 
 let count_sentences s =
@@ -183,13 +208,6 @@ let pp ppf t =
            Fmt.pf ppf "@,%s: %s" a.artefact_name a.location))
       t.artefacts;
   Fmt.pf ppf "@]"
-
-let artefact_kind_name = function
-  | Code -> "code"
-  | Diagram -> "diagram"
-  | Sample_data -> "sample-data"
-  | Proof -> "proof"
-  | Other s -> s
 
 let artefact_kind_of_name s =
   match String.lowercase_ascii (String.trim s) with

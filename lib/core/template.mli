@@ -92,7 +92,10 @@ val validate : t -> (unit, string list) result
     - a PRECISE example describes at least two models and both restoration
       directions;
     - at least one author is listed;
-    - the version is [0.x] if and only if no reviewers are listed. *)
+    - the version is [0.x] if and only if no reviewers are listed;
+    - what the page writes as one bullet item (a model's name and
+      meta-model, a variant's name, a reference, a contributor, a
+      comment, an artefact) holds no line break. *)
 
 val lint : t -> string list
 (** Style advice (never fatal): overview longer than the recommended two

@@ -24,9 +24,8 @@ let not_found path =
 
 (* {2 Query strings}
 
-   [Httpd] lives above this library, so the handler does its own query
-   parsing — including percent-decoding, which search values (spaces in
-   author names) need. *)
+   The one query-string parser, the server's included: percent-decoding
+   is what search values (spaces in author names) need. *)
 
 let urldecode s =
   let buf = Buffer.create (String.length s) in
@@ -150,33 +149,6 @@ let index_page registry query =
   in
   respond 200 (html_page ~title:Citation.repository_name (Markup.to_html doc))
 
-(* "/examples:composers.wiki" -> (id-ish page name, `Wiki) etc. *)
-let split_extension path =
-  let strip suffix =
-    Filename.chop_suffix_opt ~suffix path
-  in
-  match strip ".wiki" with
-  | Some base -> (base, `Wiki)
-  | None -> (
-      match strip ".json" with
-      | Some base -> (base, `Json)
-      | None -> (path, `Html))
-
-let find_entry registry page =
-  (* Pages look like "examples:composers"; identifiers canonicalise the
-     part after the colon. *)
-  let name =
-    match String.index_opt page ':' with
-    | Some i -> String.sub page (i + 1) (String.length page - i - 1)
-    | None -> page
-  in
-  match Identifier.of_string name with
-  | Error _ -> None
-  | Ok id -> (
-      match Registry.latest registry id with
-      | Ok template -> Some (id, template)
-      | Error _ -> None)
-
 (* {2 Search}
 
    A thin HTML front on {!Registry.search}: every parameter narrows the
@@ -269,72 +241,93 @@ let glossary_page () =
   in
   respond 200 (html_page ~title:"Glossary" (Markup.to_html doc))
 
-(* The identifier a request path concerns, if it is an entry route at
-   all: "/examples:composers.wiki" -> the composers identifier.  This is
-   static routing — the entry need not exist — which is what lets a
-   sharded service pick the right shard lock (and journal segment)
-   before touching the registry. *)
+(* {2 The page grammar}
+
+   "/examples:composers.wiki" names COMPOSERS, as wiki text.  The entry
+   need not exist, which lets a sharded server pick the shard lock (and
+   journal segment) before touching the registry. *)
+
+type form = Html | Wiki | Json
+
+type page =
+  | Index
+  | Search
+  | Glossary
+  | Manuscript
+  | Extra of string
+  | Entry of { id : Identifier.t; form : form }
+
+let parse_path ~pages path =
+  match path with
+  | "/" -> Ok Index
+  | "/search" -> Ok Search
+  | "/glossary" -> Ok Glossary
+  | "/manuscript" -> Ok Manuscript
+  | _ when List.mem_assoc path pages -> Ok (Extra path)
+  | _ -> (
+      let form =
+        if Filename.check_suffix path ".wiki" then Wiki
+        else if Filename.check_suffix path ".json" then Json
+        else Html
+      in
+      let stop = String.length path - if form = Html then 0 else 5 in
+      let start = 1 + Option.value ~default:0 (String.index_from_opt path 1 ':') in
+      match Identifier.of_string (String.sub path start (stop - start)) with
+      | Ok id -> Ok (Entry { id; form })
+      | Error _ -> Error form)
+
 let page_identifier path =
-  if
-    path = "/" || path = "" || path = "/glossary" || path = "/manuscript"
-    || path = "/search"
-  then None
-  else if String.length path < 1 || path.[0] <> '/' then None
+  if path = "" || path.[0] <> '/' then None
   else
-    let page, _ =
-      split_extension (String.sub path 1 (String.length path - 1))
-    in
-    let name =
-      match String.index_opt page ':' with
-      | Some i -> String.sub page (i + 1) (String.length page - i - 1)
-      | None -> page
-    in
-    match Identifier.of_string name with
-    | Error _ -> None
-    | Ok id -> Some id
+    match parse_path ~pages:[] path with
+    | Ok (Entry { id; _ }) -> Some id
+    | _ -> None
 
-let get registry ~query path =
-  if path = "/" then index_page registry query
-  else if path = "/search" then search_page registry query
-  else if path = "/glossary" then glossary_page ()
-  else if path = "/manuscript" then
-    match Markup.parse (Manuscript.generate registry) with
-    | Ok doc ->
-        respond 200 (html_page ~title:"Collected Examples" (Markup.to_html doc))
-    | Error e -> respond 500 (html_page ~title:"Error" (Markup.html_escape e))
-  else
-    let page, format =
-      split_extension (String.sub path 1 (String.length path - 1))
-    in
-    match find_entry registry page with
-    | None -> not_found path
-    | Some (id, template) -> (
-        match format with
-        | `Wiki ->
-            respond ~content_type:"text/plain; charset=utf-8" 200
-              (Sync.wiki_text template)
-        | `Json ->
-            respond ~content_type:"application/json" 200
-              (Json_codec.to_string ~indent:2 template ^ "\n")
-        | `Html ->
-            let doc = Sync.render_entry template in
-            let footer =
-              Printf.sprintf
-                "<hr><p><a href=\"/\">index</a> · <a \
-                 href=\"/%s.wiki\">wiki source</a> · <a \
-                 href=\"/%s.json\">json</a> · cite: %s</p>"
-                page page
-                (Markup.html_escape (Citation.entry ~id template))
-            in
-            respond 200
-              (html_page ~title:template.Template.title
-                 (Markup.to_html doc ^ footer)))
+let get ~pages ~query registry ~path = function
+  | Index -> index_page registry query
+  | Search -> search_page registry query
+  | Glossary -> glossary_page ()
+  | Manuscript ->
+      respond 200
+        (html_page ~title:"Collected Examples"
+           (Markup.to_html (Manuscript.document registry)))
+  | Extra name -> (
+      match List.assoc_opt name pages with
+      | Some render ->
+          let title, fragment = render () in
+          respond 200 (html_page ~title fragment)
+      | None -> not_found path)
+  | Entry { id; form } -> (
+      match (Registry.latest registry id, form) with
+      | Error _, _ -> not_found path
+      | Ok template, Wiki ->
+          respond ~content_type:"text/plain; charset=utf-8" 200
+            (Sync.wiki_text template)
+      | Ok template, Json ->
+          respond ~content_type:"application/json" 200
+            (Json_codec.to_string ~indent:2 template ^ "\n")
+      | Ok template, Html ->
+          (* An HTML entry path has no suffix: the links name the page as
+             it was requested. *)
+          let page = String.sub path 1 (String.length path - 1) in
+          let footer =
+            Printf.sprintf
+              "<hr><p><a href=\"/\">index</a> · <a \
+               href=\"/%s.wiki\">wiki source</a> · <a \
+               href=\"/%s.json\">json</a> · cite: %s</p>"
+              page page
+              (Markup.html_escape (Citation.entry ~id template))
+          in
+          respond 200
+            (html_page ~title:template.Template.title
+               (Markup.to_html (Sync.render_entry template) ^ footer)))
 
-let post ~editor registry path body =
-  let page, _ = split_extension (String.sub path 1 (String.length path - 1)) in
-  match find_entry registry page with
-  | None -> not_found path
-  | Some (id, current) -> (
+let default_editor = Curation.account ~role:Curation.Curator "wiki"
+
+let post ~editor registry ~path id ~body =
+  match Registry.latest registry id with
+  | Error _ -> not_found path
+  | Ok current -> (
       match Sync.of_wiki_text ~fallback:current body with
       | Error e ->
           respond 400
@@ -353,22 +346,16 @@ let post ~editor registry path body =
                 (html_page ~title:"Rejected"
                    (Markup.html_escape (Registry.error_message e)))))
 
-let default_editor = Curation.account ~role:Curation.Curator "wiki"
-
 let handle ?(editor = default_editor) ?(pages = []) ?(query = "") registry
     ~meth ~path ~body =
   if path = "" || path.[0] <> '/' then
     respond ~content_type:"text/plain; charset=utf-8" 400
       "bad request path: it must begin with /\n"
   else
-    match String.uppercase_ascii meth with
-    | "GET" -> (
-        match List.assoc_opt path pages with
-        | Some render ->
-            let title, fragment = render () in
-            respond 200 (html_page ~title fragment)
-        | None -> get registry ~query path)
-    | "POST" -> post ~editor registry path body
+    match (String.uppercase_ascii meth, parse_path ~pages path) with
+    | "GET", Ok page -> get ~pages ~query registry ~path page
+    | "POST", Ok (Entry { id; _ }) -> post ~editor registry ~path id ~body
+    | ("GET" | "POST"), _ -> not_found path
     | _ ->
         respond 405
           (html_page ~title:"Method not allowed" "<p>Use GET or POST.</p>")

@@ -201,22 +201,6 @@ let read_request ?(max_body = default_max_body) ?(deadline = Float.infinity) r =
   | Line_too_long -> bad 431 "line_too_long"
   | Read_deadline -> Error `Deadline
 
-(* Split "a=1&b=2" into pairs; a bare key maps to "".  No percent
-   decoding — the replication endpoints only pass integers. *)
-let query_params query =
-  if query = "" then []
-  else
-    String.split_on_char '&' query
-    |> List.filter_map (fun kv ->
-           if kv = "" then None
-           else
-             match String.index_opt kv '=' with
-             | None -> Some (kv, "")
-             | Some i ->
-                 Some
-                   ( String.sub kv 0 i,
-                     String.sub kv (i + 1) (String.length kv - i - 1) ))
-
 let status_text = function
   | 200 -> "OK"
   | 400 -> "Bad Request"

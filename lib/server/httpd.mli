@@ -88,6 +88,3 @@ val shed_response : retry_after:int -> reason:string -> Bx_repo.Webui.response
 val error_response : error -> Bx_repo.Webui.response
 (** A minimal HTML error body for a wire-level failure. *)
 
-val query_params : string -> (string * string) list
-(** Split a raw query string into key/value pairs (no percent decoding —
-    the internal endpoints that use queries only pass integers). *)

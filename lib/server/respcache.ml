@@ -27,13 +27,11 @@ let create ?(capacity = 256) ?(shards = 1) metrics =
 
 let shard_count t = Array.length t.shards
 
-(* Each worker domain owns one shard: lookups from different domains
-   never take the same mutex, so a cache that exists to make the read
-   path cheap cannot itself serialise the read path.  Keep-alive pins a
-   connection to one worker, so a client's reads stay warm in the shard
-   that served them. *)
-let shard_of t =
-  t.shards.((Domain.self () :> int) mod Array.length t.shards)
+(* A page lives in the shard its key hashes to, whichever domain asks:
+   each page is rendered and held once, and lookups of different pages
+   spread over the shard mutexes. *)
+let shard_of t path =
+  t.shards.(Hashtbl.hash path mod Array.length t.shards)
 
 let locked t shard f =
   Atomic.incr t.acquisitions;
@@ -44,7 +42,7 @@ let locked t shard f =
   Fun.protect ~finally:(fun () -> Mutex.unlock shard.mutex) f
 
 let find t ~path ~generation =
-  let shard = shard_of t in
+  let shard = shard_of t path in
   let found =
     locked t shard (fun () ->
         match Hashtbl.find_opt shard.table path with
@@ -59,22 +57,13 @@ let find t ~path ~generation =
 (* The brownout lane: any cached render for [path], however old, beats a
    503 when the fresh path is unaffordable.  The caller reports the
    generation lag to the client (X-Bxwiki-Stale), so correctness-by-
-   freshness is traded away *visibly*.  Searches every shard — the
-   degraded worker runs on its own domain, whose home shard has never
-   rendered anything. *)
+   freshness is traded away *visibly*. *)
 let find_stale t ~path =
-  let best = ref None in
-  Array.iter
-    (fun shard ->
-      locked t shard (fun () ->
-          match Hashtbl.find_opt shard.table path with
-          | Some e -> (
-              match !best with
-              | Some (g, _) when g >= e.generation -> ()
-              | _ -> best := Some (e.generation, e.response))
-          | None -> ()))
-    t.shards;
-  !best
+  let shard = shard_of t path in
+  locked t shard (fun () ->
+      Option.map
+        (fun e -> (e.generation, e.response))
+        (Hashtbl.find_opt shard.table path))
 
 let store ?current ?(scope = 0) t ~path ~generation response =
   (* Under per-shard generations different pages are valid at different
@@ -84,7 +73,7 @@ let store ?current ?(scope = 0) t ~path ~generation response =
   let current =
     match current with Some f -> f | None -> fun _ -> generation
   in
-  let shard = shard_of t in
+  let shard = shard_of t path in
   locked t shard (fun () ->
       if
         Hashtbl.length shard.table >= t.capacity
@@ -96,8 +85,11 @@ let store ?current ?(scope = 0) t ~path ~generation response =
               if e.generation <> current e.scope then p :: acc else acc)
             shard.table []
         in
-        if stale = [] then Hashtbl.reset shard.table
-        else List.iter (Hashtbl.remove shard.table) stale
+        (* Nothing stale: make room by dropping one page, whichever the
+           table yields first, and keep the rest warm. *)
+        match (stale, Hashtbl.to_seq_keys shard.table ()) with
+        | [], Seq.Cons (p, _) -> Hashtbl.remove shard.table p
+        | _ -> List.iter (Hashtbl.remove shard.table) stale
       end;
       Hashtbl.replace shard.table path { generation; scope; response })
 

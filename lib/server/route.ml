@@ -1,17 +1,9 @@
-type form = Html | Wiki | Json
-
-type page =
-  | Index
-  | Search
-  | Glossary
-  | Manuscript
-  | Extra of string
-  | Entry of { id : Bx_repo.Identifier.t; form : form }
+module W = Bx_repo.Webui
 
 type t =
-  | Page of page
-  | Missing of form
-  | Edit of { id : Bx_repo.Identifier.t; form : form }
+  | Page of W.page
+  | Missing of W.form
+  | Edit of { id : Bx_repo.Identifier.t; form : W.form }
   | Metrics
   | Healthz
   | Readyz
@@ -29,12 +21,12 @@ type t =
   | Bad_path
 
 let form_label = function
-  | Html -> "entry"
+  | W.Html -> "entry"
   | Wiki -> "entry.wiki"
   | Json -> "entry.json"
 
 let label = function
-  | Page Index -> "index"
+  | Page W.Index -> "index"
   | Page Search -> "search"
   | Page Glossary -> "glossary"
   | Page Manuscript -> "manuscript"
@@ -69,19 +61,15 @@ let lens_route meth = function
   | [ lens; op ] -> only [ "POST" ] meth (Lens_op { lens; op })
   | _ -> No_lens_path
 
-(* Everything else names an entry page, with its form as a suffix;
-   the entry need not exist. *)
-let entry_route meth path =
-  let form =
-    if Filename.check_suffix path ".wiki" then Wiki
-    else if Filename.check_suffix path ".json" then Json
-    else Html
-  in
-  match (meth, Bx_repo.Webui.page_identifier path) with
-  | ("GET" | "POST"), None -> Missing form
-  | "GET", Some id -> Page (Entry { id; form })
-  | "POST", Some id -> Edit { id; form }
-  | _ -> Not_allowed { label = form_label form; allow = [ "GET"; "POST" ] }
+(* Every other path is a page, read by the wiki's page grammar. *)
+let page_route ~pages meth path =
+  match (W.parse_path ~pages path, meth) with
+  | Ok (Entry _ as page), "GET" -> Page page
+  | Ok (Entry { id; form }), "POST" -> Edit { id; form }
+  | Error form, ("GET" | "POST") -> Missing form
+  | (Ok (Entry { form; _ }) | Error form), _ ->
+      Not_allowed { label = form_label form; allow = [ "GET"; "POST" ] }
+  | Ok page, _ -> only [ "GET" ] meth (Page page)
 
 let lens_prefix = "/slens/"
 
@@ -91,10 +79,6 @@ let parse ~pages meth path =
   match path with
   | "" -> Bad_path
   | _ when path.[0] <> '/' -> Bad_path
-  | "/" -> get (Page Index)
-  | "/search" -> get (Page Search)
-  | "/glossary" -> get (Page Glossary)
-  | "/manuscript" -> get (Page Manuscript)
   | "/metrics" -> get Metrics
   | "/healthz" -> get Healthz
   | "/readyz" -> get Readyz
@@ -110,8 +94,7 @@ let parse ~pages meth path =
       match String.split_on_char '/' path with
       | "" :: "slens" :: rest -> lens_route meth rest
       | _ -> No_lens_path)
-  | _ when List.mem_assoc path pages -> get (Page (Extra path))
-  | _ -> entry_route meth path
+  | _ -> page_route ~pages meth path
 
 type item = Entry_item of Bx_repo.Identifier.t | Doc_item of string * string | No_item
 

@@ -1,6 +1,9 @@
-(** The route table: the one place a request path is read.
+(** The route table: where a request path is read, once.
 
-    {!parse} turns a request's method and path into a typed route once;
+    {!parse} reads the server's own paths (metrics, health, debug,
+    replication, promotion, [/slens/...]) and hands every other path to
+    the wiki's page grammar, {!Bx_repo.Webui.parse_path}.  It turns a
+    request's method and path into a typed route once;
     {!Service} dispatches on it, labels its metrics with it, decides
     deadline shedding with it and rides a write on the shard it names.
     Journal records keep the raw path, and replay and replica apply parse
@@ -9,21 +12,10 @@
     does not begin with ['/'], and {!Not_allowed} (405, under the
     resource's label) for a method the resource does not serve. *)
 
-type form = Html | Wiki | Json  (** [/<page>], [/<page>.wiki], [/<page>.json] *)
-
-(** What {!Bx_repo.Webui} renders for a GET, and the cache holds. *)
-type page =
-  | Index
-  | Search
-  | Glossary
-  | Manuscript
-  | Extra of string  (** a page the server mounts, by its path *)
-  | Entry of { id : Bx_repo.Identifier.t; form : form }
-
 type t =
-  | Page of page
-  | Missing of form  (** an entry-shaped path naming no identifier: 404 *)
-  | Edit of { id : Bx_repo.Identifier.t; form : form }  (** POST of an entry *)
+  | Page of Bx_repo.Webui.page  (** what {!Bx_repo.Webui} renders for a GET, and the cache holds *)
+  | Missing of Bx_repo.Webui.form  (** an entry-shaped path naming no identifier: 404 *)
+  | Edit of { id : Bx_repo.Identifier.t; form : Bx_repo.Webui.form }  (** POST of an entry *)
   | Metrics
   | Healthz
   | Readyz
@@ -41,9 +33,9 @@ type t =
   | Bad_path
 
 val parse : pages:(string * 'a) list -> string -> string -> t
-(** [parse ~pages meth path], [meth] upper-case.  Fixed routes and lens
-    paths take precedence over the server's extra [pages], which take
-    precedence over entries. *)
+(** [parse ~pages meth path], [meth] upper-case.  Server routes and lens
+    paths take precedence over the page grammar, in which the fixed pages
+    come before the server's extra [pages], and those before entries. *)
 
 val label : t -> string
 (** The [route] label of the [bxwiki_*] request series: ["index"],

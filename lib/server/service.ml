@@ -333,7 +333,9 @@ let perform registry docstore route ~path ~body =
       match Docstore.mutate docstore op ~body with
       | Ok reply -> respond_text 200 reply
       | Error e -> docstore_error e)
-  | Edit _ -> Bx_repo.Webui.handle registry ~meth:"POST" ~path ~body
+  | Edit { id; _ } ->
+      Bx_repo.Webui.post ~editor:Bx_repo.Webui.default_editor registry ~path id
+        ~body
   | _ -> respond_text 404 ("not a write: " ^ path ^ "\n")
 
 (* A journal record stores the request path verbatim; it parses as the
@@ -419,7 +421,7 @@ let register_sampled t ~boot =
   counter ~labels:[ "lock"; "mode" ] "bxwiki_lock_contended_total"
     "Lock acquisitions that had to block behind another holder."
     (locks (fun _ cont -> cont));
-  gauge "bxwiki_respcache_shards" "Response-cache shards (one per worker domain)."
+  gauge "bxwiki_respcache_shards" "Response-cache shards (a page's path picks one)."
     (fun () -> one (Respcache.shard_count t.cache));
   gauge "bxwiki_respcache_entries"
     "Cached rendered responses across all shards (sampled at scrape)."
@@ -645,7 +647,7 @@ let create ?(config = default_config) ?(pages = []) ?(lenses = []) ~seed () =
    is exactly as fresh as its registry shard; every other page reads the
    whole catalogue (scope -1) and any write invalidates it. *)
 let page_scope t = function
-  | Route.Entry { id; _ } -> Bx_repo.Registry.shard_of_id t.registry id
+  | Bx_repo.Webui.Entry { id; _ } -> Bx_repo.Registry.shard_of_id t.registry id
   | Index | Search | Glossary | Manuscript | Extra _ -> -1
 
 (* Sampled racily (like the pre-sharding code sampled [t.gen]): a stale
@@ -688,27 +690,27 @@ let try_stale t page ~query path =
 let handle_get t page ~query path =
   let key = cache_key ~path ~query in
   let scope = page_scope t page in
-  let render ~pages () =
+  let render () =
     ( scope_gen t scope,
-      Bx_repo.Webui.handle ~pages ~query t.registry ~meth:"GET" ~path ~body:"" )
+      Bx_repo.Webui.get ~pages:t.pages ~query t.registry ~path page )
   in
   let render () =
     Bx_fault.Fault.point "service.lock.read";
     match page with
-    | Route.Extra _ ->
+    | Bx_repo.Webui.Extra _ ->
         (* Serialise extra-page thunks (they may force lazies, which is
            not safe to race from parallel domains); the result is cached,
            so this mutex is cold after the first render. *)
         Mutex.lock t.pages_mutex;
         Fun.protect
           ~finally:(fun () -> Mutex.unlock t.pages_mutex)
-          (fun () -> read_all t (render ~pages:t.pages))
+          (fun () -> read_all t render)
     | Entry _ ->
         (* An entry page renders under just its shard's read lock: a
            write to any other shard neither blocks this read nor
            invalidates its cache entry. *)
-        read_shard t scope (render ~pages:[])
-    | Index | Search | Glossary | Manuscript -> read_all t (render ~pages:[])
+        read_shard t scope render
+    | Index | Search | Glossary | Manuscript -> read_all t render
   in
   (* The generation is sampled under the same read lock that renders, so
      a cached page can never be older than the generation it is filed
@@ -985,7 +987,7 @@ let handle_docstore_get t ~query ~lens ~docid =
       respond_text 410 ("quarantined: " ^ reason ^ "\n")
   | None -> (
       let as_view =
-        List.assoc_opt "as" (Httpd.query_params query) = Some "view"
+        List.assoc_opt "as" (Bx_repo.Webui.query_params query) = Some "view"
       in
       Metrics.observe_lens t.metrics ~lens ~op:"doc_get" ~docs:1 ~bytes:0;
       read_shard t 0 (fun () ->
@@ -1015,7 +1017,7 @@ let handle_stream ?deadline:request_deadline t query =
   match t.log with
   | None -> respond_text 404 "replication requires a journal\n"
   | Some log ->
-      let params = Httpd.query_params query in
+      let params = Bx_repo.Webui.query_params query in
       let int_param name default =
         match List.assoc_opt name params with
         | None -> Some default
@@ -1115,7 +1117,7 @@ let handle_snapshot t query =
   match t.log with
   | None -> respond_text 404 "replication requires a journal\n"
   | Some log -> (
-      match List.assoc_opt "shard" (Httpd.query_params query) with
+      match List.assoc_opt "shard" (Bx_repo.Webui.query_params query) with
       | Some v -> (
           (* Targeted anti-entropy: seal and ship exactly one segment —
              the other shards neither checkpoint nor block. *)

@@ -36,8 +36,8 @@ type config = {
           directory with a top-level [journal.log] or [snapshot/] counts
           as laid out for 1 *)
   cache_shards : int;
-      (** rendered-page cache shards; set to the worker-domain count so
-          domains never contend on a cache mutex (default 4) *)
+      (** rendered-page cache shards, each a mutex and a table; a page
+          lives in the one its path hashes to (default 4) *)
   compact_every : int;
       (** snapshot + truncate once the log holds this many edits;
           [0] disables automatic compaction *)

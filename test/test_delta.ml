@@ -866,6 +866,13 @@ let endpoint_tests =
         Alcotest.(check string)
           "source after apply" (composers.S.put view' src) d;
         Service.close t);
+    (* The server reads every query string with the wiki's one parser,
+       which percent-decodes: "vie%77" is "view". *)
+    Alcotest.test_case "a percent-encoded query is decoded" `Quick (fun () ->
+        let t = service () in
+        let src = create_doc t () in
+        let _, v = split_rs (rbody (get_q t "/slens/composers/doc/d1" "as=vie%77")) in
+        Alcotest.(check string) "view side" (composers.S.get src) v);
   ]
 
 let () =

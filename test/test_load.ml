@@ -268,38 +268,21 @@ let respcache_tests =
         check Alcotest.int "size" 1 (Bx_server.Respcache.size cache);
         let acq, _ = Bx_server.Respcache.lock_stats cache in
         Alcotest.(check bool) "acquisitions counted" true (acq > 0));
-    tc "shards are per-domain; other domains miss and refill" (fun () ->
-        let shards = 16 in
+    tc "a page stored by one domain is a hit in another" (fun () ->
         let cache =
-          Bx_server.Respcache.create ~capacity:64 ~shards
+          Bx_server.Respcache.create ~capacity:64 ~shards:16
             (Bx_server.Metrics.create ())
         in
         Bx_server.Respcache.store cache ~path:"/p" ~generation:1 (response "P");
-        let mine = (Domain.self () :> int) mod shards in
-        let seen_other =
+        let seen =
           Domain.join
             (Domain.spawn (fun () ->
-                 let theirs = (Domain.self () :> int) mod shards in
-                 if theirs = mine then None
-                 else begin
-                   let miss =
-                     Bx_server.Respcache.find cache ~path:"/p" ~generation:1
-                   in
-                   Bx_server.Respcache.store cache ~path:"/p" ~generation:1
-                     (response "P");
-                   let hit =
-                     Bx_server.Respcache.find cache ~path:"/p" ~generation:1
-                   in
-                   Some (miss, hit)
-                 end))
+                 Bx_server.Respcache.find cache ~path:"/p" ~generation:1))
         in
-        match seen_other with
-        | None -> () (* same shard by id coincidence: nothing to assert *)
-        | Some (miss, hit) ->
-            Alcotest.(check bool) "other shard misses" true (miss = None);
-            Alcotest.(check bool) "then fills its own" true (hit <> None);
-            check Alcotest.int "both shards filled" 2
-              (Bx_server.Respcache.size cache));
+        Alcotest.(check (option string))
+          "hit in the other domain" (Some "P")
+          (Option.map (fun r -> r.Bx_repo.Webui.body) seen);
+        check Alcotest.int "held once" 1 (Bx_server.Respcache.size cache));
     tc "stale generations are evicted at capacity" (fun () ->
         (* capacity 16 is the per-shard floor *)
         let cache =
@@ -319,6 +302,29 @@ let respcache_tests =
         Alcotest.(check bool)
           "new entry present" true
           (Bx_server.Respcache.find cache ~path:"/new" ~generation:2 <> None));
+    tc "a full shard of current pages evicts one page" (fun () ->
+        (* capacity 16 is the per-shard floor *)
+        let cache =
+          Bx_server.Respcache.create ~capacity:16 ~shards:1
+            (Bx_server.Metrics.create ())
+        in
+        let path i = Printf.sprintf "/page%d" i in
+        for i = 1 to 17 do
+          Bx_server.Respcache.store cache ~path:(path i) ~generation:1
+            (response "current")
+        done;
+        let hits =
+          List.length
+            (List.filter
+               (fun i ->
+                 Bx_server.Respcache.find cache ~path:(path i) ~generation:1
+                 <> None)
+               (List.init 16 (fun i -> i + 1)))
+        in
+        check Alcotest.int "earlier pages still hit" 15 hits;
+        Alcotest.(check bool)
+          "the last page is held" true
+          (Bx_server.Respcache.find cache ~path:(path 17) ~generation:1 <> None));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -62,8 +62,9 @@ let block_gen =
 
 let doc_gen = QCheck2.Gen.(list_size (0 -- 6) block_gen)
 
-(* A random template whose every free-text field is dense markup. *)
-let dense_template =
+(* A random template from [base] whose every free-text field is dense
+   markup. *)
+let dense_over base =
   QCheck2.Gen.(
     map2
       (fun (t : Template.t) texts ->
@@ -85,8 +86,37 @@ let dense_template =
                 { v with variant_description = text (7 + i) })
               t.variants;
         })
-      Bx_check.Generators.template
+      base
       (list_size (1 -- 9) dense))
+
+let dense_template = dense_over Bx_check.Generators.template
+
+(* Reviewed templates (version 1.0 or later, with reviewers, comments and
+   artefacts): pages with the Reviewers, Comments and Artefacts sections,
+   which [Generators.template] never fills, as it must stay submittable. *)
+let reviewed_template =
+  QCheck2.Gen.(
+    let name = oneofl [ "Alpha"; "Beta"; "Gamma" ] in
+    let text = oneofl [ "Looks right."; "See the //second// model."; "A {{put}} case." ] in
+    let reviewer =
+      map2 (fun n affiliation -> Contributor.make ?affiliation n) name (opt (pure "Somewhere"))
+    in
+    let comment = map2 (fun author -> Template.comment ~author) name text in
+    let artefact =
+      map2
+        (fun name kind -> Template.artefact ~name ~kind ("examples/" ^ name ^ ".ml"))
+        name
+        (oneofl Template.[ Code; Diagram; Sample_data; Proof; Other "notebook" ])
+    in
+    map
+      (fun ((t, version), (reviewers, (comments, artefacts))) ->
+        { t with Template.version; reviewers; comments; artefacts })
+      (pair
+         (pair Bx_check.Generators.template (map2 Version.make (1 -- 3) (0 -- 4)))
+         (pair (list_size (1 -- 2) reviewer)
+            (pair (list_size (1 -- 3) comment) (list_size (1 -- 2) artefact)))))
+
+let dense_reviewed = dense_over reviewed_template
 
 (* Templates the server holds: the load corpus (random seed and index),
    the catalogue's own entries, and the random round-trip templates. *)
@@ -117,6 +147,30 @@ let print_string = Printf.sprintf "%S"
 let print_doc d = Fmt.str "%a" Markup.pp d
 let print_template t = print_string (Ref.wiki_text t)
 
+(* The properties run over more than one generator. *)
+let renders_as_oracle t =
+  Sync.render_entry t = Ref.render_entry t && Sync.wiki_text t = Ref.wiki_text t
+
+let parses_as_oracle t =
+  let text = Ref.wiki_text t in
+  let ours = Sync.of_wiki_text ~fallback:t text in
+  let theirs = Result.bind (Ref.parse text) (Sync.parse_entry ~fallback:t) in
+  match (ours, theirs) with
+  | Ok a, Ok b -> Template.equal a b
+  | Error a, Error b -> a = b
+  | _ -> false
+
+let page_round_trips t =
+  let doc = Sync.render_entry t in
+  Markup.parse (Markup.render doc) = Ok doc
+
+let get_put t =
+  let t = Sync.normalise t in
+  let lens = Sync.lens () in
+  Template.equal t (lens.Bx.Lens.put (lens.Bx.Lens.get t) t)
+
+let manuscript_law r = Markup.parse (Manuscript.generate r) = Ok (Manuscript.document r)
+
 (* ------------------------------------------------------------------ *)
 (* New kernel = oracle *)
 
@@ -144,24 +198,17 @@ let kernel_tests =
         let t = { (Sync.blank ~title:"T") with Template.overview = s } in
         (Sync.normalise t).Template.overview = Ref.normalise_text s);
     prop ~count:300 "render_entry and wiki_text = oracle" ~print:print_template
-      dense_template (fun t ->
-        Sync.render_entry t = Ref.render_entry t
-        && Sync.wiki_text t = Ref.wiki_text t);
+      dense_template renders_as_oracle;
     prop "render_inlines (parse_inlines s) = s without [[[" ~print:print_string
       plain_line (fun s -> Markup.render_inlines (Markup.parse_inlines s) = s);
     prop ~count:300 "wiki_text = oracle over real templates" ~print:print_template
       real_template (fun t -> Sync.wiki_text t = Ref.wiki_text t);
     prop ~count:300 "of_wiki_text = oracle's parse" ~print:print_template
-      dense_template (fun t ->
-        let text = Ref.wiki_text t in
-        let ours = Sync.of_wiki_text ~fallback:t text in
-        let theirs =
-          Result.bind (Ref.parse text) (Sync.parse_entry ~fallback:t)
-        in
-        match (ours, theirs) with
-        | Ok a, Ok b -> Template.equal a b
-        | Error a, Error b -> a = b
-        | _ -> false);
+      dense_template parses_as_oracle;
+    prop ~count:300 "reviewed: render_entry and wiki_text = oracle"
+      ~print:print_template dense_reviewed renders_as_oracle;
+    prop ~count:300 "reviewed: of_wiki_text = oracle's parse"
+      ~print:print_template dense_reviewed parses_as_oracle;
   ]
 
 (* A line of openers whose closers never come: each failed search for a
@@ -225,14 +272,35 @@ let hash_tests =
 let law_tests =
   [
     prop ~count:300 "parse (render (render_entry t)) = Ok (render_entry t)"
-      ~print:print_template real_template (fun t ->
-        let doc = Sync.render_entry t in
-        Markup.parse (Markup.render doc) = Ok doc);
+      ~print:print_template real_template page_round_trips;
     prop ~count:300 "GetPut: put (get t) t = t on normalised templates"
-      ~print:print_template real_template (fun t ->
-        let t = Sync.normalise t in
-        let lens = Sync.lens () in
-        Template.equal t (lens.Bx.Lens.put (lens.Bx.Lens.get t) t));
+      ~print:print_template real_template get_put;
+    prop ~count:300 "reviewed: parse (render (render_entry t)) = Ok (render_entry t)"
+      ~print:print_template reviewed_template page_round_trips;
+    prop ~count:300 "reviewed: GetPut on normalised templates" ~print:print_template
+      reviewed_template get_put;
+    (* The wiki serves the manuscript document as HTML without printing
+       and re-parsing it; this law is what makes that exact. *)
+    Alcotest.test_case "manuscript law, parse (generate r) = Ok (document r): catalogue, corpus, empty"
+      `Quick (fun () ->
+        List.iter
+          (fun (name, r) -> Alcotest.(check bool) name true (manuscript_law r))
+          [
+            ("catalogue", Bx_catalogue.Catalogue.seed ());
+            ("2000-entry corpus", Bx_load.Corpus.seed_registry ~entries:2000 ~seed:1 ());
+            ("empty", Registry.create ());
+          ]);
+    prop ~count:100 ~long:10_000 "manuscript law over reviewed entries"
+      ~print:(fun ts -> String.concat "\n" (List.map print_template ts))
+      QCheck2.Gen.(list_size (1 -- 5) reviewed_template)
+      (fun ts ->
+        let pages =
+          List.map
+            (fun (t : Template.t) ->
+              (t.title ^ "/" ^ Version.to_string t.version, Sync.wiki_text t))
+            ts
+        in
+        match Registry.import pages with Error _ -> false | Ok r -> manuscript_law r);
   ]
 
 let () =

@@ -692,6 +692,38 @@ let registry_tests =
         match Registry.cite reg ghost with
         | Error (Registry.Not_found _) -> ()
         | _ -> Alcotest.fail "expected not found");
+    (* The page writes these fields as one bullet item each: a line break
+       would end the item early and lose the rest on the way back. *)
+    tc "a line break in a one-line bullet field is refused" (fun () ->
+        let two_lines = "first line\nsecond line" in
+        let base = sample_template () in
+        List.iter
+          (fun (what, t) ->
+            check Alcotest.bool what true (Result.is_error (Template.validate t)))
+          [
+            ("comment", { base with Template.comments = [ Template.comment ~author:"a" two_lines ] });
+            ("author", { base with Template.authors = [ Contributor.make two_lines ] });
+            ("model name", { base with Template.models = List.map (fun m -> { m with Template.model_name = two_lines }) base.Template.models });
+            ("variant name", { base with Template.variants = [ Template.variant ~name:two_lines "d" ] });
+            ("reference", { base with Template.references = [ { sample_ref with Reference.ref_title = two_lines } ] });
+            ("artefact", { base with Template.artefacts = [ Template.artefact ~name:"impl" ~kind:Template.Code two_lines ] });
+          ];
+        let reg = Registry.create () in
+        let id = submit_sample reg in
+        (match Registry.comment reg ~as_:member id ~text:two_lines with
+        | Error (Registry.Invalid _) -> ()
+        | _ -> Alcotest.fail "a two-line comment was accepted");
+        (* The JSON form carries any string; the revision is refused. *)
+        let json =
+          Json_codec.to_string
+            { base with Template.comments = [ Template.comment ~author:"a" two_lines ] }
+        in
+        match Json_codec.of_string json with
+        | Error e -> Alcotest.fail e
+        | Ok t -> (
+            match Registry.revise reg ~as_:curator id t with
+            | Error (Registry.Invalid _) -> ()
+            | _ -> Alcotest.fail "a two-line comment came in through JSON"));
   ]
 
 (* ------------------------------------------------------------------ *)

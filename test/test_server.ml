@@ -934,6 +934,57 @@ let route_tests =
           (String.starts_with ~prefix:"HTTP/1.1 400" reply);
         check Alcotest.bool "no worker exception" false
           (contains ~needle:"reason=\"worker_exn\"" (Service.metrics_text t)));
+    (* The page paths as the server answers them: status, content type
+       and the body fragment that tells the pages apart. *)
+    tc "the page path table" (fun () ->
+        let t =
+          match
+            Service.create ~seed
+              ~pages:
+                (("/examples:celsius.wiki", fun () -> ("Shadow", "<p>shadow</p>"))
+                :: pages)
+              ()
+          with
+          | Ok t -> t
+          | Error e -> Alcotest.fail e
+        in
+        let html = "text/html; charset=utf-8" and text = "text/plain; charset=utf-8" in
+        List.iter
+          (fun (path, query, status, content_type, needles) ->
+            let r = Service.handle_query t ~query ~meth:"GET" ~path ~body:"" in
+            let what = Printf.sprintf "GET %s?%s" path query in
+            check Alcotest.int (what ^ " status") status r.Bx_repo.Webui.status;
+            check Alcotest.string (what ^ " content type") content_type
+              r.Bx_repo.Webui.content_type;
+            List.iter
+              (fun needle ->
+                check Alcotest.bool (what ^ " has " ^ needle) true
+                  (contains ~needle r.Bx_repo.Webui.body))
+              needles)
+          [
+            (* Non-canonical entry paths: the links name the page as
+               requested, not its canonical path. *)
+            ( "/composers", "", 200, html,
+              [ "<h1>COMPOSERS</h1>"; "href=\"/composers.wiki\""; "href=\"/composers.json\"" ] );
+            ("/EXAMPLES:Composers.wiki", "", 200, text, [ "+ COMPOSERS\n" ]);
+            ("/examples:COMPOSERS.json", "", 200, "application/json", [ "\"title\": \"COMPOSERS\"" ]);
+            ( "/composers/edit", "", 200, html,
+              [ "<h1>COMPOSERS-EDIT</h1>"; "href=\"/composers/edit.wiki\"" ] );
+            ("/foo/bar", "", 404, html, [ "/foo/bar" ]);
+            (* A missing entry, in each form, and a name with no identifier. *)
+            ("/examples:ghost", "", 404, html, [ "/examples:ghost" ]);
+            ("/examples:ghost.wiki", "", 404, html, [ "/examples:ghost.wiki" ]);
+            ("/examples:ghost.json", "", 404, html, [ "/examples:ghost.json" ]);
+            ("/!!.wiki", "", 404, html, [ "/!!.wiki" ]);
+            (* An extra page wins over the entry its path names. *)
+            ("/examples:celsius.wiki", "", 200, html, [ "<title>Shadow</title>"; "shadow" ]);
+            ("/examples:celsius", "", 200, html, [ "<h1>CELSIUS</h1>" ]);
+            (* The index pages; a search with an unknown class is refused. *)
+            ( "/", "page=2&per_page=5", 200, html,
+              [ "page 2 of 4 (17 entries)"; "/?page=1&amp;per_page=5"; "/?page=3&amp;per_page=5" ] );
+            ("/search", "class=NOPE", 400, html, [ "unknown class" ]);
+            ("/search", "class=SKETCH", 200, html, [ "1 match for class=SKETCH"; "SPREADSHEET" ]);
+          ]);
   ]
 
 let () =

@@ -13,8 +13,12 @@
     discussion, authors) falls back to the old template (the complement),
     and unknown extra sections are ignored.  [put] normalises free-text
     whitespace (paragraphs survive, line breaks inside a paragraph do
-    not), so GetPut holds exactly on normalised templates and PutGet on
-    canonical pages — both are covered in the test suite. *)
+    not).  PutGet holds on canonical pages.  GetPut holds on the
+    normalised templates the catalogue, the load corpus and the test
+    generators produce, but not on every template {!Template.validate}
+    accepts: a field holding one of the page's own delimiters (a model
+    name with [": "], a two-paragraph model description, ...) comes
+    back changed.  ROADMAP item 2 lists the shapes. *)
 
 exception Parse_error of string
 

@@ -138,16 +138,22 @@ let template prng i =
     ~authors:[ pick prng authors ]
     ()
 
-let generate ~entries ~seed =
+(* The corpus unchecked: [seed_registry] leaves the check to
+   [Registry.submit], which runs the same [Template.validate]. *)
+let templates ~entries ~seed =
   let prng = Prng.of_int seed in
-  List.init (max 0 entries) (fun i ->
-      let t = template prng i in
+  List.init (max 0 entries) (template prng)
+
+let generate ~entries ~seed =
+  List.map
+    (fun t ->
       match Template.validate t with
       | Ok () -> t
       | Error es ->
           failwith
             (Printf.sprintf "Corpus.generate: invalid %S: %s"
                t.Template.title (String.concat "; " es)))
+    (templates ~entries ~seed)
 
 let wiki_paths ~entries ~seed =
   generate ~entries ~seed
@@ -173,5 +179,5 @@ let seed_registry ?shards ~entries ~seed () =
             (Printf.sprintf "Corpus.seed_registry: %S rejected: %s"
                t.Template.title
                (Registry.error_message e)))
-    (generate ~entries ~seed);
+    (templates ~entries ~seed);
   registry

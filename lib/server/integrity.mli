@@ -76,8 +76,9 @@ val doc_hash : lens:string -> docid:string -> gen:int -> source:string -> int
 
 val shard_digest_of : Bx_repo.Registry.t -> int -> int
 (** Full recomputation of a shard's digest: XOR of {!entry_hash} over
-    its entries.  O(shard); the service maintains the same value
-    incrementally in O(|entry|) per write. *)
+    its entries.  O(shard); the service folds the same value on a
+    shard's first digest request and then keeps it in O(|entry|) per
+    write. *)
 
 val render_digests : epoch:int -> (int * int) list -> string
 (** The [GET /replication/digest] body:

@@ -113,6 +113,10 @@ let digest_mismatches =
   repl "digest_mismatches_total" "Digest comparisons that found at least one diverged shard."
 let resyncs =
   repl "shard_resyncs_total" "Targeted per-shard re-bootstraps performed after a digest mismatch."
+let digest_folds =
+  declare "digest_folds_total" "Shard digests folded from the registry on their first request."
+let digest_versions =
+  declare "digest_versions_hashed_total" "Entry versions fed to a CRC for the shard digests."
 let scrub_passes = declare "scrub_passes_total" "Complete scrubber walks over the store."
 let scrub_items =
   declare "scrub_items_total" ~labels:surface "Items examined by the scrubber, by surface."
@@ -170,6 +174,8 @@ let replication_snapshot_bootstrap t = add t bootstraps 1
 let replication_epoch_reject t = add t epoch_rejects 1
 let replication_gap t = add t gaps 1
 let replication_shard_resync t = add t resyncs 1
+let digest_fold t = add t digest_folds 1
+let digest_hashed t ~versions = add t digest_versions versions
 let scrub_pass t = add t scrub_passes 1
 let scrub_item t ~surface ~n = add t scrub_items ~labels:[ surface ] n
 let scrub_corruption t ~surface = add t scrub_corruptions ~labels:[ surface ] 1
@@ -208,6 +214,7 @@ let cache_counts t = (total t hits, total t misses)
 let shed_by_reason t reason = total t sheds ~labels:[ reason ]
 let stale_counts t = (total t stale_served, total t stale_lag)
 let journal_recovery_counts t = (total t torn_tails, total t crc_errors)
+let digest_counts t = (total t digest_folds, total t digest_versions)
 let scrub_counts t = (total t scrub_passes, total t scrub_items, total t scrub_corruptions)
 
 (* Prometheus numbers: integers without a dot, "0.0001" not "1e-04". *)

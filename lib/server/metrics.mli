@@ -100,7 +100,16 @@ val replication_digest_check : t -> matched:bool -> unit
 
 val replication_shard_resync : t -> unit
 
-(** {1 Integrity: scrubber} *)
+(** {1 Integrity: digests and scrubber} *)
+
+val digest_fold : t -> unit
+(** One shard digest folded from the registry: its first request since
+    boot or since an install replaced the shard. *)
+
+val digest_hashed : t -> versions:int -> unit
+(** [versions] entry versions printed and fed to a CRC for the shard
+    digests: by a fold, or by a write on a folded shard. *)
+
 
 val scrub_pass : t -> unit
 
@@ -131,6 +140,9 @@ val stale_counts : t -> int * int
 
 val journal_recovery_counts : t -> int * int
 (** (torn tails truncated, records rejected by checksum). *)
+
+val digest_counts : t -> int * int
+(** (shard folds, versions hashed for the digests). *)
 
 val scrub_counts : t -> int * int * int
 (** (passes, items examined, corruptions found). *)

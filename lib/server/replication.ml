@@ -209,8 +209,11 @@ let bootstrap ~host ~port sink =
 
 (* Anti-entropy: once caught up, compare per-shard content digests with
    the upstream and re-bootstrap only the diverged shards.  O(shards) on
-   the happy path — one tiny GET against incrementally maintained
-   values — so it can run on every caught-up poll.  An upstream without
+   the happy path — one tiny GET against values each write keeps — so it
+   can run on every caught-up poll.  The first request after a boot or
+   an install folds each shard it finds unfolded, on either side, once:
+   every stored version of that shard is hashed under its write lock
+   (bench P11 reports that first request).  An upstream without
    the endpoint (pre-digest primary) or a transport hiccup skips the
    check; the next poll retries. *)
 let verify_digests ~host ~port sink =

@@ -129,6 +129,12 @@ module Rwlock = struct
       Atomic.get t.writes_contended )
 end
 
+(* A shard's anti-entropy digest.  Unfolded: nothing is hashed, from
+   boot or from the install that last replaced the shard until someone
+   asks for the digest.  Folded: the value, kept exact by every write
+   after it.  Guarded by the shard's lock. *)
+type digest = Unfolded | Folded of int
+
 type t = {
   config : config;
   mutable registry : Bx_repo.Registry.t;
@@ -154,10 +160,11 @@ type t = {
       (* per-shard write generations, each guarded by its shard lock's
          write side; the service-wide generation is their sum, so it
          still advances by one on every accepted write *)
-  digests : int array;
+  digests : digest array;
       (* per-shard content digests (XOR over entry hashes; shard 0 also
-         folds the docstore), maintained incrementally under the same
-         write locks as [gens] — the O(shards) anti-entropy currency *)
+         folds the docstore), folded on first demand and then kept under
+         the same write locks as [gens] — the O(shards) anti-entropy
+         currency *)
   quarantine : Integrity.Quarantine.t;
   cm : Mutex.t; (* guards [corruption_times] *)
   mutable corruption_times : float list;
@@ -238,21 +245,48 @@ let doc_digest t =
     0
     (Docstore.doc_digest_parts t.docstore)
 
-(* Full recomputation — boot, snapshot install, shard resync.  Steady
-   state maintains the same value incrementally: every accepted write
-   XORs the mutated item's hash out (pre-image) and back in
-   (post-image), O(|item|) per write.  Caller holds the shard's write
-   lock. *)
-let recompute_shard_digest t k =
-  let d = Integrity.shard_digest_of t.registry k in
-  t.digests.(k) <- (if k = 0 then d lxor doc_digest t else d)
+(* The touched item's contribution to its shard's digest; 0 when absent,
+   so the before/after XOR covers creation too.  An entry hashes every
+   stored version, and the counter says how many.  Caller holds the
+   shard's lock. *)
+let item_hash t = function
+  | Route.Entry_item id ->
+      (match Bx_repo.Registry.versions t.registry id with
+      | Ok vs -> Metrics.digest_hashed t.metrics ~versions:(List.length vs)
+      | Error _ -> ());
+      Integrity.entry_hash t.registry id
+  | Doc_item (lens, docid) -> (
+      match Docstore.get_doc t.docstore ~lens ~docid ~view:false with
+      | Ok (gen, source) -> Integrity.doc_hash ~lens ~docid ~gen ~source
+      | Error _ -> 0)
+  | No_item -> 0
 
-let recompute_digests t =
-  Array.iteri (fun k _ -> recompute_shard_digest t k) t.digests
+(* Hash every stored version of the shard once.  Caller holds shard
+   [k]'s write lock. *)
+let fold_shard t k =
+  let value =
+    List.fold_left
+      (fun acc id -> acc lxor item_hash t (Route.Entry_item id))
+      (if k = 0 then doc_digest t else 0)
+      (Bx_repo.Registry.shard_ids t.registry k)
+  in
+  Metrics.digest_fold t.metrics;
+  t.digests.(k) <- Folded value;
+  value
+
+let folded t k = match t.digests.(k) with Folded d -> Some d | Unfolded -> None
+
+(* A folded shard answers under its read lock; an unfolded one is folded
+   under its write lock, once, and keeps the value for the next caller. *)
+let shard_digest t k =
+  match read_shard t k (fun () -> folded t k) with
+  | Some d -> d
+  | None ->
+      write_shard t k (fun () ->
+          match folded t k with Some d -> d | None -> fold_shard t k)
 
 let shard_digests t =
-  read_all t (fun () ->
-      Array.to_list (Array.mapi (fun k d -> (k, d)) t.digests))
+  List.init (Array.length t.digests) (fun k -> (k, shard_digest t k))
 
 let quarantine t = t.quarantine
 
@@ -399,7 +433,7 @@ let register_sampled t ~boot =
   let counter ?labels name help read = gauge ~kind:"counter" ?labels name help read in
   let one v = [ ([], float_of_int v) ] in
   gauge ~labels:[ "phase" ] "bxwiki_boot_seconds"
-    "Seconds each boot phase took: journal, seed or snapshot, replay, digest."
+    "Seconds each boot phase took: journal, seed or snapshot, replay."
     (fun () -> List.map (fun (phase, s) -> ([ phase ], s)) boot);
   gauge "bxwiki_queue_depth"
     "Pending connections queued for a worker (sampled at scrape)."
@@ -552,7 +586,7 @@ let create ?(config = default_config) ?(pages = []) ?(lenses = []) ~seed () =
         Respcache.create ~capacity:cache_capacity
           ~shards:config.cache_shards metrics;
       gens = Array.make shards 0;
-      digests = Array.make shards 0;
+      digests = Array.make shards Unfolded;
       quarantine = Integrity.Quarantine.create ();
       cm = Mutex.create ();
       corruption_times = [];
@@ -573,8 +607,6 @@ let create ?(config = default_config) ?(pages = []) ?(lenses = []) ~seed () =
           (match log with Some l -> Shardlog.next_seq l | None -> 1);
     }
     in
-    (* Single-threaded here; steady state keeps these incremental. *)
-    timed "digest" (fun () -> recompute_digests t);
     register_sampled t ~boot:(List.rev !phases);
     t
   in
@@ -843,34 +875,29 @@ let write_barrier t =
    generation and journal segment, and the item whose hash moves that
    shard's digest.  An entry edit rides its entry's shard; a lens
    document rides shard 0 (its snapshot carries the docstore).
-   [apply_write] then runs {!perform} and keeps the digest exact (boot
-   replay runs {!perform} alone: the digests are computed whole after
-   it).  The two orders around it: a primary applies, then journals (a
-   refused edit never reaches the log); a replica journals, then applies
-   (a crash in between replays to the same state at the next boot). *)
+   [apply_write] then runs {!perform} and keeps a folded digest exact
+   (boot replay runs {!perform} alone: the digests are folded on first
+   demand after it).  The two orders around it: a primary applies, then
+   journals (a refused edit never reaches the log); a replica journals,
+   then applies (a crash in between replays to the same state at the
+   next boot). *)
 
-(* The touched item's contribution to its shard's digest; 0 when absent,
-   so the before/after XOR covers creation too.  Caller holds the
-   shard's write lock. *)
-let item_hash t = function
-  | Route.Entry_item id -> Integrity.entry_hash t.registry id
-  | Doc_item (lens, docid) -> (
-      match Docstore.get_doc t.docstore ~lens ~docid ~view:false with
-      | Ok (gen, source) -> Integrity.doc_hash ~lens ~docid ~gen ~source
-      | Error _ -> 0)
-  | No_item -> 0
-
-(* Caller holds shard [k]'s write lock.  The pre-image hash is sampled
-   under the same lock that applies the write: XORing it out and the
-   post-image in keeps the shard digest exact without rescanning the
-   shard.  A replica's digests track the same XOR, so a digest comparison
-   measures content divergence, not bookkeeping drift. *)
+(* Caller holds shard [k]'s write lock.  An unfolded shard hashes
+   nothing: its first digest request folds what the write left.  On a
+   folded shard the pre-image hash is sampled under the same lock that
+   applies the write: XORing it out and the post-image in keeps the
+   shard digest exact without rescanning the shard.  A replica's digests
+   track the same XOR, so a digest comparison measures content
+   divergence, not bookkeeping drift. *)
 let apply_write t (k, item) route ~path ~body =
-  let before = item_hash t item in
-  let response = perform t.registry t.docstore route ~path ~body in
-  if response.Bx_repo.Webui.status = 200 then
-    t.digests.(k) <- t.digests.(k) lxor before lxor item_hash t item;
-  response
+  match t.digests.(k) with
+  | Unfolded -> perform t.registry t.docstore route ~path ~body
+  | Folded d ->
+      let before = item_hash t item in
+      let response = perform t.registry t.docstore route ~path ~body in
+      if response.Bx_repo.Webui.status = 200 then
+        t.digests.(k) <- Folded (d lxor before lxor item_hash t item);
+      response
 
 (* An append's verdict on the journal.  A failure flips /readyz until the
    next successful append; ENOSPC is special — no retry can succeed
@@ -1239,7 +1266,7 @@ let replication_install_snapshot t ~seq ~files =
             (* The shipped snapshot carries the primary's documents (or
                none); either way it replaces ours. *)
             let docs = load_docs t.docstore log in
-            recompute_digests t;
+            Array.fill t.digests 0 (Array.length t.digests) Unfolded;
             docs)
   with Bx_fault.Fault.Injected m -> Error m
 
@@ -1268,7 +1295,7 @@ let replication_install_shard t ~shard ~seq ~files =
             in
             t.gens.(shard) <- t.gens.(shard) + 1;
             let docs = if shard <> 0 then Ok () else load_docs t.docstore log in
-            recompute_shard_digest t shard;
+            t.digests.(shard) <- Unfolded;
             Metrics.replication_shard_resync t.metrics;
             docs)
   with Bx_fault.Fault.Injected m -> Error m

@@ -289,9 +289,11 @@ val quarantine : t -> Integrity.Quarantine.t
 
 val shard_digests : t -> (int * int) list
 (** The per-shard content digests, as served at
-    [GET /replication/digest] — maintained incrementally in O(|item|)
-    per write, recomputed wholesale only at boot and snapshot
-    installs. *)
+    [GET /replication/digest].  A shard's digest is folded on its first
+    request after boot or after an install replaced the shard, under
+    that shard's write lock, hashing each stored version once; a write
+    on a folded shard then hashes its item before and after, and one on
+    an unfolded shard hashes nothing. *)
 
 (** {1 Replication} *)
 

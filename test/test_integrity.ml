@@ -741,6 +741,262 @@ let write_path_tests =
          write_path_trial);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Digests on demand: nothing is hashed until a digest is asked for;
+   the first request folds each shard once, and a write on a folded
+   shard XORs its item's hash out before and in after.  The cases here
+   fold before they write, so that XOR path is what they check. *)
+
+(* The documents these cases write, by docid. *)
+let docids = [ "d0"; "d1" ]
+
+(* A full recomputation from what the service serves: the registry's
+   shard folds, with shard 0 also folding the documents. *)
+let recomputed t =
+  let docs =
+    List.fold_left
+      (fun acc docid ->
+        let r =
+          Service.handle_query t ~query:"" ~meth:"GET"
+            ~path:("/slens/composers/doc/" ^ docid) ~body:""
+        in
+        match String.index_opt r.Bx_repo.Webui.body '\x1e' with
+        | Some i when r.Bx_repo.Webui.status = 200 ->
+            let body = r.Bx_repo.Webui.body in
+            acc
+            lxor Integrity.doc_hash ~lens:"composers" ~docid
+                   ~gen:(int_of_string (String.sub body 0 i))
+                   ~source:(String.sub body (i + 1) (String.length body - i - 1))
+        | _ -> acc)
+      0 docids
+  in
+  Service.with_registry t (fun reg ->
+      List.init (Registry.shard_count reg) (fun k ->
+          (k, Integrity.shard_digest_of reg k lxor if k = 0 then docs else 0)))
+
+let digest_rows = Alcotest.(list (pair int int))
+
+let edit t path sentence =
+  let page = (get t (path ^ ".wiki")).Bx_repo.Webui.body in
+  (post t path (inject page sentence)).Bx_repo.Webui.status
+
+let put_doc t docid records =
+  (post t ("/slens/composers/doc/" ^ docid)
+     (Bx_catalogue.Composers_string.synthetic_source records))
+    .Bx_repo.Webui.status
+
+let curator = Bx_repo.Curation.account ~role:Bx_repo.Curation.Curator "curator"
+
+(* Revise [id] until it holds [n] versions. *)
+let grow reg id n =
+  let rec go () =
+    match Registry.versions reg id with
+    | Ok vs when List.length vs < n ->
+        let t = Result.get_ok (Registry.latest reg id) in
+        let t =
+          { t with Bx_repo.Template.overview = t.Bx_repo.Template.overview ^ " More." }
+        in
+        (match Registry.revise reg ~as_:curator id t with
+        | Ok _ -> go ()
+        | Error e -> Alcotest.failf "revise: %s" (Registry.error_message e))
+    | _ -> ()
+  in
+  go ()
+
+let versions_of reg id = List.length (Result.get_ok (Registry.versions reg id))
+
+let on_demand_tests =
+  [
+    tc "digests folded before writes stay exact, documents included" (fun () ->
+        List.iter
+          (fun shards ->
+            let t = service ~config:{ Service.default_config with shards } () in
+            let folded = Service.shard_digests t in
+            check digest_rows "the fold is a full recomputation" (recomputed t) folded;
+            List.iteri
+              (fun i path ->
+                if i mod 2 = 0 then
+                  check Alcotest.int "edit" 200
+                    (edit t path (Printf.sprintf "Folded first %d." i)))
+              (wiki_paths t);
+            check Alcotest.int "doc create" 200 (put_doc t "d0" 3);
+            check Alcotest.int "doc replace" 200 (put_doc t "d0" 5);
+            check Alcotest.int "second doc" 200 (put_doc t "d1" 2);
+            check digest_rows
+              (Printf.sprintf "%d shard(s): served = recomputed" shards)
+              (recomputed t) (Service.shard_digests t);
+            Service.close t)
+          [ 1; 4 ]);
+    tc "a fold hashes each version once, a folded write the entry twice" (fun () ->
+        let ids = Registry.ids (seed ()) in
+        let one = List.nth ids 0 and fifty = List.nth ids 1 and cold = List.nth ids 2 in
+        let grown () =
+          let reg = seed () in
+          grow reg fifty 50;
+          reg
+        in
+        let t =
+          match Service.create ~config:{ Service.default_config with shards = 2 }
+                  ~lenses:service_lenses ~seed:grown () with
+          | Ok t -> t
+          | Error e -> Alcotest.failf "service create: %s" e
+        in
+        let counts () = Metrics.digest_counts (Service.metrics t) in
+        let path id = "/" ^ Identifier.wiki_path id in
+        let versions id = Service.with_registry t (fun reg -> versions_of reg id) in
+        check Alcotest.(pair int int) "a boot hashes nothing" (0, 0) (counts ());
+        check Alcotest.int "edit" 200 (edit t (path cold) "Unfolded write.");
+        check Alcotest.(pair int int) "nor does a write on an unfolded shard" (0, 0)
+          (counts ());
+        check Alcotest.int "one version" 1 (versions one);
+        check Alcotest.int "fifty versions" 50 (versions fifty);
+        let stored = List.fold_left (fun acc id -> acc + versions id) 0 ids in
+        ignore (Service.shard_digests t);
+        check Alcotest.(pair int int) "the first request hashes each version once"
+          (2, stored) (counts ());
+        ignore (Service.shard_digests t);
+        check Alcotest.(pair int int) "a second request hashes none" (2, stored) (counts ());
+        List.iter
+          (fun (id, what) ->
+            let n = versions id and before = snd (counts ()) in
+            check Alcotest.int "revise" 200 (edit t (path id) ("Revised " ^ what ^ "."));
+            check Alcotest.int
+              (what ^ ": a revise hashes the n versions before and the n + 1 after")
+              (before + n + (n + 1))
+              (snd (counts ())))
+          [ (one, "one version"); (fifty, "fifty versions") ];
+        check digest_rows "served = recomputed" (recomputed t) (Service.shard_digests t);
+        Service.close t);
+    (* Pins a known defect (CHANGES.md FOUND, ROADMAP item 17):
+       Journal.checkpoint seals a segment at its own last sequence
+       number, so a shard snapshot of a segment that has journaled
+       nothing seals at seq 0 and is not served, even right after a full
+       cut sealed it at a real one.  A follower whose digest for such a
+       shard diverges cannot resync it.  When the checkpoint is mended,
+       expect 200 for every shard here and drop the source pre-write in
+       the interleaving property below. *)
+    tc "known defect: an unjournaled segment has no shard snapshot" (fun () ->
+        let t = service ~config:(journal_config ~shards:3 (fresh_dir "bxseal")) () in
+        check Alcotest.int "edit" 200 (edit t (List.hd (wiki_paths t)) "One write.");
+        let status query =
+          (Service.handle_query t ~query ~meth:"GET" ~path:"/replication/snapshot" ~body:"")
+            .Bx_repo.Webui.status
+        in
+        check Alcotest.int "a full cut seals every segment" 200 (status "");
+        let refused =
+          List.filter (fun k -> status (Printf.sprintf "shard=%d" k) = 404) [ 0; 1; 2 ]
+        in
+        check Alcotest.int "the two segments with no record answer 404" 2
+          (List.length refused);
+        Service.close t);
+  ]
+
+(* The property: random interleavings of entry writes, document writes,
+   digest requests, a whole-snapshot install and a one-shard resync from
+   a diverging source.  Two services take the same steps.  One is asked
+   for its digests after every step, so every write lands on a folded
+   shard; the other only at the digest steps and at the end, so writes
+   land on unfolded shards too.  Each answer must equal a full
+   recomputation. *)
+
+type demand_op =
+  | Write of int * int (* entry index, revision *)
+  | Doc of int * int (* docid index, records *)
+  | Ask
+  | Source_write of int * int (* entry index, revision, on the source *)
+  | Install
+  | Resync of int (* shard *)
+
+let print_demand_op = function
+  | Write (e, r) -> Printf.sprintf "Write(%d,%d)" e r
+  | Doc (d, n) -> Printf.sprintf "Doc(%d,%d)" d n
+  | Ask -> "Ask"
+  | Source_write (e, r) -> Printf.sprintf "Source_write(%d,%d)" e r
+  | Install -> "Install"
+  | Resync k -> Printf.sprintf "Resync %d" k
+
+let demand_shards = 3
+
+let demand_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (4, map2 (fun e r -> Write (e, r)) (0 -- 7) (0 -- 999));
+        (2, map2 (fun d n -> Doc (d, n)) (0 -- 1) (1 -- 6));
+        (2, pure Ask);
+        (2, map2 (fun e r -> Source_write (e, r)) (0 -- 7) (0 -- 999));
+        (1, pure Install);
+        (1, map (fun k -> Resync k) (0 -- (demand_shards - 1)));
+      ])
+
+let snapshot_of source query =
+  let r = Service.handle_query source ~query ~meth:"GET" ~path:"/replication/snapshot" ~body:"" in
+  if r.Bx_repo.Webui.status <> 200 then
+    QCheck2.Test.fail_reportf "source snapshot %S: status %d" query r.Bx_repo.Webui.status;
+  match Replication.parse_snapshot_body r.Bx_repo.Webui.body with
+  | Ok (_, seq, files) -> (seq, files)
+  | Error e -> QCheck2.Test.fail_reportf "source snapshot: %s" e
+
+let demand_trial ops =
+  let config () = journal_config ~shards:demand_shards (fresh_dir "bxdemand") in
+  let source = service ~config:(config ()) () in
+  let eager = service ~config:(config ()) () and lazy_ = service ~config:(config ()) () in
+  let exact what t =
+    if Service.shard_digests t <> recomputed t then
+      QCheck2.Test.fail_reportf "%s: served digests differ from a full recomputation" what
+  in
+  let entry t e = let paths = wiki_paths t in List.nth paths (e mod List.length paths) in
+  (* A segment with nothing journaled has no snapshot to ship (the
+     checkpoint defect pinned by "known defect: an unjournaled segment
+     has no shard snapshot" above): write every entry once, so every
+     segment has a record.  This keeps Resync off that defect, so the
+     property does not cover a resync of a shard that never journaled;
+     drop this pre-write once the checkpoint is mended. *)
+  List.iter (fun path -> ignore (edit source path "Source.")) (wiki_paths source);
+  let both what f =
+    let a = f eager and b = f lazy_ in
+    if a <> b then QCheck2.Test.fail_reportf "%s: the twins answered %d and %d" what a b
+  in
+  let install what f =
+    List.iter
+      (fun t ->
+        match f (Service.replication_sink t) with
+        | Ok () -> ()
+        | Error e -> QCheck2.Test.fail_reportf "%s: %s" what e)
+      [ eager; lazy_ ]
+  in
+  List.iter
+    (fun op ->
+      let what = print_demand_op op in
+      (match op with
+      | Write (e, r) ->
+          both what (fun t -> edit t (entry t e) (Printf.sprintf "Write %d." r))
+      | Doc (d, n) -> both what (fun t -> put_doc t (List.nth docids d) n)
+      | Ask -> exact what lazy_
+      | Source_write (e, r) ->
+          ignore (edit source (entry source e) (Printf.sprintf "Source %d." r))
+      | Install ->
+          let seq, files = snapshot_of source "" in
+          install what (fun sink -> sink.Replication.install_snapshot ~seq ~files)
+      | Resync shard ->
+          let seq, files = snapshot_of source (Printf.sprintf "shard=%d" shard) in
+          install what (fun sink -> sink.Replication.install_shard ~shard ~seq ~files));
+      exact what eager)
+    ops;
+  exact "at the end" lazy_;
+  List.iter Service.close [ source; eager; lazy_ ];
+  true
+
+let demand_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:20 ~long_factor:25
+         ~name:"served digests equal a full recomputation after every step"
+         ~print:(fun ops -> String.concat "; " (List.map print_demand_op ops))
+         QCheck2.Gen.(list_size (5 -- 25) demand_op_gen)
+         demand_trial);
+  ]
+
 let () =
   Alcotest.run "integrity"
     [
@@ -750,4 +1006,6 @@ let () =
       ("scrub", scrub_tests);
       ("torture", torture_tests);
       ("write path", write_path_tests);
+      ("on demand", on_demand_tests);
+      ("interleave", demand_tests);
     ]

@@ -511,7 +511,7 @@ let metrics_tests =
         Service.close t;
         check
           Alcotest.(list string)
-          "phases" [ "digest"; "journal"; "replay"; "seed" ]
+          "phases" [ "journal"; "replay"; "seed" ]
           (List.sort compare (List.map fst phases));
         let sum = List.fold_left (fun acc (_, s) -> acc +. s) 0. phases in
         if List.exists (fun (_, s) -> s < 0.) phases || sum > wall then
